@@ -46,10 +46,12 @@ Trs::process(ProtoMsg &msg)
 Trs::TaskSlot *
 Trs::findSlot(const TaskId &id)
 {
-    auto it = slots.find(id.slot);
-    if (it == slots.end() || it->second.generation != id.generation)
+    if (id.slot >= slots.size())
         return nullptr;
-    return &it->second;
+    TaskSlot &slot = slots[id.slot];
+    if (!slot.live || slot.generation != id.generation)
+        return nullptr;
+    return &slot;
 }
 
 bool
@@ -79,12 +81,24 @@ Trs::handleAlloc(AllocRequestMsg &msg)
                trsIndex);
 
     Cycle cost = cfg.packetLatency;
-    TaskSlot slot;
+    auto first = freeList.allocate();
+    TSS_ASSERT(first.has_value(), "freeList allocation failed");
+    cost += first->cost;
+    std::uint32_t main_block = first->block;
+    if (main_block >= slots.size())
+        slots.resize(main_block + 1);
+    TaskSlot &slot = slots[main_block];
+    TSS_ASSERT(!slot.live, "TRS %u block %u allocated twice", trsIndex,
+               main_block);
+    slot.live = true;
     slot.traceIndex = msg.traceIndex;
     slot.numOperands = msg.numOperands;
-    slot.ops.resize(msg.numOperands);
-    slot.blocks.reserve(blocks);
-    for (unsigned i = 0; i < blocks; ++i) {
+    slot.infoCount = 0;
+    slot.readyCount = 0;
+    slot.readySent = false;
+    slot.ops.assign(msg.numOperands, OperandState{});
+    slot.blocks.assign(1, main_block);
+    for (unsigned i = 1; i < blocks; ++i) {
         auto alloc = freeList.allocate();
         TSS_ASSERT(alloc.has_value(), "freeList allocation failed");
         slot.blocks.push_back(alloc->block);
@@ -93,9 +107,8 @@ Trs::handleAlloc(AllocRequestMsg &msg)
     // Initialize the main block (task globals).
     cost += edram.write();
 
-    std::uint32_t main_block = slot.blocks.front();
-    std::uint32_t generation = ++generations[main_block];
-    slot.generation = generation;
+    std::uint32_t generation = ++slot.generation;
+    ++numLive;
 
     TaskId id;
     id.trs = static_cast<std::uint16_t>(trsIndex);
@@ -112,15 +125,12 @@ Trs::handleAlloc(AllocRequestMsg &msg)
         1.0 - static_cast<double>(layout::usedBytes(msg.numOperands)) /
             static_cast<double>(layout::allocatedBytes(msg.numOperands)));
 
-    slots.emplace(main_block, std::move(slot));
-
     sendMsg(gatewayNode,
             std::make_unique<AllocReplyMsg>(msg.traceIndex, id));
 
     // Degenerate but legal: a task with no operands is ready at once.
     if (msg.numOperands == 0) {
-        TaskSlot &stored = slots[main_block];
-        stored.readySent = true;
+        slot.readySent = true;
         registry.record(id).ready = curCycle();
         registry.record(id).decodeDone = curCycle();
         obs::trace(obs::TraceEvent::TaskDecodeDone, curCycle(),
@@ -376,7 +386,8 @@ Trs::handleTaskFinished(TaskFinishedMsg &msg)
     }
 
     registry.unbind(msg.id);
-    slots.erase(msg.id.slot);
+    slot->live = false;
+    --numLive;
     return {cost, false};
 }
 

@@ -9,7 +9,6 @@
 #ifndef TSS_CORE_TRS_HH
 #define TSS_CORE_TRS_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hh"
@@ -85,7 +84,7 @@ class Trs : public FrontendModule
     const BlockFreeList &blockList() const { return freeList; }
 
     /** Number of live (allocated, unfinished) task slots. */
-    std::size_t liveSlots() const { return slots.size(); }
+    std::size_t liveSlots() const { return numLive; }
 
   protected:
     Service process(ProtoMsg &msg) override;
@@ -105,9 +104,14 @@ class Trs : public FrontendModule
         Bytes bytes = 0;
     };
 
-    /** One in-flight task's meta-data. */
+    /**
+     * One in-flight task's meta-data. A slot outlives its task: the
+     * generation survives retirement (tombstone detection), and the
+     * vectors keep their capacity for the block's next task.
+     */
     struct TaskSlot
     {
+        bool live = false;
         std::uint32_t generation = 0;
         std::uint32_t traceIndex = 0;
         unsigned numOperands = 0;
@@ -168,11 +172,10 @@ class Trs : public FrontendModule
     /// runs never subscribe, so they see zero extra traffic.
     std::vector<NodeId> starvedOrtNodes;
 
-    /// Live slots keyed by main-block index.
-    std::unordered_map<std::uint32_t, TaskSlot> slots;
-
-    /// Generation counter per block index (tombstone detection).
-    std::unordered_map<std::uint32_t, std::uint32_t> generations;
+    /// Slots indexed by main-block index, grown on demand (the free
+    /// list hands out low blocks first, so small runs stay small).
+    std::vector<TaskSlot> slots;
+    std::size_t numLive = 0;
 };
 
 } // namespace tss

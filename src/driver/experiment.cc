@@ -48,20 +48,6 @@ paperConfig(unsigned cores)
     return cfg;
 }
 
-void
-applyNocArgs(const CliArgs &args, PipelineConfig &cfg)
-{
-    RunOptions::parse(args).applyNoc(cfg);
-}
-
-bool
-applyRelocateArgs(const CliArgs &args, RelocationOptions &opts)
-{
-    RunOptions parsed = RunOptions::parse(args);
-    parsed.apply(opts);
-    return parsed.relocateRequested();
-}
-
 TaskTrace
 makeWorkload(const std::string &name, double scale, std::uint64_t seed)
 {

@@ -49,22 +49,6 @@ SwRunResult runSoftware(const SwRuntimeConfig &config,
 PipelineConfig paperConfig(unsigned cores = 256);
 
 /**
- * @deprecated Use RunOptions (driver/run_options.hh): this wrapper
- * applies only the historical NoC subset (topology, placement,
- * placement seed, batching, idealAdmission, simThreads) and will be
- * removed next PR.
- */
-[[deprecated("use tss::RunOptions::parse(args).apply(cfg)")]]
-void applyNocArgs(const CliArgs &args, PipelineConfig &cfg);
-
-/**
- * @deprecated Use RunOptions (driver/run_options.hh): parse() +
- * apply(RelocationOptions&) / relocateRequested(). Removed next PR.
- */
-[[deprecated("use tss::RunOptions::parse(args).apply(opts)")]]
-bool applyRelocateArgs(const CliArgs &args, RelocationOptions &opts);
-
-/**
  * Generate the named benchmark at @p scale (1.0 = paper-sized window
  * pressure, tens of thousands of tasks). Calls fatal() for unknown
  * names.

@@ -14,9 +14,8 @@
  * invocation leaves both intact while `--pipes=8` overrides one.
  *
  * Replaces the historical free functions `applyNocArgs` and
- * `applyRelocateArgs` plus the per-bench `--pipes`/`--credits`/
- * `--gen-threads` plumbing; the free functions survive one PR as thin
- * deprecated wrappers (driver/experiment.hh).
+ * `applyRelocateArgs` (now removed) plus the per-bench `--pipes`/
+ * `--credits`/`--gen-threads` plumbing.
  */
 
 #ifndef TSS_DRIVER_RUN_OPTIONS_HH
@@ -72,10 +71,9 @@ class RunOptions
     }
 
     /**
-     * The historical applyNocArgs subset: topology, placement,
-     * placement seed, batching, idealAdmission, simThreads and
-     * lookahead mode only — no structural knobs. Used by the
-     * deprecated wrapper.
+     * The NoC/engine subset of apply(PipelineConfig&): topology,
+     * placement, placement seed, batching, idealAdmission, simThreads
+     * and lookahead mode only — no structural knobs.
      */
     void applyNoc(PipelineConfig &cfg) const;
 

@@ -34,7 +34,7 @@ MeshNetwork::verticalLink(unsigned x, unsigned y)
 
 Cycle
 MeshNetwork::routeGlobal(unsigned from, unsigned to, Cycle start,
-                         Cycle ser, unsigned &hops_out)
+                         Cycle ser)
 {
     unsigned x = stopX(from), y = stopY(from);
     unsigned tx = stopX(to), ty = stopY(to);
@@ -46,14 +46,12 @@ MeshNetwork::routeGlobal(unsigned from, unsigned to, Cycle start,
         t = reserveLane(horizontalLink(edge, y), t, ser) +
             _params.hopLatency;
         x = x < tx ? x + 1 : x - 1;
-        ++hops_out;
     }
     while (y != ty) {
         unsigned edge_y = y < ty ? y : y - 1;
         t = reserveLane(verticalLink(x, edge_y), t, ser) +
             _params.hopLatency;
         y = y < ty ? y + 1 : y - 1;
-        ++hops_out;
     }
     return t;
 }

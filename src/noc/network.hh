@@ -7,7 +7,6 @@
 #ifndef TSS_NOC_NETWORK_HH
 #define TSS_NOC_NETWORK_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "noc/message.hh"
@@ -40,7 +39,7 @@ class Network : public SimObject
     void
     attach(NodeId node, Endpoint &ep)
     {
-        endpoints[node] = &ep;
+        station(node).endpoint = &ep;
     }
 
     /**
@@ -51,15 +50,15 @@ class Network : public SimObject
     void
     bindQueue(NodeId node, EventQueue &eq)
     {
-        nodeQueues[node] = &eq;
+        station(node).queue = &eq;
     }
 
     /** The queue @p node is bound to, or nullptr if unbound. */
     EventQueue *
     boundQueue(NodeId node) const
     {
-        auto it = nodeQueues.find(node);
-        return it == nodeQueues.end() ? nullptr : it->second;
+        auto i = static_cast<std::uint32_t>(node);
+        return i < stations.size() ? stations[i].queue : nullptr;
     }
 
     /**
@@ -141,14 +140,20 @@ class Network : public SimObject
     void
     deliverAt(Cycle when, MessagePtr msg)
     {
-        auto qit = nodeQueues.find(msg->dst);
-        EventQueue &q =
-            qit == nodeQueues.end() ? eventQueue() : *qit->second;
+        auto d = static_cast<std::uint32_t>(msg->dst);
+        TSS_ASSERT(d < stations.size() && stations[d].endpoint,
+                   "message to unattached node %d", msg->dst);
+        TSS_ASSERT(msg->src >= 0, "message from invalid node %d",
+                   msg->src);
+        Station &st = stations[d];
+        EventQueue &q = st.queue ? *st.queue : eventQueue();
         if (when < q.windowFloor())
             when = q.windowFloor();
 
-        auto key = pairKey(msg->src, msg->dst);
-        auto &last = lastDelivery[key];
+        auto s = static_cast<std::size_t>(msg->src);
+        if (s >= st.lastFrom.size())
+            st.lastFrom.resize(s + 1, 0);
+        Cycle &last = st.lastFrom[s];
         if (when < last)
             when = last;
         last = when;
@@ -162,10 +167,7 @@ class Network : public SimObject
                        static_cast<std::uint16_t>(msg->dst),
                    when - msg->sentAt);
 
-        auto it = endpoints.find(msg->dst);
-        TSS_ASSERT(it != endpoints.end(),
-                   "message to unattached node %d", msg->dst);
-        Endpoint *ep = it->second;
+        Endpoint *ep = st.endpoint;
         NodeId dst = msg->dst;
         q.scheduleStation(when, dst, [ep, m = std::move(msg)]() mutable {
             ep->receive(std::move(m));
@@ -173,16 +175,31 @@ class Network : public SimObject
     }
 
   private:
-    static std::uint64_t
-    pairKey(NodeId src, NodeId dst)
+    /**
+     * Per-node delivery state, indexed by NodeId (topology ids are
+     * dense from 0).
+     */
+    struct Station
     {
-        return (std::uint64_t(std::uint32_t(src)) << 32) |
-            std::uint32_t(dst);
+        Endpoint *endpoint = nullptr;
+        EventQueue *queue = nullptr; ///< nullptr: the network's queue
+        /// Last delivery cycle from each source node (the per-pair
+        /// FIFO clamp), indexed by source NodeId, grown on demand.
+        std::vector<Cycle> lastFrom;
+    };
+
+    /** @p node's entry, growing the table to hold it. */
+    Station &
+    station(NodeId node)
+    {
+        TSS_ASSERT(node >= 0, "invalid node id %d", node);
+        auto i = static_cast<std::size_t>(node);
+        if (i >= stations.size())
+            stations.resize(i + 1);
+        return stations[i];
     }
 
-    std::unordered_map<NodeId, Endpoint *> endpoints;
-    std::unordered_map<NodeId, EventQueue *> nodeQueues;
-    std::unordered_map<std::uint64_t, Cycle> lastDelivery;
+    std::vector<Station> stations;
     Counter numMessages;
     Distribution latencies;
 };

@@ -12,12 +12,11 @@ RingNetwork::RingNetwork(std::string name, EventQueue &eq,
 
 Cycle
 RingNetwork::routeGlobal(unsigned from, unsigned to, Cycle start,
-                         Cycle ser, unsigned &hops_out)
+                         Cycle ser)
 {
     auto stops = static_cast<unsigned>(globalSegments.size());
     bool clockwise = true;
     unsigned dist = ringDistance(from, to, stops, clockwise);
-    hops_out += dist;
 
     Cycle t = start;
     unsigned stop = from;

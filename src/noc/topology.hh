@@ -163,7 +163,6 @@ class TopologyNetwork : public Network
     virtual unsigned hopCount(NodeId src, NodeId dst) const;
 
     const NocParams &params() const { return _params; }
-    const Distribution &hopStat() const { return hops; }
     const PlacementMap &placement() const { return place; }
 
     /** Aggregate link contention over [0, @p now]. */
@@ -252,14 +251,14 @@ class TopologyNetwork : public Network
      * distance-free Fixed topology.
      */
     virtual Cycle route(NodeId src, NodeId dst, Cycle inject,
-                        Cycle ser, unsigned &hops_out);
+                        Cycle ser);
 
     /**
      * Route between two *global* stops starting at @p start,
      * reserving lanes along the way; returns the arrival cycle.
      */
     virtual Cycle routeGlobal(unsigned from, unsigned to, Cycle start,
-                              Cycle ser, unsigned &hops_out) = 0;
+                              Cycle ser) = 0;
 
     /** Stateless hop count between two global stops. */
     virtual unsigned globalHops(unsigned from, unsigned to) const = 0;
@@ -270,7 +269,7 @@ class TopologyNetwork : public Network
 
     /** Traverse a local processor ring (shortest direction). */
     Cycle traverseLocalRing(unsigned ring, unsigned from, unsigned to,
-                            Cycle start, Cycle ser, unsigned &hops_out);
+                            Cycle start, Cycle ser);
 
     NocParams _params;
     unsigned numRings;
@@ -279,8 +278,6 @@ class TopologyNetwork : public Network
   private:
     /// Per processor ring: coresPerRing + 1 link segments.
     std::vector<std::vector<Link>> localSegments;
-
-    Distribution hops;
 };
 
 /**
@@ -315,16 +312,13 @@ class FixedNetwork : public TopologyNetwork
 
   protected:
     Cycle
-    route(NodeId, NodeId, Cycle inject, Cycle ser,
-          unsigned &hops_out) override
+    route(NodeId, NodeId, Cycle inject, Cycle ser) override
     {
-        hops_out = 0;
         return inject + _params.fixedLatency + ser;
     }
 
     Cycle
-    routeGlobal(unsigned, unsigned, Cycle start, Cycle,
-                unsigned &) override
+    routeGlobal(unsigned, unsigned, Cycle start, Cycle) override
     {
         return start;
     }

@@ -1,43 +1,18 @@
 #include "metrics.hh"
 
-#include <algorithm>
-#include <cmath>
-
 namespace tss::serve
 {
 
-namespace
-{
-
-/** Nearest-rank percentile of an ascending-sorted sample set. */
-double
-nearestRank(const std::vector<double> &sorted, double q)
-{
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    rank = std::max<std::size_t>(rank, 1);
-    return sorted[rank - 1];
-}
-
-} // namespace
-
 PercentileSummary
-LatencyRecorder::summary() const
+summarize(const Distribution &samples)
 {
     PercentileSummary s;
-    s.count = samples.size();
-    if (samples.empty())
-        return s;
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    s.p50 = nearestRank(sorted, 0.50);
-    s.p95 = nearestRank(sorted, 0.95);
-    s.p99 = nearestRank(sorted, 0.99);
-    s.max = sorted.back();
-    double sum = 0;
-    for (double v : sorted)
-        sum += v;
-    s.mean = sum / static_cast<double>(sorted.size());
+    s.count = samples.count();
+    s.p50 = samples.nearestRank(0.50);
+    s.p95 = samples.nearestRank(0.95);
+    s.p99 = samples.nearestRank(0.99);
+    s.max = samples.max();
+    s.mean = samples.mean();
     return s;
 }
 

@@ -15,7 +15,8 @@
 #define TSS_SERVE_METRICS_HH
 
 #include <cstddef>
-#include <vector>
+
+#include "sim/stats.hh"
 
 namespace tss::serve
 {
@@ -32,21 +33,12 @@ struct PercentileSummary
 };
 
 /**
- * Accumulates samples and computes percentile summaries. Percentiles
- * use the nearest-rank method (ceil(q * n), 1-indexed) so a summary
+ * Summarize @p samples. Percentiles use the nearest-rank rule
+ * (Distribution::nearestRank: ceil(q * n), 1-indexed), so a summary
  * over integral samples (simulated cycles) is itself integral —
  * byte-identical across runs and therefore CI-gateable.
  */
-class LatencyRecorder
-{
-  public:
-    void record(double sample) { samples.push_back(sample); }
-    std::size_t count() const { return samples.size(); }
-    PercentileSummary summary() const;
-
-  private:
-    std::vector<double> samples;
-};
+PercentileSummary summarize(const Distribution &samples);
 
 } // namespace tss::serve
 

@@ -59,8 +59,11 @@ SocketServer::start()
 void
 SocketServer::acceptLoop()
 {
+    // Read the listener once: stop() resets listenFd concurrently,
+    // and closing the socket is what unblocks accept().
+    const int listener = listenFd;
     for (;;) {
-        int fd = ::accept(listenFd, nullptr, nullptr);
+        int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;

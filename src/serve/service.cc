@@ -58,9 +58,9 @@ TraceService::bindTenantMetrics(Tenant &tenant)
                          tenant.busyRejections);
     registry.bindCounter(base + "simulated_tasks",
                          tenant.simulatedTasks);
-    const LatencyRecorder &makespan = tenant.simMakespan;
+    const Distribution &makespan = tenant.simMakespan;
     registry.addGauge(base + "sim_makespan_p95", [&makespan] {
-        return makespan.summary().p95;
+        return makespan.nearestRank(0.95);
     });
 }
 
@@ -249,7 +249,7 @@ TraceService::finishJob(Job job)
         case Job::Outcome::Ok:
             ++tenant.completed;
             tenant.simulatedTasks += job.simTasks;
-            tenant.simMakespan.record(
+            tenant.simMakespan.sample(
                 static_cast<double>(job.simMakespan));
             break;
         case Job::Outcome::ParseError:
@@ -265,7 +265,7 @@ TraceService::finishJob(Job job)
         }
         if (!job.traceJson.empty())
             tenant.lastTraceJson = std::move(job.traceJson);
-        tenant.wallLatency.record(wall);
+        tenant.wallLatency.sample(wall);
         ++jobsRetired;
     }
     idleCv.notify_all();
@@ -337,8 +337,8 @@ TraceService::report() const
         tr.rejectedCarve = tenant->rejectedCarve;
         tr.busyRejections = tenant->busyRejections;
         tr.simulatedTasks = tenant->simulatedTasks;
-        tr.simMakespanCycles = tenant->simMakespan.summary();
-        tr.wallLatencySeconds = tenant->wallLatency.summary();
+        tr.simMakespanCycles = summarize(tenant->simMakespan);
+        tr.wallLatencySeconds = summarize(tenant->wallLatency);
         tr.tasksPerSec = out.wallSeconds > 0
             ? static_cast<double>(tenant->simulatedTasks) /
                 out.wallSeconds

@@ -265,8 +265,8 @@ class TraceService
         std::size_t rejectedCarve = 0;
         std::size_t busyRejections = 0;
         std::uint64_t simulatedTasks = 0;
-        LatencyRecorder simMakespan;
-        LatencyRecorder wallLatency;
+        Distribution simMakespan;
+        Distribution wallLatency;
 
         std::string lastWedgeJson; ///< most recent wedge diagnosis
         std::string lastTraceJson; ///< most recent job trace

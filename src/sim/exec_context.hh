@@ -24,6 +24,7 @@
 #define TSS_SIM_EXEC_CONTEXT_HH
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -82,14 +83,17 @@ class DeferSink
         ops.emplace_back(key, std::move(apply));
     }
 
-    bool empty() const { return ops.empty(); }
-    std::size_t size() const { return ops.size(); }
-
-    /** Move the log out (barrier side); the sink is left empty. */
-    std::vector<std::pair<DeferKey, EventCallback>>
-    take()
+    /**
+     * Move the log onto the end of @p out (barrier side). The sink is
+     * left empty with its capacity in place, so a warm sink records
+     * without allocating.
+     */
+    void
+    drainInto(std::vector<std::pair<DeferKey, EventCallback>> &out)
     {
-        return std::exchange(ops, {});
+        out.insert(out.end(), std::make_move_iterator(ops.begin()),
+                   std::make_move_iterator(ops.end()));
+        ops.clear();
     }
 
   private:

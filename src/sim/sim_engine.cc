@@ -175,14 +175,8 @@ std::size_t
 SimEngine::applyBarrier()
 {
     merged.clear();
-    for (auto &s : shards) {
-        if (s->sink.empty())
-            continue;
-        auto ops = s->sink.take();
-        merged.insert(merged.end(),
-                      std::make_move_iterator(ops.begin()),
-                      std::make_move_iterator(ops.end()));
-    }
+    for (auto &s : shards)
+        s->sink.drainInto(merged);
     if (!merged.empty()) {
         std::sort(merged.begin(), merged.end(), keyLess);
         if (pending.empty()) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulation statistics: scalar counters, sampled distributions, and
- * time-weighted averages, collected into named groups for dumping.
+ * Simulation statistics: scalar counters, exact sampled distributions
+ * and time-weighted averages.
  */
 
 #ifndef TSS_SIM_STATS_HH
@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <ostream>
-#include <string>
+#include <mutex>
 #include <vector>
 
 #include "types.hh"
@@ -73,17 +73,23 @@ class SpinLock
 };
 
 /**
- * A sampled distribution retaining every sample, so exact percentiles
- * are available. Sample counts in this simulator are bounded by the
- * number of tasks/messages, which keeps full retention cheap.
+ * An exact sampled distribution, stored as a sparse value -> count
+ * histogram: memory grows with the number of *distinct* values
+ * sampled, never with the number of samples, and once every value
+ * has been seen a sample allocates nothing. The table is open
+ * addressing over the values' bit patterns, so no value gets a heap
+ * node of its own.
  *
- * sample() is thread-safe (the parallel engine's domains may sample
- * one distribution concurrently) and every query is computed over the
- * *sorted* samples — including sum(), so floating-point accumulation
- * order is independent of the insertion order and the reported
- * statistics are bit-identical however the engine's threads
- * interleaved. Queries themselves are not safe against a concurrent
- * sample(); they run after the simulation (or at a window barrier).
+ * sample() is thread-safe: stations in different engine domains
+ * share one distribution (FrontendStats), so it takes a spinlock.
+ * Every query is a function of the multiset of samples alone and is
+ * bit-identical to the same query over the sorted sample list,
+ * however the engine's threads interleaved: percentile() and
+ * nearestRank() index the ascending order, min()/max() are its ends,
+ * and sum() is the ascending-order floating-point sum (exact integer
+ * arithmetic while every sample is an integer, a replay of the sorted
+ * values otherwise). Queries are not safe against a concurrent
+ * sample(); they run after the simulation or at a window barrier.
  */
 class Distribution
 {
@@ -91,81 +97,153 @@ class Distribution
     void
     sample(double v)
     {
-        lock.lock();
-        samples.push_back(v);
-        sorted = false;
-        lock.unlock();
+        std::lock_guard<SpinLock> guard(lock);
+        if (used * 4 >= table.size() * 3)
+            grow();
+        auto bits = std::bit_cast<std::uint64_t>(v);
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t i = slotOf(bits);; i = (i + 1) & mask) {
+            Bucket &b = table[i];
+            if (b.count == 0) {
+                b.bits = bits;
+                ++used;
+            } else if (b.bits != bits) {
+                continue;
+            }
+            ++b.count;
+            break;
+        }
+        if (v < lo)
+            lo = v;
+        if (hi < v)
+            hi = v;
+        ++total;
+        noteIntegral(v);
+        viewStale = true;
     }
 
-    std::size_t count() const { return samples.size(); }
+    std::size_t count() const { return total; }
 
-    double
-    sum() const
-    {
-        ensureSorted();
-        double s = 0;
-        for (double v : sortedSamples)
-            s += v;
-        return s;
-    }
+    /** Ascending-order floating-point sum of every sample. */
+    double sum() const;
 
-    double mean() const { return samples.empty() ? 0 : sum() / count(); }
+    double mean() const { return total == 0 ? 0 : sum() / total; }
 
-    double
-    min() const
-    {
-        double m = std::numeric_limits<double>::infinity();
-        for (double v : samples)
-            m = std::min(m, v);
-        return samples.empty() ? 0 : m;
-    }
+    double min() const { return total == 0 ? 0 : lo; }
+    double max() const { return total == 0 ? 0 : hi; }
 
-    double
-    max() const
-    {
-        double m = -std::numeric_limits<double>::infinity();
-        for (double v : samples)
-            m = std::max(m, v);
-        return samples.empty() ? 0 : m;
-    }
-
-    /** Exact percentile in [0, 100] by nearest-rank. */
-    double
-    percentile(double p) const
-    {
-        if (samples.empty())
-            return 0;
-        ensureSorted();
-        double rank = p / 100.0 * (static_cast<double>(count()) - 1);
-        auto idx = static_cast<std::size_t>(rank + 0.5);
-        return sortedSamples[std::min(idx, count() - 1)];
-    }
+    /**
+     * Percentile @p p in [0, 100]: the sample at 0-indexed ascending
+     * rank p/100 * (n - 1), rounded half up (an interpolation-free
+     * "nearest index" rule; p = 50 over 1..100 reads 51).
+     */
+    double percentile(double p) const;
 
     double median() const { return percentile(50); }
+
+    /**
+     * Nearest-rank quantile @p q in [0, 1]: the sample at 1-indexed
+     * ascending rank ceil(q * n), at least 1 — so a quantile of
+     * integral samples is itself one of them. tss-serve's percentiles
+     * use this rule.
+     */
+    double nearestRank(double q) const;
+
+    /** Number of distinct values sampled (the histogram's size). */
+    std::size_t distinct() const { return used; }
+
+    /** Heap bytes held by the histogram and its sorted view. */
+    std::size_t
+    storageBytes() const
+    {
+        return table.capacity() * sizeof(Bucket) +
+            view.capacity() * sizeof(Rank);
+    }
 
     void
     reset()
     {
-        samples.clear();
-        sortedSamples.clear();
-        sorted = false;
+        std::lock_guard<SpinLock> guard(lock);
+        table.clear();
+        view.clear();
+        used = 0;
+        total = 0;
+        lo = std::numeric_limits<double>::infinity();
+        hi = -std::numeric_limits<double>::infinity();
+        intTotal = 0;
+        absTotal = 0;
+        integral = true;
+        viewStale = true;
     }
 
   private:
-    void
-    ensureSorted() const
+    /** A distinct value (as its bit pattern) and its sample count. */
+    struct Bucket
     {
-        if (!sorted) {
-            sortedSamples = samples;
-            std::sort(sortedSamples.begin(), sortedSamples.end());
-            sorted = true;
+        std::uint64_t bits = 0;
+        std::uint64_t count = 0; ///< 0 marks an empty bucket
+    };
+
+    /** Sorted-view entry: a value and its cumulative sample count. */
+    struct Rank
+    {
+        double value;
+        std::uint64_t end; ///< samples <= value
+    };
+
+    /// Integer sums stay exact while the sum of magnitudes fits in a
+    /// double's mantissa: every partial sum, in any order, is then a
+    /// representable integer, so the float sum equals intTotal.
+    static constexpr double exactLimit = 0x1p53;
+
+    std::size_t
+    slotOf(std::uint64_t bits) const
+    {
+        // Fibonacci hashing: the product's top bits mix every input
+        // bit, including the high exponent/mantissa bits in which
+        // small integers differ.
+        return static_cast<std::size_t>(
+            (bits * 0x9E3779B97F4A7C15ull) >> (64 - tableLog2));
+    }
+
+    void
+    noteIntegral(double v)
+    {
+        if (!integral)
+            return;
+        double mag = std::fabs(v);
+        if (mag <= exactLimit && mag == std::floor(mag)) {
+            absTotal += static_cast<std::uint64_t>(mag);
+            intTotal += static_cast<std::int64_t>(v);
+            integral = absTotal <= static_cast<std::uint64_t>(exactLimit);
+        } else {
+            integral = false;
         }
     }
 
-    std::vector<double> samples;
-    mutable std::vector<double> sortedSamples;
-    mutable bool sorted = false;
-    mutable SpinLock lock;
+    void grow();
+
+    /** The distinct values in ascending order (rebuilt when stale). */
+    const std::vector<Rank> &sorted() const;
+
+    /** The sample at 0-indexed ascending rank @p i (i < count()). */
+    double at(std::uint64_t i) const;
+
+    /// Serializes sample() (and reset()) over the fields below.
+    SpinLock lock;
+    std::vector<Bucket> table; ///< size 0 or a power of two
+    unsigned tableLog2 = 0;
+    std::size_t used = 0;      ///< distinct values
+    std::uint64_t total = 0;   ///< samples
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    std::int64_t intTotal = 0;
+    std::uint64_t absTotal = 0;
+    bool integral = true;      ///< every sample so far an exact integer
+
+    /// The sorted view queries read; sample() marks it stale.
+    mutable std::vector<Rank> view;
+    mutable bool viewStale = true;
 };
 
 /**
@@ -206,37 +284,6 @@ class TimeWeighted
     double integral = 0;
     double peak = 0;
     Cycle lastTime = 0;
-};
-
-/**
- * A named collection of statistics owned by a module, dumpable as an
- * aligned text block. Stats register by pointer; the group does not
- * own them.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
-    void addCounter(const std::string &n, const Counter *c)
-    {
-        counters.emplace_back(n, c);
-    }
-
-    void addDistribution(const std::string &n, const Distribution *d)
-    {
-        distributions.emplace_back(n, d);
-    }
-
-    const std::string &name() const { return _name; }
-
-    /** Write all registered statistics to @p os. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::string _name;
-    std::vector<std::pair<std::string, const Counter *>> counters;
-    std::vector<std::pair<std::string, const Distribution *>> distributions;
 };
 
 } // namespace tss

@@ -289,6 +289,60 @@ TEST(SimpleNetwork, ExactLatency)
     EXPECT_EQ(sink.arrivals[0], 12u); // 10 + ceil(32/16)
 }
 
+TEST(SimpleNetwork, SparseHighNodeIdsKeepPerPairFifo)
+{
+    // Delivery state is a table indexed by node id; ids far apart
+    // (and a source that never attached) must still route and clamp.
+    EventQueue eq;
+    SimpleNetwork net("simple", eq, 10, 16.0);
+    Sink low(eq);
+    Sink high(eq);
+    net.attach(3, low);
+    net.attach(1000, high);
+
+    // 1000 -> 3: a 512 B message (arrives 0 + 10 + 32 = 42), then an
+    // 8 B one injected a cycle later that would arrive at 12 — the
+    // per-pair clamp holds it behind the first.
+    eq.schedule(0, [&net] {
+        net.send(std::make_unique<Message>(1000, 3, 512));
+    });
+    eq.schedule(1, [&net] {
+        net.send(std::make_unique<Message>(1000, 3, 8));
+        // Other pairs are not clamped by 1000 -> 3 traffic.
+        net.send(std::make_unique<Message>(3, 1000, 8));
+        net.send(std::make_unique<Message>(2000, 3, 8));
+    });
+    eq.run();
+
+    EXPECT_EQ(low.arrivals, (std::vector<Cycle>{12, 42, 42}));
+    EXPECT_EQ(low.sources, (std::vector<NodeId>{2000, 1000, 1000}));
+    EXPECT_EQ(high.arrivals, (std::vector<Cycle>{12}));
+    EXPECT_EQ(net.messagesSent(), 4u);
+}
+
+TEST(SimpleNetworkDeathTest, SendToUnattachedNodeAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    SimpleNetwork net("simple", eq, 10, 16.0);
+    Sink sink(eq);
+    net.attach(5, sink);
+    EXPECT_DEATH(
+        {
+            // Inside the table's range but never attached, then past
+            // its end.
+            net.send(std::make_unique<Message>(5, 2, 8));
+            eq.run();
+        },
+        "message to unattached node 2");
+    EXPECT_DEATH(
+        {
+            net.send(std::make_unique<Message>(5, 77, 8));
+            eq.run();
+        },
+        "message to unattached node 77");
+}
+
 TEST(RingNetwork, ManyCoreConfigurationWorks)
 {
     EventQueue eq;

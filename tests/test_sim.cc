@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -208,6 +214,241 @@ TEST(Stats, DistributionInterleavedSampleAndQuery)
     d.sample(20);
     d.sample(30);
     EXPECT_DOUBLE_EQ(d.median(), 20.0); // re-sorts after new samples
+}
+
+/**
+ * The keep-every-sample distribution the histogram replaced: every
+ * query over the sorted sample list, summed in ascending order. The
+ * histogram must reproduce each query bit for bit.
+ */
+struct SampleOracle
+{
+    std::vector<double> samples;
+
+    std::vector<double>
+    sorted() const
+    {
+        std::vector<double> s = samples;
+        std::sort(s.begin(), s.end());
+        return s;
+    }
+
+    double
+    sum() const
+    {
+        double total = 0;
+        for (double v : sorted())
+            total += v;
+        return total;
+    }
+
+    double
+    mean() const
+    {
+        return samples.empty() ? 0 : sum() / samples.size();
+    }
+
+    double
+    min() const
+    {
+        double m = std::numeric_limits<double>::infinity();
+        for (double v : samples)
+            m = std::min(m, v);
+        return samples.empty() ? 0 : m;
+    }
+
+    double
+    max() const
+    {
+        double m = -std::numeric_limits<double>::infinity();
+        for (double v : samples)
+            m = std::max(m, v);
+        return samples.empty() ? 0 : m;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (samples.empty())
+            return 0;
+        double rank = p / 100.0 * (static_cast<double>(samples.size()) - 1);
+        auto idx = static_cast<std::size_t>(rank + 0.5);
+        return sorted()[std::min(idx, samples.size() - 1)];
+    }
+
+    double
+    nearestRank(double q) const
+    {
+        if (samples.empty())
+            return 0;
+        auto rank = static_cast<std::size_t>(
+            std::ceil(q * static_cast<double>(samples.size())));
+        return sorted()[std::max<std::size_t>(rank, 1) - 1];
+    }
+};
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectSameBits(const Distribution &d, const SampleOracle &o)
+{
+    ASSERT_EQ(d.count(), o.samples.size());
+    for (double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0})
+        EXPECT_EQ(bitsOf(d.percentile(p)), bitsOf(o.percentile(p)))
+            << "p" << p;
+    for (double q : {0.5, 0.95, 0.99, 1.0})
+        EXPECT_EQ(bitsOf(d.nearestRank(q)), bitsOf(o.nearestRank(q)))
+            << "q" << q;
+    EXPECT_EQ(bitsOf(d.sum()), bitsOf(o.sum()));
+    EXPECT_EQ(bitsOf(d.mean()), bitsOf(o.mean()));
+    EXPECT_EQ(bitsOf(d.min()), bitsOf(o.min()));
+    EXPECT_EQ(bitsOf(d.max()), bitsOf(o.max()));
+}
+
+/** Integer samples, heavily duplicated, with a sparse long tail. */
+double
+integerSample(Rng &rng)
+{
+    if (rng.chance(0.02))
+        return static_cast<double>(rng.range(1'000'000));
+    return static_cast<double>(rng.range(40));
+}
+
+/** Fractions in [0, 1], hitting both ends exactly. */
+double
+fractionSample(Rng &rng)
+{
+    switch (rng.range(4)) {
+      case 0: return 0.0;
+      case 1: return 1.0;
+      case 2: return static_cast<double>(rng.range(7)) / 7.0;
+      default: return rng.uniform();
+    }
+}
+
+TEST(Stats, HistogramMatchesOracleOnDuplicatedIntegers)
+{
+    Rng rng(42);
+    Distribution d;
+    SampleOracle o;
+    for (int i = 0; i < 20000; ++i) {
+        double v = integerSample(rng);
+        d.sample(v);
+        o.samples.push_back(v);
+        if (i % 2500 == 0)
+            expectSameBits(d, o); // queries interleaved with samples
+    }
+    expectSameBits(d, o);
+    std::vector<double> values = o.sorted();
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    EXPECT_EQ(d.distinct(), values.size());
+
+    // Integers whose magnitudes sum past 2^53 round in ascending
+    // order: the exact integer total hands over to the replay.
+    for (int i = 0; i < 8; ++i) {
+        double v = 0x1p52 + static_cast<double>(rng.range(5));
+        d.sample(v);
+        o.samples.push_back(v);
+    }
+    expectSameBits(d, o);
+}
+
+TEST(Stats, HistogramMatchesOracleOnFractions)
+{
+    Rng rng(7);
+    Distribution d;
+    SampleOracle o;
+    for (int i = 0; i < 20000; ++i) {
+        double v = fractionSample(rng);
+        d.sample(v);
+        o.samples.push_back(v);
+        if (i % 2500 == 0)
+            expectSameBits(d, o);
+    }
+    expectSameBits(d, o);
+    // Integers and fractions mixed.
+    for (int i = 0; i < 5000; ++i) {
+        double v = i % 2 ? integerSample(rng) : fractionSample(rng);
+        d.sample(v);
+        o.samples.push_back(v);
+    }
+    expectSameBits(d, o);
+}
+
+TEST(Stats, HistogramResetStartsOver)
+{
+    Rng rng(3);
+    Distribution d;
+    for (int i = 0; i < 1000; ++i)
+        d.sample(fractionSample(rng));
+    EXPECT_GT(d.sum(), 0.0);
+    d.reset();
+    SampleOracle empty;
+    expectSameBits(d, empty);
+    EXPECT_EQ(d.distinct(), 0u);
+
+    // After a reset the integer sum path is live again.
+    SampleOracle o;
+    for (int i = 0; i < 1000; ++i) {
+        double v = integerSample(rng);
+        d.sample(v);
+        o.samples.push_back(v);
+    }
+    expectSameBits(d, o);
+}
+
+TEST(Stats, HistogramStorageBoundedByDistinctValues)
+{
+    Distribution d;
+    for (int v = 0; v < 100; ++v)
+        d.sample(v * 3);
+    d.percentile(50); // build the sorted view too
+    const std::size_t warm = d.storageBytes();
+
+    Rng rng(11);
+    for (int i = 0; i < 1'000'000; ++i)
+        d.sample(static_cast<double>(rng.range(100) * 3));
+    EXPECT_EQ(d.percentile(100), 297.0);
+    EXPECT_EQ(d.count(), 1'000'100u);
+    EXPECT_EQ(d.distinct(), 100u);
+    // Storage grew with the distinct values, never with the samples:
+    // a million samples later it is byte-for-byte the warm size, far
+    // below the 8 MB a keep-every-sample list would hold.
+    EXPECT_EQ(d.storageBytes(), warm);
+    EXPECT_LE(warm, 100 * 128u);
+}
+
+TEST(Stats, HistogramConcurrentSamplersMatchSequential)
+{
+    constexpr int threads = 4;
+    constexpr int perThread = 50000;
+    Distribution shared;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&shared, t] {
+            Rng rng(100 + t);
+            for (int i = 0; i < perThread; ++i) {
+                shared.sample(i % 3 ? integerSample(rng)
+                                    : fractionSample(rng));
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    SampleOracle o;
+    for (int t = 0; t < threads; ++t) {
+        Rng rng(100 + t);
+        for (int i = 0; i < perThread; ++i) {
+            o.samples.push_back(i % 3 ? integerSample(rng)
+                                      : fractionSample(rng));
+        }
+    }
+    expectSameBits(shared, o);
 }
 
 TEST(Stats, TimeWeightedAverage)
