@@ -54,10 +54,10 @@
  *        [--relocate-seed=N] [--relocate-align=N] [--sim-threads=N]
  *        [--lookahead=global|matrix]
  *
- * `--sim-threads=N` drains every simulation on N host threads
- * (sim/sim_engine.hh); all simulated numbers are bit-identical for
- * any value — CI captures the sweep at 1 and 4 threads and diffs the
- * two JSONs exactly. `--lookahead=global` swaps the default
+ * `--sim-threads=N` sets PipelineConfig::simThreads, which must never
+ * change a simulated number (the engine drains on one thread today;
+ * sim/sim_engine.hh) — CI captures the sweep at 1 and 4 threads and
+ * diffs the two JSONs exactly. `--lookahead=global` swaps the default
  * per-domain delay-matrix engine for the uniform-lookahead reference;
  * CI diffs that capture against the default too, proving the matrix
  * is invisible to simulated state on the full sweep.

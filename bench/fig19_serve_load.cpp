@@ -107,10 +107,8 @@ main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
     bool quick = args.scale(0.0, 1.0, 1.0) < 0.5;
-    auto tenants = static_cast<unsigned>(
-        args.getLong("tenants", quick ? 3 : 4));
-    auto jobs = static_cast<unsigned>(
-        args.getLong("jobs", quick ? 8 : 24));
+    auto tenants = args.getUnsigned("tenants", quick ? 3 : 4);
+    auto jobs = args.getUnsigned("jobs", quick ? 8 : 24);
 
     // ---- Phase 1: closed loop, deterministic, gated. -------------
     tss::serve::ServeConfig cfg;

@@ -76,10 +76,8 @@ int
 main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
-    unsigned reps =
-        static_cast<unsigned>(args.getLong("reps", 3));
-    unsigned sim_threads =
-        static_cast<unsigned>(args.getLong("sim-threads", 1));
+    unsigned reps = args.getUnsigned("reps", 3);
+    unsigned sim_threads = args.getUnsigned("sim-threads", 1);
     double scale = args.scale(0.25, 1.0, 1.0);
 
     tss::TaskTrace trace = tss::genCholeskyBlocked(

@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
-    auto n = static_cast<unsigned>(args.getLong("n", 5));
+    auto n = args.getUnsigned("n", 5);
 
     tss::TaskTrace trace = tss::genCholeskyBlocked(n);
     tss::DepGraph graph = tss::DepGraph::build(trace);

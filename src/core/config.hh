@@ -179,12 +179,12 @@ struct PipelineConfig
     /// @}
 
     /**
-     * Host threads draining the parallel simulation engine's event
-     * shards (one shard per pipeline NoC domain; clamped to that).
-     * Purely a host-side knob: results are bit-identical for every
-     * value — the engine runs the same windowed algorithm and merges
-     * cross-domain operations in a simulated-state order (see
-     * sim/sim_engine.hh).
+     * Host threads the simulation engine may use to drain a window's
+     * event shards. The engine currently drains every window on the
+     * calling thread (sim/sim_engine.hh says why), so no value changes
+     * a simulated bit or the host time. Configurations, --sim-threads
+     * and the cross-thread determinism checks keep setting it, so a
+     * parallel drain can return without changing any of them.
      */
     unsigned simThreads = 1;
 

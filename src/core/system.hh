@@ -265,8 +265,7 @@ class System
         : cfg(config), trace(task_trace),
           // One domain per pipeline plus the dedicated backend
           // domain (network / DMA / scheduler).
-          engine(std::make_unique<SimEngine>(config.numPipelines + 1,
-                                             config.simThreads)),
+          engine(std::make_unique<SimEngine>(config.numPipelines + 1)),
           registry(task_trace)
     {}
 

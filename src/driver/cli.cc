@@ -1,11 +1,38 @@
 #include "cli.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
 namespace tss
 {
+
+namespace
+{
+
+/**
+ * Parse the whole of @p text as a T, or fatal() naming the flag: no
+ * trailing characters, nothing outside T's range.
+ */
+template <typename T>
+T
+parseNumber(const std::string &key, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool negative = !text.empty() && text[0] == '-';
+    if (ec == std::errc::result_out_of_range ||
+        (std::is_unsigned_v<T> && negative))
+        fatal("--%s: '%s' is out of range", key.c_str(), text.c_str());
+    if (ec != std::errc() || ptr != end)
+        fatal("--%s: '%s' is not a number", key.c_str(), text.c_str());
+    return value;
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, char **argv)
 {
@@ -40,14 +67,23 @@ double
 CliArgs::getDouble(const std::string &key, double fallback) const
 {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
+    return it == values.end() ? fallback
+                              : parseNumber<double>(key, it->second);
 }
 
 long
 CliArgs::getLong(const std::string &key, long fallback) const
 {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
+    return it == values.end() ? fallback : parseNumber<long>(key, it->second);
+}
+
+unsigned
+CliArgs::getUnsigned(const std::string &key, unsigned fallback) const
+{
+    auto it = values.find(key);
+    return it == values.end() ? fallback
+                              : parseNumber<unsigned>(key, it->second);
 }
 
 double

@@ -22,8 +22,15 @@ class CliArgs
     bool has(const std::string &flag) const;
     std::string get(const std::string &key,
                     const std::string &fallback) const;
+
+    /**
+     * Numeric values. The whole value must parse as the target type:
+     * trailing characters and out-of-range values are fatal() errors
+     * naming the flag.
+     */
     double getDouble(const std::string &key, double fallback) const;
     long getLong(const std::string &key, long fallback) const;
+    unsigned getUnsigned(const std::string &key, unsigned fallback) const;
 
     /**
      * Benchmark scale preset: --quick selects a CI-sized run,

@@ -9,14 +9,14 @@ namespace
 {
 
 std::optional<unsigned>
-parseUnsigned(const CliArgs &args, const char *key, long min_value = 0)
+parseUnsigned(const CliArgs &args, const char *key, unsigned min_value = 0)
 {
     if (!args.has(key))
         return std::nullopt;
-    long value = args.getLong(key, 0);
+    unsigned value = args.getUnsigned(key, 0);
     if (value < min_value)
-        fatal("--%s must be >= %ld", key, min_value);
-    return static_cast<unsigned>(value);
+        fatal("--%s must be >= %u", key, min_value);
+    return value;
 }
 
 std::optional<std::uint64_t>

@@ -69,19 +69,65 @@ SocketServer::acceptLoop()
                 continue;
             return; // listener closed by stop()
         }
-        std::lock_guard<std::mutex> lock(mtx);
-        if (stopping) {
-            ::close(fd);
-            return;
+        std::list<Connection> finished;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            if (stopping) {
+                ::close(fd);
+                return;
+            }
+            // Reap the connections that ended since the last accept,
+            // so a long-running daemon holds no thread per past
+            // client.
+            for (auto it = connections.begin(); it != connections.end();) {
+                auto next = std::next(it);
+                if (it->fd < 0)
+                    finished.splice(finished.end(), connections, it);
+                it = next;
+            }
+            Connection &conn = connections.emplace_back();
+            conn.fd = fd;
+            conn.handler =
+                std::thread([this, &conn] { serveConnection(conn); });
         }
-        connFds.push_back(fd);
-        handlers.emplace_back([this, fd] { serveConnection(fd); });
+        for (Connection &done : finished)
+            done.handler.join();
     }
 }
 
 void
-SocketServer::serveConnection(int fd)
+SocketServer::closeConnection(Connection &conn)
 {
+    int fd;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        fd = conn.fd;
+        conn.fd = -1;
+    }
+    ::close(fd);
+}
+
+std::size_t
+SocketServer::liveConnections() const
+{
+    std::lock_guard<std::mutex> lock(mtx);
+    return static_cast<std::size_t>(
+        std::count_if(connections.begin(), connections.end(),
+                      [](const Connection &c) { return c.fd >= 0; }));
+}
+
+std::size_t
+SocketServer::heldHandlers() const
+{
+    std::lock_guard<std::mutex> lock(mtx);
+    return connections.size();
+}
+
+void
+SocketServer::serveConnection(Connection &conn)
+{
+    // Only this handler resets conn.fd, so it may read it unlocked.
+    const int fd = conn.fd;
     bool have_tenant = false;
     TenantId tenant = 0;
 
@@ -155,7 +201,7 @@ SocketServer::serveConnection(int fd)
                 shutdownRequested = true;
             }
             shutdownCv.notify_all();
-            ::close(fd);
+            closeConnection(conn);
             return;
         default:
             reply = {MsgType::Error, "unknown message type"};
@@ -164,7 +210,7 @@ SocketServer::serveConnection(int fd)
         if (!writeFrame(fd, reply))
             break;
     }
-    ::close(fd);
+    closeConnection(conn);
 }
 
 void
@@ -177,17 +223,19 @@ SocketServer::waitShutdown()
 void
 SocketServer::stop()
 {
-    std::vector<std::thread> to_join;
+    std::list<Connection> to_join;
     {
         std::lock_guard<std::mutex> lock(mtx);
         if (stopping)
             return;
         stopping = true;
         // Sever live connections so their handler threads unblock
-        // out of readFrame().
-        for (int fd : connFds)
-            ::shutdown(fd, SHUT_RDWR);
-        to_join.swap(handlers);
+        // out of readFrame(). Finished ones already closed their fd.
+        for (const Connection &c : connections) {
+            if (c.fd >= 0)
+                ::shutdown(c.fd, SHUT_RDWR);
+        }
+        to_join.swap(connections);
     }
     if (listenFd >= 0) {
         ::shutdown(listenFd, SHUT_RDWR);
@@ -196,8 +244,8 @@ SocketServer::stop()
     }
     if (acceptor.joinable())
         acceptor.join();
-    for (auto &t : to_join)
-        t.join();
+    for (Connection &c : to_join)
+        c.handler.join();
     ::unlink(socketPath.c_str());
 }
 

@@ -11,10 +11,10 @@
 #define TSS_SERVE_SERVER_HH
 
 #include <condition_variable>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/service.hh"
 
@@ -49,21 +49,44 @@ class SocketServer
 
     const std::string &path() const { return socketPath; }
 
+    /** Connections whose handler is still serving (for tests). */
+    std::size_t liveConnections() const;
+
+    /**
+     * Handler threads not yet joined, live or finished (for tests).
+     * Finished handlers are joined as new connections arrive.
+     */
+    std::size_t heldHandlers() const;
+
   private:
+    /**
+     * One accepted connection. `fd` is reset to -1, under mtx, by
+     * the handler just before it closes the socket, so stop() never
+     * shuts down a descriptor number that may already belong to
+     * another socket; a connection with fd -1 is finished and its
+     * thread joins without blocking.
+     */
+    struct Connection
+    {
+        int fd = -1;
+        std::thread handler;
+    };
+
     void acceptLoop();
-    void serveConnection(int fd);
+    void serveConnection(Connection &conn);
+    /// Mark @p conn finished under mtx, then close its socket.
+    void closeConnection(Connection &conn);
 
     TraceService &service;
     std::string socketPath;
     int listenFd = -1;
     std::thread acceptor;
 
-    std::mutex mtx;
+    mutable std::mutex mtx;
     std::condition_variable shutdownCv;
     bool shutdownRequested = false;
     bool stopping = false;
-    std::vector<int> connFds;          ///< under mtx
-    std::vector<std::thread> handlers; ///< under mtx
+    std::list<Connection> connections; ///< under mtx
 };
 
 } // namespace tss::serve

@@ -4,19 +4,12 @@
 
 #include "logging.hh"
 #include "obs/trace.hh"
-#include "runtime/work_deque.hh"
 
 namespace tss
 {
 
 namespace
 {
-
-/// Iterations of bounded spinning before a waiter parks. Short on
-/// purpose: on an oversubscribed or 1-core host the yield gives the
-/// partner thread its timeslice, and parking promptly afterwards
-/// stops the window barrier from burning cycles the drain could use.
-constexpr unsigned kSpinIters = 64;
 
 bool
 keyLess(const std::pair<DeferKey, EventCallback> &a,
@@ -27,7 +20,7 @@ keyLess(const std::pair<DeferKey, EventCallback> &a,
 
 } // namespace
 
-SimEngine::SimEngine(unsigned num_domains, unsigned sim_threads)
+SimEngine::SimEngine(unsigned num_domains)
 {
     TSS_ASSERT(num_domains >= 1, "engine needs at least one domain");
     shards.reserve(num_domains);
@@ -38,23 +31,6 @@ SimEngine::SimEngine(unsigned num_domains, unsigned sim_threads)
     }
     domL.assign(num_domains, 1);
     shardLimit.assign(num_domains, 0);
-    threads = std::max(1u, std::min(sim_threads, num_domains));
-    if (threads > 1)
-        work = std::make_unique<WorkDeque>(num_domains);
-}
-
-SimEngine::~SimEngine()
-{
-    if (spawned) {
-        quit.store(true, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lk(poolMtx);
-            epoch.fetch_add(1, std::memory_order_release);
-        }
-        poolCv.notify_all();
-        for (auto &w : workers)
-            w.join();
-    }
 }
 
 void
@@ -106,59 +82,6 @@ SimEngine::executed() const
     for (const auto &s : shards)
         n += s->queue.executed();
     return n;
-}
-
-void
-SimEngine::spawnWorkers()
-{
-    if (spawned)
-        return;
-    spawned = true;
-    workers.reserve(threads - 1);
-    for (unsigned w = 0; w + 1 < threads; ++w)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-void
-SimEngine::workerLoop()
-{
-    std::uint64_t seen = 0;
-    while (true) {
-        std::uint64_t e;
-        unsigned spins = 0;
-        while ((e = epoch.load(std::memory_order_acquire)) == seen) {
-            if (++spins < kSpinIters) {
-                std::this_thread::yield();
-                continue;
-            }
-            // Park. The publisher bumps `epoch` under poolMtx before
-            // notifying, and the predicate re-checks under the same
-            // lock, so the wakeup cannot be lost.
-            std::unique_lock<std::mutex> lk(poolMtx);
-            poolCv.wait(lk, [&] {
-                return epoch.load(std::memory_order_acquire) != seen;
-            });
-        }
-        seen = e;
-        if (quit.load(std::memory_order_relaxed))
-            return;
-        std::uint32_t d;
-        while (work->steal(d)) {
-            // Safe plain reads inside drainShard: main stores the
-            // limits *before* the push, and the steal's acquire
-            // synchronizes with the push's release — a successful
-            // steal of shard d always observes d's own window limit
-            // and the grid window end.
-            drainShard(d);
-            if (remaining.fetch_sub(1, std::memory_order_release) ==
-                1) {
-                // Last shard of the window: wake the main thread if
-                // it parked at the barrier.
-                std::lock_guard<std::mutex> lk(poolMtx);
-                doneCv.notify_one();
-            }
-        }
-    }
 }
 
 void
@@ -265,7 +188,7 @@ SimEngine::run(std::uint64_t max_events)
         // pulls it into a window it would sit out at uniform
         // lookahead. Run-ahead can therefore only remove a shard from
         // future windows (it already executed their events), pushing
-        // windows toward the single-shard inline path.
+        // windows toward a single active shard.
         unsigned active = 0;
         unsigned only = 0;
         for (unsigned d = 0; d < nd; ++d) {
@@ -285,68 +208,29 @@ SimEngine::run(std::uint64_t max_events)
             // window only advances the grid and matures deferred
             // operations at the barrier below.
         } else if (active == 1) {
-            // Window fusion: one active shard needs no worker pool —
-            // drain it inline, skipping the epoch publish, the deque
-            // dispatch and the barrier spin entirely. Consecutive
-            // single-shard windows (the long single-domain stretches
-            // of real traces) fuse into back-to-back inline drains.
+            // Consecutive single-shard windows (the long single-domain
+            // stretches of real traces) count as fused.
             ++wstats.singleShard;
             if (lastWindowSingle)
                 ++wstats.fusedWindows;
             lastWindowSingle = true;
             drainShard(only);
         } else {
+            // A shard's drain schedules only into its own queue (every
+            // cross-domain operation defers), so draining one shard
+            // never changes which others are active.
             ++wstats.multiShard;
             lastWindowSingle = false;
-            if (threads == 1) {
-                // Inline windowed drain: same algorithm, no pool.
-                for (unsigned d = 0; d < nd; ++d) {
-                    if (shards[d]->queue.nextTime() <= windowEnd)
-                        drainShard(d);
-                }
-            } else {
-                spawnWorkers();
-                remaining.store(active, std::memory_order_relaxed);
-                // The pushes' release stores publish shardLimit,
-                // windowEnd and `remaining` to every successful
-                // stealer.
-                for (unsigned d = 0; d < nd; ++d) {
-                    if (shards[d]->queue.nextTime() <= windowEnd)
-                        work->push(d);
-                }
-                {
-                    std::lock_guard<std::mutex> lk(poolMtx);
-                    epoch.fetch_add(1, std::memory_order_release);
-                }
-                poolCv.notify_all();
-                std::uint32_t d;
-                while (work->pop(d)) {
+            for (unsigned d = 0; d < nd; ++d) {
+                if (shards[d]->queue.nextTime() <= windowEnd)
                     drainShard(d);
-                    remaining.fetch_sub(1, std::memory_order_release);
-                }
-                unsigned spins = 0;
-                while (remaining.load(std::memory_order_acquire) >
-                       0) {
-                    if (++spins < kSpinIters) {
-                        std::this_thread::yield();
-                        continue;
-                    }
-                    // Park until the window's last worker (which
-                    // takes poolMtx before notifying) wakes us.
-                    std::unique_lock<std::mutex> lk(poolMtx);
-                    doneCv.wait(lk, [&] {
-                        return remaining.load(
-                                   std::memory_order_acquire) == 0;
-                    });
-                    break;
-                }
             }
         }
 
         // Deferred NoC sends/deliveries emit trace records too: route
         // them to the tracer's barrier buffer for the apply phase,
         // stamp the window, then drain this window's records in
-        // DeferKey order (deterministic for any thread count).
+        // DeferKey order.
         if (tracer)
             tracer->beginBarrier();
         std::size_t applied = applyBarrier();

@@ -1,18 +1,27 @@
 /**
  * @file
- * Conservative parallel discrete-event engine. SimObject stations are
+ * Conservative windowed discrete-event engine. SimObject stations are
  * partitioned into NoC domains (one per frontend pipeline: the slice
  * plus its attached gateway/TRS stations, sources and processor-ring
  * cores assigned round-robin, plus a dedicated domain for the shared
  * backend — network, DMA, scheduler); each domain owns a slab-recycled
- * EventQueue shard. Domains synchronize in lookahead windows: all
- * shards with events inside their window drain concurrently on a
- * Chase–Lev worker pool, and every operation that crosses domain
+ * EventQueue shard. Domains synchronize in lookahead windows: each
+ * window drains every shard with events inside it, one after another
+ * on the calling thread, and every operation that crosses domain
  * state — NoC sends, DMA transfers, registry retirement, global
  * gauges — is recorded in the draining shard's DeferSink instead of
- * applied in place. At the window barrier the main thread sorts the
- * union of all logs by the (cycle, station, per-station sequence, op)
- * key and applies it sequentially.
+ * applied in place. At the window barrier the engine sorts the union
+ * of all logs by the (cycle, station, per-station sequence, op) key
+ * and applies it.
+ *
+ * No shard reads another's state inside a window, so a window's shards
+ * could drain on separate host threads without changing a bit. None
+ * do: handing a window to a worker pool costs about a microsecond
+ * (several of the simulator's ~300 ns events) and pays only once a
+ * window holds hundreds of events outside its busiest shard, while
+ * the widest System windows hold a few dozen (ROADMAP records the
+ * measurement). PipelineConfig::simThreads therefore has no effect on
+ * the engine.
  *
  * The window grid is global: every window spans [t0, t0 + L - 1] with
  * L = Network::minDeliveryDelay() and t0 the minimum *virtual* next
@@ -26,16 +35,14 @@
  * overload); a shard's virtual next time is the earliest logged time
  * not yet reached by the grid, so t0 — and with it every barrier,
  * horizon and window floor — advances exactly as it would at uniform
- * lookahead. A run-ahead domain simply sits idle (and off the worker
- * pool) in the windows whose events it already executed, which is
- * where the speedup comes from: more single-shard windows fuse into
- * inline drains.
+ * lookahead. A run-ahead domain simply sits idle in the windows whose
+ * events it already executed, so more windows have a single active
+ * shard.
  *
  * Determinism: the merge key is a pure function of simulated state,
- * so the apply order — and therefore every simulated statistic — is
- * bit-identical for any worker count, including 1. `simThreads == 1`
- * runs the identical windowed algorithm inline; there is no separate
- * sequential engine to diverge from. The barrier applies only the
+ * never of the order in which a window's shards drained, so the apply
+ * order — and therefore every simulated statistic — is fixed by the
+ * window grid alone. The barrier applies only the
  * sorted prefix of deferred operations whose key lies below the
  * post-drain global horizon (the minimum virtual next event time over
  * all shards); later ones stay pending. An operation with key w
@@ -62,25 +69,19 @@
  * the whole argument — a mis-declared communication edge fails loudly
  * instead of drifting.
  *
- * Window fusion: when only one shard has events below its limit (the
- * long single-domain stretches every real trace has), the window runs
- * inline on the calling thread — no epoch publish, no deque dispatch,
- * no barrier spin. Idle workers park on a condition variable after a
- * bounded spin, so oversubscribed and 1-core hosts never burn a
- * timeslice per window.
+ * Window structure: WindowStats counts windows by how many shards had
+ * events inside them. Consecutive single-shard windows (the long
+ * single-domain stretches every real trace has) count as fused.
  */
 
 #ifndef TSS_SIM_SIM_ENGINE_HH
 #define TSS_SIM_SIM_ENGINE_HH
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "event_queue.hh"
@@ -101,8 +102,7 @@ class SimEngine
     /**
      * Deterministic window-structure counters: every field is a pure
      * function of simulated state (which shards had events below
-     * their limits), never of the host thread count — gated exactly
-     * in BENCH_sim.json.
+     * their limits) — gated exactly in BENCH_sim.json.
      */
     struct WindowStats
     {
@@ -114,13 +114,8 @@ class SimEngine
         std::uint64_t maxOccupancy = 0; ///< peak active shards
     };
 
-    /**
-     * @param num_domains Number of event-queue shards.
-     * @param sim_threads Host threads draining windows (clamped to
-     *        the domain count; 1 = inline, no worker threads).
-     */
-    explicit SimEngine(unsigned num_domains, unsigned sim_threads = 1);
-    ~SimEngine();
+    /** @param num_domains Number of event-queue shards. */
+    explicit SimEngine(unsigned num_domains);
 
     SimEngine(const SimEngine &) = delete;
     SimEngine &operator=(const SimEngine &) = delete;
@@ -151,16 +146,13 @@ class SimEngine
         return static_cast<unsigned>(shards.size());
     }
 
-    /** Worker threads that will actually drain (after clamping). */
-    unsigned effectiveThreads() const { return threads; }
-
     EventQueue &shard(unsigned domain) { return shards[domain]->queue; }
 
     /**
      * Wire a flight recorder (or unwire with nullptr). The tracer
      * must have one buffer per domain; the engine routes barrier-side
      * emissions and drains the window's records after every barrier,
-     * in DeferKey order — byte-identical for any thread count.
+     * in DeferKey order.
      */
     void setTracer(obs::Tracer *t);
 
@@ -192,9 +184,7 @@ class SimEngine
         /// Firing times of events this shard executed ahead of the
         /// global window grid (delay-matrix mode only), in execution
         /// order. The front is the shard's virtual next event time;
-        /// entries retire as the grid reaches them. Touched only by
-        /// the thread draining the shard and by the main thread
-        /// between windows.
+        /// entries retire as the grid reaches them.
         std::deque<Cycle> ahead;
     };
 
@@ -208,8 +198,8 @@ class SimEngine
         return s.ahead.empty() ? n : std::min(n, s.ahead.front());
     }
 
-    /// Drain shard @p d to its published window limit, logging any
-    /// execution beyond the grid window end as run-ahead.
+    /// Drain shard @p d to its window limit, logging any execution
+    /// beyond the grid window end as run-ahead.
     void
     drainShard(unsigned d)
     {
@@ -221,45 +211,18 @@ class SimEngine
     }
 
     std::size_t applyBarrier();
-    void spawnWorkers();
-    void workerLoop();
 
     std::vector<std::unique_ptr<Shard>> shards;
     Cycle _lookahead = 1;
     std::vector<Cycle> domL;  ///< per-domain window length
-    unsigned threads = 1;
     obs::Tracer *tracer = nullptr;
     WindowStats wstats;
     bool lastWindowSingle = false;
 
-    /// @name Worker-pool window protocol.
-    /// Main publishes a window by storing the per-shard drain limits,
-    /// pushing the active shard ids and bumping `epoch`; everyone
-    /// (main included) steals shard ids from the one shared deque,
-    /// and each completed shard decrements `remaining` with release
-    /// order so the barrier's acquire load sees all shard state.
-    /// Waiters — workers between windows, main at the barrier — spin
-    /// a bounded number of iterations and then park on `poolCv` /
-    /// `doneCv`; the epoch bump and the final decrement take `poolMtx`
-    /// before notifying so wakeups are never lost.
-    /// @{
-    std::unique_ptr<class WorkDeque> work;
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<unsigned> remaining{0};
-    std::atomic<bool> quit{false};
-    std::vector<std::thread> workers;
-    bool spawned = false;
-    std::mutex poolMtx;
-    std::condition_variable poolCv;
-    std::condition_variable doneCv;
-
-    /// Per-shard drain limits of the published window, and the grid
-    /// window end (t0 + lookahead - 1) shared by all shards. Plain
-    /// stores: written before the deque pushes whose release/acquire
-    /// pair publishes them to every successful stealer.
+    /// Per-shard drain limits of the current window, and the grid
+    /// window end (t0 + lookahead - 1) shared by all shards.
     std::vector<Cycle> shardLimit;
     Cycle windowEnd = 0;
-    /// @}
 
     /// Barrier scratch: this window's deferred ops (reused).
     std::vector<std::pair<DeferKey, EventCallback>> merged;

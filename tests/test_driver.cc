@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the experiment driver: table printing, CLI parsing, the
+ * Tests for the experiment driver: table printing, CLI parsing
+ * (including the fatal rejection of malformed numeric flags), the
  * paper configuration preset, and workload lookup.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "driver/cli.hh"
 #include "driver/experiment.hh"
+#include "driver/run_options.hh"
 #include "driver/table.hh"
 
 namespace tss
@@ -57,6 +60,73 @@ TEST(CliArgs, ParsesFlagsAndValues)
     EXPECT_EQ(args.getLong("cores", 0), 128);
     EXPECT_EQ(args.get("name", ""), "H264");
     EXPECT_EQ(args.get("missing", "dflt"), "dflt");
+}
+
+TEST(CliArgs, ParsesWholeNumericValues)
+{
+    const char *argv[] = {"prog", "--n=4294967295", "--seed=-3",
+                          "--scale=1e-2", "--flag"};
+    CliArgs args(5, const_cast<char **>(argv));
+    EXPECT_EQ(args.getUnsigned("n", 0), 4294967295u);
+    EXPECT_EQ(args.getLong("seed", 0), -3);
+    EXPECT_DOUBLE_EQ(args.getDouble("scale", 1.0), 0.01);
+    EXPECT_EQ(args.getUnsigned("flag", 0), 1u); // a bare flag reads 1
+    EXPECT_EQ(args.getUnsigned("missing", 7), 7u);
+}
+
+/** RunOptions::parse over a command line holding just @p flag. */
+RunOptions
+parseOne(const std::string &flag)
+{
+    std::string arg = flag;
+    char *argv[] = {const_cast<char *>("prog"), arg.data()};
+    return RunOptions::parse(CliArgs(2, argv));
+}
+
+TEST(CliArgsDeathTest, PipesBeyondUnsignedIsFatal)
+{
+    // Wrapped to unsigned this would read 0 pipelines, and the
+    // simulator would divide by the pipeline count.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(parseOne("--pipes=4294967296"),
+                 "--pipes: '4294967296' is out of range");
+}
+
+TEST(CliArgsDeathTest, SimThreadsBeyondUnsignedIsFatal)
+{
+    // Wrapped to unsigned this would read 2 threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(parseOne("--sim-threads=4294967298"),
+                 "--sim-threads: '4294967298' is out of range");
+}
+
+TEST(CliArgsDeathTest, TrailingCharactersAreFatal)
+{
+    // A prefix parse would read 32 and drop the typo.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(parseOne("--cores=32x"), "--cores: '32x' is not a number");
+}
+
+TEST(CliArgsDeathTest, NonNumericSeedIsFatal)
+{
+    // A prefix parse would seed 0.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(parseOne("--placement-seed=abc"),
+                 "--placement-seed: 'abc' is not a number");
+}
+
+TEST(CliArgsDeathTest, MalformedBenchFlagsAreFatal)
+{
+    // The same rules cover every numeric flag a binary reads itself.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const char *argv[] = {"prog", "--tenants=-1", "--scale=0.5x",
+                          "--seed="};
+    CliArgs args(4, const_cast<char **>(argv));
+    EXPECT_DEATH(args.getUnsigned("tenants", 2),
+                 "--tenants: '-1' is out of range");
+    EXPECT_DEATH(args.getDouble("scale", 1.0),
+                 "--scale: '0.5x' is not a number");
+    EXPECT_DEATH(args.getLong("seed", 1), "--seed: '' is not a number");
 }
 
 TEST(CliArgs, ScalePresetPrecedence)

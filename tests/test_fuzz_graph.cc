@@ -238,8 +238,8 @@ TEST(FuzzGraph, ShardedPipelinesStayExactUnderSharing)
             cfg.numTrs = 2;
             cfg.numOrt = pipes == 1 ? 2 : 1;
             cfg.numPipelines = pipes;
-            // Fuzz point for the parallel engine: drain with as many
-            // host threads as domains ({1, 2, 4}); results must stay
+            // Fuzz point for the thread knob: ask for as many engine
+            // threads as pipelines ({1, 2, 4}); results must stay
             // exact regardless (see test_sim_engine.cc for the
             // explicit bit-identity check against simThreads = 1).
             cfg.simThreads = pipes;
@@ -322,7 +322,7 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
             cfg.nocPlacementSeed = seed;
             cfg.batchOperands = noc.batch;
             cfg.slicePacketCredits = noc.credits;
-            cfg.simThreads = 2; // parallel drain under the NoC matrix
+            cfg.simThreads = 2; // the thread knob under the NoC matrix
 
             std::string what = std::string(toString(noc.topology)) +
                 "/" + toString(noc.placement) + "/seed " +
@@ -363,7 +363,7 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
  * shared-object programs decoded with the OVT squeezed down to the
  * pinned minimum-safe bound (tests/ovt_bound.hh), one slot above it,
  * and twice it — across the NoC fabric matrix, the writeback policies
- * and every parallel-engine width. Fuzz tasks carry at most 6 memory
+ * and every simThreads value. Fuzz tasks carry at most 6 memory
  * operands, below the bound of 10, so every configuration must
  * complete (asserted through the liveness watchdog, not a hang into
  * the ctest TIMEOUT), the decision must be bit-identical across

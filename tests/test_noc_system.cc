@@ -362,7 +362,7 @@ TEST(OvtCapacity, MinimumSafeOvtBoundForWideRepro)
     }
 
     // At the bound: completion, with a decision that is bit-identical
-    // across parallel-engine widths.
+    // across simThreads values.
     RunResult baseline;
     for (unsigned threads : {1u, 2u, 4u}) {
         PipelineConfig cfg = makeConfig(safeSlots);

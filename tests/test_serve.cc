@@ -5,14 +5,17 @@
  * admitted job (the ctest TIMEOUT is the watchdog — a drain that
  * hangs fails the suite), the framed socket protocol end-to-end,
  * wedged-job survival with a liveness diagnosis in the report, the
- * job-trace round trip under --job-traces, and the Session lifecycle
- * contract.
+ * job-trace round trip under --job-traces, the socket server reaping
+ * finished connection handlers, and the Session lifecycle contract.
  */
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -406,6 +409,54 @@ TEST(Serve, SocketEndToEnd)
     EXPECT_TRUE(report.drained);
     EXPECT_EQ(tenantOf(report, id_a).completed, accepted);
     EXPECT_EQ(tenantOf(report, id_b).completed, accepted);
+}
+
+TEST(Serve, FinishedConnectionsAreReaped)
+{
+    std::ostringstream path;
+    path << "/tmp/tss-serve-reap-" << ::getpid() << ".sock";
+
+    TraceService service(tinyServeConfig());
+    SocketServer server(service, path.str());
+    ASSERT_TRUE(server.start());
+
+    TenantId id = 0;
+    std::uint64_t base = 0, end = 0;
+    for (unsigned i = 0; i < 100; ++i) {
+        ServeClient client;
+        ASSERT_TRUE(client.connect(path.str()));
+        ASSERT_TRUE(client.hello("cycler", id, base, end));
+    }
+    auto awaitIdle = [&server] {
+        for (unsigned ms = 0; server.liveConnections() > 0 && ms < 10000;
+             ++ms)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return server.liveConnections();
+    };
+    ASSERT_EQ(awaitIdle(), 0u);
+
+    // The next arrival joins every finished handler: the server holds
+    // the live connection's thread and nothing else.
+    {
+        ServeClient client;
+        ASSERT_TRUE(client.connect(path.str()));
+        ASSERT_TRUE(client.hello("cycler", id, base, end));
+        EXPECT_EQ(server.heldHandlers(), 1u);
+    }
+    ASSERT_EQ(awaitIdle(), 0u);
+
+    // A socket opened now takes the descriptor numbers the closed
+    // connections used; stop() must sever live connections only.
+    int pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    server.stop();
+    char sent = 'x', got = 0;
+    EXPECT_EQ(::send(pair[0], &sent, 1, MSG_NOSIGNAL), 1);
+    EXPECT_EQ(::recv(pair[1], &got, 1, 0), 1);
+    EXPECT_EQ(got, 'x');
+    ::close(pair[0]);
+    ::close(pair[1]);
+    service.drain();
 }
 
 TEST(SessionLifecycleDeathTest, SubmitAfterSealDies)

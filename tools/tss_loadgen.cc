@@ -58,9 +58,8 @@ main(int argc, char **argv)
     tss::CliArgs args(argc, argv);
     std::string socket_path =
         args.get("socket", "/tmp/tss-serve.sock");
-    auto tenants =
-        static_cast<unsigned>(args.getLong("tenants", 2));
-    auto jobs = static_cast<unsigned>(args.getLong("jobs", 5));
+    auto tenants = args.getUnsigned("tenants", 2);
+    auto jobs = args.getUnsigned("jobs", 5);
 
     std::vector<std::unique_ptr<tss::serve::ServeClient>> clients;
     std::vector<std::uint64_t> carve_ends;

@@ -52,18 +52,12 @@ main(int argc, char **argv)
     cfg.machine.numCores = 128;
     opts.apply(cfg.machine);
     cfg.genThreads = opts.genThreads(1);
-    cfg.admitCapacity = static_cast<std::size_t>(
-        args.getLong("admit-queue", 8));
-    cfg.stageCapacity = static_cast<std::size_t>(
-        args.getLong("stage-queue", 8));
-    cfg.parseWorkers =
-        static_cast<unsigned>(args.getLong("parse-workers", 1));
-    cfg.admitWorkers =
-        static_cast<unsigned>(args.getLong("admit-workers", 1));
-    cfg.executeWorkers =
-        static_cast<unsigned>(args.getLong("execute-workers", 2));
-    cfg.carveBytes = static_cast<std::uint64_t>(
-                         args.getLong("carve-mb", 256)) << 20;
+    cfg.admitCapacity = args.getUnsigned("admit-queue", 8);
+    cfg.stageCapacity = args.getUnsigned("stage-queue", 8);
+    cfg.parseWorkers = args.getUnsigned("parse-workers", 1);
+    cfg.admitWorkers = args.getUnsigned("admit-workers", 1);
+    cfg.executeWorkers = args.getUnsigned("execute-workers", 2);
+    cfg.carveBytes = std::uint64_t(args.getUnsigned("carve-mb", 256)) << 20;
     cfg.recordJobTraces = args.has("job-traces");
     long max_events = args.getLong("max-events-per-job", 0);
     if (max_events > 0)
