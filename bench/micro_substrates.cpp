@@ -3,8 +3,8 @@
  * google-benchmark microbenches for the simulator's hot paths: the
  * event queue, the TRS block free-list, the reference dependency
  * decoder (the software-runtime analogue — compare its ns/task
- * against the paper's 700 ns StarSs measurement), and a full
- * end-to-end pipeline simulation rate.
+ * against the paper's 700 ns StarSs measurement), the NoC's cost per
+ * link traversal, and a full end-to-end pipeline simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,9 @@
 #include "graph/dep_graph.hh"
 #include "mem/free_list.hh"
 #include "noc/message_pool.hh"
+#include "noc/topology.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "workload/workload.hh"
 
 namespace
@@ -105,6 +107,75 @@ BM_MessagePoolChurn(benchmark::State &state)
         static_cast<double>(std::max<std::uint64_t>(1, reused + fresh)));
 }
 BENCHMARK(BM_MessagePoolChurn);
+
+/**
+ * Host cost of one NoC link traversal: a seeded stream of 8-256 B
+ * messages between random cores and frontend tiles, one injected
+ * every 4 cycles, on the paper's 256-core two-level ring (Table II)
+ * and on the mesh with spread placement. Items are lane reservations
+ * (LinkStats::traversals), so the reported time per item is the cost
+ * of one link traversal, routing and delivery included.
+ */
+void
+BM_NocRoute(benchmark::State &state)
+{
+    struct Drop : tss::Endpoint
+    {
+        void receive(tss::MessagePtr) override {}
+    };
+
+    auto kind = static_cast<tss::TopologyKind>(state.range(0));
+    tss::NocParams params;
+    if (kind == tss::TopologyKind::Mesh)
+        params.placement = tss::PlacementKind::Spread;
+    tss::EventQueue eq;
+    auto net = tss::makeTopology(kind, "noc", eq, params);
+    Drop drop;
+    std::vector<tss::NodeId> stations;
+    for (unsigned c = 0; c < params.numCores; ++c)
+        stations.push_back(net->coreNode(c));
+    for (unsigned f = 0; f < params.numFrontendTiles; ++f)
+        stations.push_back(net->frontendNode(f));
+    for (tss::NodeId node : stations)
+        net->attach(node, drop);
+
+    struct Send
+    {
+        tss::NodeId src, dst;
+        tss::Bytes bytes;
+    };
+    tss::Rng rng(7);
+    std::vector<Send> stream(4096);
+    for (Send &s : stream) {
+        s.src = stations[rng.range(stations.size())];
+        do {
+            s.dst = stations[rng.range(stations.size())];
+        } while (s.dst == s.src);
+        s.bytes = static_cast<tss::Bytes>(rng.rangeInclusive(8, 256));
+    }
+
+    tss::Cycle t = 0;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const Send &s = stream[next];
+        next = (next + 1) % stream.size();
+        t += 4;
+        eq.runUntil(t);
+        net->sendAt(t, std::make_unique<tss::Message>(s.src, s.dst,
+                                                      s.bytes));
+    }
+    eq.run();
+    auto traversals =
+        static_cast<double>(net->linkStats(eq.now()).traversals);
+    state.SetItemsProcessed(static_cast<std::int64_t>(traversals));
+    state.counters["s_per_traversal"] = benchmark::Counter(
+        traversals, benchmark::Counter::kIsRate |
+            benchmark::Counter::kInvert);
+    state.SetLabel(tss::toString(kind));
+}
+BENCHMARK(BM_NocRoute)
+    ->Arg(static_cast<int>(tss::TopologyKind::Ring))
+    ->Arg(static_cast<int>(tss::TopologyKind::Mesh));
 
 void
 BM_BlockFreeListChurn(benchmark::State &state)

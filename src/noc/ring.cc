@@ -14,20 +14,7 @@ Cycle
 RingNetwork::routeGlobal(unsigned from, unsigned to, Cycle start,
                          Cycle ser)
 {
-    auto stops = static_cast<unsigned>(globalSegments.size());
-    bool clockwise = true;
-    unsigned dist = ringDistance(from, to, stops, clockwise);
-
-    Cycle t = start;
-    unsigned stop = from;
-    for (unsigned i = 0; i < dist; ++i) {
-        unsigned seg = clockwise ? stop : (stop + stops - 1) % stops;
-        t = reserveLane(globalSegments[seg], t, ser) +
-            _params.hopLatency;
-        stop = clockwise ? (stop + 1) % stops
-                         : (stop + stops - 1) % stops;
-    }
-    return t;
+    return walkRing(globalSegments, from, to, start, ser);
 }
 
 unsigned

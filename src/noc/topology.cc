@@ -1,6 +1,7 @@
 #include "topology.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "noc/mesh.hh"
 #include "noc/ring.hh"
@@ -35,7 +36,7 @@ unsigned
 TopologyNetwork::ringDistance(unsigned from, unsigned to, unsigned n,
                               bool &clockwise)
 {
-    unsigned fwd = (to + n - from) % n;
+    unsigned fwd = to >= from ? to - from : to + n - from;
     unsigned bwd = n - fwd;
     if (fwd == 0) {
         clockwise = true;
@@ -50,6 +51,13 @@ TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
     : Network(std::move(name), eq), _params(params)
 {
     TSS_ASSERT(_params.coresPerRing > 0, "coresPerRing must be > 0");
+    // reserveLane reads lane 0 of every link, and serializationCycles
+    // converts bytes / bytesPerCycle to an integer cycle count.
+    TSS_ASSERT(_params.lanesPerSegment > 0, "lanesPerSegment must be > 0");
+    TSS_ASSERT(std::isfinite(_params.bytesPerCycle) &&
+                   _params.bytesPerCycle > 0,
+               "bytesPerCycle must be positive and finite, not %g",
+               _params.bytesPerCycle);
     numRings = (_params.numCores + _params.coresPerRing - 1) /
         _params.coresPerRing;
 
@@ -125,36 +133,28 @@ TopologyNetwork::locate(NodeId node) const
     return Location{-1, place.mcStop[n], place.mcStop[n]};
 }
 
-Cycle
-TopologyNetwork::reserveLane(Link &link, Cycle t, Cycle ser)
+void
+TopologyNetwork::traceLaneWait(Cycle t, Cycle wait)
 {
-    auto best = std::min_element(link.lanes.begin(), link.lanes.end());
-    Cycle begin = std::max(t, *best);
-    *best = begin + ser;
-    ++link.traversals;
-    link.busyCycles += ser;
-    link.waitCycles += begin - t;
-    if (begin > t)
-        obs::trace(obs::TraceEvent::NocLaneWait, t, 0, begin - t);
-    return begin;
+    obs::trace(obs::TraceEvent::NocLaneWait, t, 0, wait);
 }
 
 Cycle
-TopologyNetwork::traverseLocalRing(unsigned ring, unsigned from,
-                                   unsigned to, Cycle start, Cycle ser)
+TopologyNetwork::walkRing(std::vector<Link> &segments, unsigned from,
+                          unsigned to, Cycle start, Cycle ser)
 {
-    auto &segments = localSegments[ring];
     auto stops = static_cast<unsigned>(segments.size());
     bool clockwise = true;
     unsigned dist = ringDistance(from, to, stops, clockwise);
 
+    // Step with a conditional wrap: stops is not a power of two, and
+    // a modulo per hop would cost an integer division.
     Cycle t = start;
     unsigned stop = from;
     for (unsigned i = 0; i < dist; ++i) {
-        unsigned seg = clockwise ? stop : (stop + stops - 1) % stops;
+        unsigned seg = clockwise ? stop : (stop == 0 ? stops : stop) - 1;
         t = reserveLane(segments[seg], t, ser) + _params.hopLatency;
-        stop = clockwise ? (stop + 1) % stops
-                         : (stop + stops - 1) % stops;
+        stop = clockwise ? (stop + 1 == stops ? 0 : stop + 1) : seg;
     }
     return t;
 }
@@ -170,21 +170,21 @@ TopologyNetwork::route(NodeId src_node, NodeId dst_node, Cycle inject,
 
     if (src.localRing >= 0 && src.localRing == dst.localRing) {
         // Same processor ring: purely local traversal.
-        return traverseLocalRing(static_cast<unsigned>(src.localRing),
-                                 src.stop, dst.stop, t, ser);
+        return walkRing(localSegments[src.localRing], src.stop,
+                        dst.stop, t, ser);
     }
 
     unsigned hub_pos = _params.coresPerRing; // hub stop index
     if (src.localRing >= 0) {
-        t = traverseLocalRing(static_cast<unsigned>(src.localRing),
-                              src.stop, hub_pos, t, ser);
+        t = walkRing(localSegments[src.localRing], src.stop, hub_pos, t,
+                     ser);
     }
     unsigned gfrom = src.localRing >= 0 ? src.hubStop : src.stop;
     unsigned gto = dst.localRing >= 0 ? dst.hubStop : dst.stop;
     t = routeGlobal(gfrom, gto, t, ser);
     if (dst.localRing >= 0) {
-        t = traverseLocalRing(static_cast<unsigned>(dst.localRing),
-                              hub_pos, dst.stop, t, ser);
+        t = walkRing(localSegments[dst.localRing], hub_pos, dst.stop, t,
+                     ser);
     }
     return t;
 }
@@ -314,7 +314,7 @@ TopologyNetwork::linkStats(Cycle now) const
         stats.traversals += link.traversals;
         stats.busyLaneCycles += link.busyCycles;
         stats.laneWaitCycles += link.waitCycles;
-        if (now > 0 && !link.lanes.empty()) {
+        if (now > 0) {
             double util = static_cast<double>(link.busyCycles) /
                 (static_cast<double>(now) *
                  static_cast<double>(link.lanes.size()));

@@ -25,6 +25,7 @@
 #ifndef TSS_NOC_TOPOLOGY_HH
 #define TSS_NOC_TOPOLOGY_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -236,14 +237,53 @@ class TopologyNetwork : public Network
     static unsigned ringDistance(unsigned from, unsigned to,
                                  unsigned n, bool &clockwise);
 
+    /**
+     * Walk a ring of @p segments (segment i joins stop i to stop
+     * i + 1, modulo the ring) from stop @p from to stop @p to in the
+     * ringDistance() direction, starting at @p start and reserving a
+     * lane of every segment crossed; returns the arrival cycle. The
+     * local processor rings and the global ring share it.
+     */
+    Cycle walkRing(std::vector<Link> &segments, unsigned from,
+                   unsigned to, Cycle start, Cycle ser);
+
     /** Injection serialization of a @p bytes message (>= 1 cycle). */
     Cycle serializationCycles(Bytes bytes) const;
 
     /**
      * Reserve the earliest-free lane of @p link from @p t for
-     * @p ser cycles; returns when the message starts crossing.
+     * @p ser cycles; returns when the message starts crossing. The
+     * pick is std::min_element's — the first lane with the smallest
+     * busy-until, so only a strictly smaller lane replaces the best —
+     * but selects with conditional moves: the lanes' order is
+     * unpredictable, and a compare branch would mispredict. Defined
+     * here so every route walk inlines it.
      */
-    Cycle reserveLane(Link &link, Cycle t, Cycle ser);
+    Cycle
+    reserveLane(Link &link, Cycle t, Cycle ser)
+    {
+        Cycle *lane = link.lanes.data();
+        const std::size_t lanes = link.lanes.size();
+        std::size_t best = 0;
+        Cycle free = lane[0];
+        for (std::size_t i = 1; i < lanes; ++i) {
+            const bool less = lane[i] < free;
+            best = less ? i : best;
+            free = less ? lane[i] : free;
+        }
+        const Cycle begin = std::max(t, free);
+        lane[best] = begin + ser;
+        ++link.traversals;
+        link.busyCycles += ser;
+        link.waitCycles += begin - t;
+        if (begin > t) [[unlikely]]
+            traceLaneWait(t, begin - t);
+        return begin;
+    }
+
+    /** Emit the NocLaneWait record of a @p wait -cycle lane wait. */
+    [[gnu::cold, gnu::noinline]] static void traceLaneWait(Cycle t,
+                                                           Cycle wait);
 
     /**
      * Full route of a message injected at @p inject: local ring leg,
@@ -266,10 +306,6 @@ class TopologyNetwork : public Network
     /** Enumerate the subclass's global-fabric links for LinkStats. */
     virtual void visitGlobalLinks(
         const std::function<void(const Link &)> &fn) const = 0;
-
-    /** Traverse a local processor ring (shortest direction). */
-    Cycle traverseLocalRing(unsigned ring, unsigned from, unsigned to,
-                            Cycle start, Cycle ser);
 
     NocParams _params;
     unsigned numRings;

@@ -22,10 +22,11 @@ namespace tss
 {
 
 /**
- * A simple monotonically updated scalar statistic. Updates are
- * relaxed atomics: increments commute, so the final value is
- * independent of which simulation-engine thread bumped the counter
- * first — a requirement for the parallel engine's determinism.
+ * A simple monotonically updated scalar statistic: a plain integer.
+ * Every Counter belongs to one System, and one thread drives a System
+ * (the engine drains every window on the calling thread), so no
+ * update races. A concurrent drain would need per-shard counters
+ * merged at the window barrier, not atomics here.
  */
 class Counter
 {
@@ -33,27 +34,23 @@ class Counter
     Counter &
     operator++()
     {
-        _value.fetch_add(1, std::memory_order_relaxed);
+        ++_value;
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        _value.fetch_add(n, std::memory_order_relaxed);
+        _value += n;
         return *this;
     }
 
-    std::uint64_t
-    value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
+    std::uint64_t value() const { return _value; }
 
-    void reset() { _value.store(0, std::memory_order_relaxed); }
+    void reset() { _value = 0; }
 
   private:
-    std::atomic<std::uint64_t> _value{0};
+    std::uint64_t _value = 0;
 };
 
 /** A tiny test-and-set spinlock (uncontended in practice). */

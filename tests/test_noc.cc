@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -343,6 +344,31 @@ TEST(SimpleNetworkDeathTest, SendToUnattachedNodeAborts)
         "message to unattached node 77");
 }
 
+TEST(TopologyNetworkDeathTest, ZeroLanesPerSegmentAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    NocParams p = smallRing();
+    p.lanesPerSegment = 0;
+    for (TopologyKind kind : {TopologyKind::Ring, TopologyKind::Mesh}) {
+        EventQueue eq;
+        EXPECT_DEATH(makeTopology(kind, "noc", eq, p),
+                     "lanesPerSegment must be > 0");
+    }
+}
+
+TEST(TopologyNetworkDeathTest, NonPositiveBytesPerCycleAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (double bytes_per_cycle :
+         {0.0, -16.0, std::numeric_limits<double>::infinity()}) {
+        NocParams p = smallRing();
+        p.bytesPerCycle = bytes_per_cycle;
+        EventQueue eq;
+        EXPECT_DEATH(makeTopology(TopologyKind::Ring, "noc", eq, p),
+                     "bytesPerCycle must be positive and finite");
+    }
+}
+
 TEST(RingNetwork, ManyCoreConfigurationWorks)
 {
     EventQueue eq;
@@ -597,6 +623,155 @@ TEST(TopologyNetwork, PerPairFifoUnderRandomTrafficAllTopologies)
         }
         eq.run();
         EXPECT_FALSE(sink.lastSeq.empty());
+    }
+}
+
+/**
+ * Pins exact lane reservation, where the tests above check contention
+ * only qualitatively. Seeded traffic of 8-4096 B messages, several
+ * injected on the same cycle, crosses the ring (adjacent and spread
+ * placement) and the mesh (spread) at 1, 3 and 4 lanes per link; an
+ * odd lane count exercises the lane pick's tail. On the ring, probe
+ * pairs cross the global ring's wrap segment in each direction; on
+ * every fabric, a message leaving or entering a processor ring
+ * crosses one of its hub's two segments. The arrival
+ * digest and LinkStats totals below were captured on the
+ * std::min_element lane pick and modulo ring walks that preceded the
+ * branch-free pick and conditional-wrap walks, before either was
+ * written: a message taking another lane, or the same lane at
+ * another cycle, moves them.
+ */
+TEST(TopologyNetwork, ExactLaneReservationUnderSeededContention)
+{
+    struct Probe : Message
+    {
+        Probe(NodeId s, NodeId d, Bytes b, std::size_t sequence)
+            : Message(s, d, b), seq(sequence)
+        {}
+        std::size_t seq;
+    };
+
+    struct Recorder : Endpoint
+    {
+        explicit Recorder(EventQueue &queue) : eq(queue) {}
+
+        void
+        receive(MessagePtr msg) override
+        {
+            arrivals.at(static_cast<Probe &>(*msg).seq) = eq.now();
+        }
+
+        EventQueue &eq;
+        std::vector<Cycle> arrivals;
+    };
+
+    struct Case
+    {
+        TopologyKind topology;
+        PlacementKind placement;
+        unsigned lanes;
+        std::uint64_t digest;     ///< FNV-1a of arrivals, in send order
+        std::uint64_t traversals;
+        Cycle busyLaneCycles;
+        Cycle laneWaitCycles;
+    };
+    const Case cases[] = {
+        {TopologyKind::Ring, PlacementKind::Adjacent, 1,
+         0x66ae115d6d3a33f8ull, 3204, 391481, 6049527},
+        {TopologyKind::Ring, PlacementKind::Adjacent, 3,
+         0x07b3483367745200ull, 3204, 391481, 485323},
+        {TopologyKind::Ring, PlacementKind::Adjacent, 4,
+         0xdb960f703122bb32ull, 3204, 391481, 93361},
+        {TopologyKind::Ring, PlacementKind::Spread, 1,
+         0xd4caf055b0127ad3ull, 3168, 384369, 6209224},
+        {TopologyKind::Ring, PlacementKind::Spread, 3,
+         0x430787733081d8b9ull, 3168, 384369, 579056},
+        {TopologyKind::Ring, PlacementKind::Spread, 4,
+         0x2faaa9ac3b401b70ull, 3168, 384369, 93871},
+        {TopologyKind::Mesh, PlacementKind::Spread, 1,
+         0x4fd39d81a085fda5ull, 2720, 327257, 4788918},
+        {TopologyKind::Mesh, PlacementKind::Spread, 3,
+         0x80c06f156f9b4a50ull, 2720, 327257, 178455},
+        {TopologyKind::Mesh, PlacementKind::Spread, 4,
+         0x8ec602b54d5c4dd8ull, 2720, 327257, 19592},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(toString(c.topology)) + "/" +
+                     toString(c.placement) + "/" +
+                     std::to_string(c.lanes) + " lanes");
+        EventQueue eq;
+        NocParams params = smallRing();
+        params.placement = c.placement;
+        params.lanesPerSegment = c.lanes;
+        auto net = makeTopology(c.topology, "noc", eq, params);
+        Recorder sink(eq);
+        const unsigned stations = params.numCores +
+            params.numFrontendTiles + params.numL2Banks +
+            params.numMemCtrls;
+        for (unsigned n = 0; n < stations; ++n)
+            net->attach(static_cast<NodeId>(n), sink);
+
+        // A station at every global stop (a hub's is its ring's first
+        // core), for the wrap-crossing probes.
+        const PlacementMap &place = net->placement();
+        std::vector<NodeId> at_stop(place.globalStops);
+        for (unsigned r = 0; r < place.hubStop.size(); ++r)
+            at_stop[place.hubStop[r]] =
+                net->coreNode(r * params.coresPerRing);
+        for (unsigned i = 0; i < params.numFrontendTiles; ++i)
+            at_stop[place.frontendStop[i]] = net->frontendNode(i);
+        for (unsigned i = 0; i < params.numL2Banks; ++i)
+            at_stop[place.l2Stop[i]] = net->l2Node(i);
+        for (unsigned i = 0; i < params.numMemCtrls; ++i)
+            at_stop[place.mcStop[i]] = net->memCtrlNode(i);
+        const NodeId last_stop = at_stop[place.globalStops - 1];
+        const NodeId second_stop = at_stop[1];
+
+        Rng rng(2010);
+        std::size_t sent = 0;
+        auto send = [&](Cycle when, NodeId src, NodeId dst, Bytes bytes) {
+            sink.arrivals.push_back(invalidCycle);
+            net->sendAt(when,
+                        std::make_unique<Probe>(src, dst, bytes, sent++));
+        };
+        for (unsigned burst = 0; burst < 150; ++burst) {
+            Cycle when = burst * 48;
+            auto count = static_cast<unsigned>(rng.rangeInclusive(1, 5));
+            for (unsigned i = 0; i < count; ++i) {
+                auto src = static_cast<NodeId>(rng.range(stations));
+                NodeId dst = src;
+                while (dst == src)
+                    dst = static_cast<NodeId>(rng.range(stations));
+                send(when, src, dst,
+                     static_cast<Bytes>(rng.rangeInclusive(8, 4096)));
+            }
+            if (burst % 10 == 0) {
+                // Across the wrap segment clockwise, then back.
+                send(when, last_stop, second_stop, 512);
+                send(when, second_stop, last_stop, 512);
+            }
+        }
+        eq.run();
+
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        for (Cycle arrival : sink.arrivals) {
+            ASSERT_NE(arrival, invalidCycle) << "message not delivered";
+            digest = (digest ^ arrival) * 0x100000001b3ull;
+        }
+        LinkStats stats = net->linkStats(eq.now());
+        EXPECT_EQ(digest, c.digest);
+        EXPECT_EQ(stats.traversals, c.traversals);
+        EXPECT_EQ(stats.busyLaneCycles, c.busyLaneCycles);
+        EXPECT_EQ(stats.laneWaitCycles, c.laneWaitCycles);
+        EXPECT_GT(stats.laneWaitCycles, 0u) << "traffic must contend";
+        std::vector<std::uint64_t> per_link = net->linkTraversals();
+        EXPECT_GT(per_link[params.coresPerRing], 0u)
+            << "local ring 0's hub segment must carry traffic";
+        if (c.topology == TopologyKind::Ring) {
+            EXPECT_GT(per_link.back(), 0u)
+                << "the global ring's wrap segment must carry traffic";
+        }
     }
 }
 
