@@ -508,6 +508,10 @@ System::buildMetrics()
     metrics.addCounter("engine.max_window_occupancy", [this] {
         return engine->windowStats().maxOccupancy;
     });
+    metrics.addCounter("engine.event_digest",
+                       [this] { return engine->eventDigest(); });
+    metrics.addCounter("engine.apply_digest",
+                       [this] { return engine->applyDigest(); });
     metrics.addCounter("dma.writebacks",
                        [this] { return dma->numTransfers(); });
     metrics.addCounter("dma.bytes",

@@ -19,6 +19,7 @@
 
 #include "event.hh"
 #include "exec_context.hh"
+#include "hash.hh"
 #include "logging.hh"
 #include "obs/trace.hh"
 #include "types.hh"
@@ -69,6 +70,15 @@ class EventQueue
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return numExecuted; }
+
+    /**
+     * Running digest of the executed event stream: every event's
+     * full ordering key (cycle, priority, station, per-station
+     * sequence), folded in execution order. Two runs with equal
+     * digests executed the same events in the same order — a gate
+     * that also catches reorderings whose effects happen to commute.
+     */
+    std::uint64_t digest() const { return _digest; }
 
     /** Firing time of the earliest pending event (invalidCycle: none). */
     Cycle
@@ -138,6 +148,8 @@ class EventQueue
                    (int)top.station, (unsigned long long)top.seq,
                    (unsigned long long)top.when);
         lastKey = top;
+        _digest = digestKey(_digest, top.when, top.priority, top.station,
+                            top.seq);
         _now = top.when;
         heap.pop();
         EventFn fn = std::move(slab[top.slot]);
@@ -293,6 +305,7 @@ class EventQueue
     Cycle _now = 0;
     Key lastKey{invalidCycle, 0, 0, noStation, 0};
     std::uint64_t numExecuted = 0;
+    std::uint64_t _digest = digestSeed;
     Cycle _windowFloor = 0;
     DeferSink *sink = nullptr;
     obs::TraceBuf *trace = nullptr;

@@ -84,6 +84,15 @@ SimEngine::executed() const
     return n;
 }
 
+std::uint64_t
+SimEngine::eventDigest() const
+{
+    std::uint64_t h = digestSeed;
+    for (const auto &s : shards)
+        h = digestFold(h, s->queue.digest());
+    return h;
+}
+
 void
 SimEngine::setTracer(obs::Tracer *t)
 {
@@ -147,8 +156,11 @@ SimEngine::applyBarrier()
     for (unsigned d = 0; d < shards.size(); ++d)
         shards[d]->queue.setWindowFloor(windowEnd + 1);
     auto it = pending.begin();
-    for (; it != pending.end() && it->first.when < horizon; ++it)
+    for (; it != pending.end() && it->first.when < horizon; ++it) {
+        const DeferKey &k = it->first;
+        _applyDigest = digestKey(_applyDigest, k.when, k.station, k.op, k.seq);
         it->second();
+    }
     for (unsigned d = 0; d < shards.size(); ++d)
         shards[d]->queue.setWindowFloor(0);
 

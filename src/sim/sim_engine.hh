@@ -168,6 +168,15 @@ class SimEngine
     /** Deterministic window-structure counters so far. */
     const WindowStats &windowStats() const { return wstats; }
 
+    /** The shards' event-stream digests, folded in domain order. */
+    std::uint64_t eventDigest() const;
+
+    /**
+     * Running digest of every deferred operation's DeferKey, folded
+     * in the barriers' apply order.
+     */
+    std::uint64_t applyDigest() const { return _applyDigest; }
+
     /**
      * Run lookahead windows until every shard drains or at least
      * @p max_events events have executed (checked at window barriers;
@@ -217,6 +226,7 @@ class SimEngine
     std::vector<Cycle> domL;  ///< per-domain window length
     obs::Tracer *tracer = nullptr;
     WindowStats wstats;
+    std::uint64_t _applyDigest = digestSeed;
     bool lastWindowSingle = false;
 
     /// Per-shard drain limits of the current window, and the grid

@@ -110,9 +110,10 @@ struct RunOutcome
     std::vector<Cycle> domainLookahead;
 };
 
-RunOutcome
-runOnce(const TaskTrace &trace, const TopoCase &tc, bool matrix,
-        unsigned sim_threads, std::uint32_t filter = obs::cat::all)
+/** The fuzzed machine: 2 pipelines, 32 cores, full tracing. */
+PipelineConfig
+fuzzConfig(const TopoCase &tc, bool matrix, unsigned sim_threads,
+           std::uint32_t filter = obs::cat::all)
 {
     PipelineConfig cfg;
     cfg.numPipelines = 2;
@@ -123,7 +124,14 @@ runOnce(const TaskTrace &trace, const TopoCase &tc, bool matrix,
     cfg.simThreads = sim_threads;
     cfg.traceMode = obs::TraceMode::Full;
     cfg.traceFilter = filter;
+    return cfg;
+}
 
+RunOutcome
+runOnce(const TaskTrace &trace, const TopoCase &tc, bool matrix,
+        unsigned sim_threads, std::uint32_t filter = obs::cat::all)
+{
+    PipelineConfig cfg = fuzzConfig(tc, matrix, sim_threads, filter);
     auto sys = SystemBuilder(cfg, trace).build();
     RunOutcome out;
     out.result = sys->run();
@@ -324,6 +332,63 @@ TEST(FuzzLookahead, GoldenWindowCounters)
     // incoming route.
     std::vector<Cycle> expect_la = {2, 2, 6};
     EXPECT_EQ(out.domainLookahead, expect_la);
+}
+
+/**
+ * Where an event budget stops a System. The budget is checked at
+ * window barriers only, so a window may overshoot it; tss-serve's
+ * --max-events-per-job and the LivenessReport it returns depend on
+ * exactly where. Pinned per budget on two topologies, with the
+ * event-stream digests of the partial run.
+ */
+TEST(FuzzLookahead, EventBudgetStopPoint)
+{
+    struct Golden
+    {
+        const char *topo;
+        std::uint64_t budget;
+        std::uint64_t events;
+        std::size_t tasks;
+        Cycle now;
+        std::uint64_t windows;
+        std::uint64_t eventDigest;
+        std::uint64_t applyDigest;
+    };
+    const Golden goldens[] = {
+        {"ring/adjacent", 500, 500, 0, 1821, 318,
+         0xae91fe037b4efe60ULL, 0x9aa0f9828404c27dULL},
+        {"ring/adjacent", 2000, 2001, 2, 6268, 1241,
+         0xe2b5ba6fcc10fcf1ULL, 0x91d37e3ecdf5150aULL},
+        {"ring/adjacent", 5000, 5000, 67, 226325, 3233,
+         0x598a6524724bc21eULL, 0xe34fccbb6549b455ULL},
+        {"mesh/spread", 500, 500, 0, 1821, 316,
+         0x829d47939298d46dULL, 0x3574c014801cca7bULL},
+        {"mesh/spread", 2000, 2001, 2, 6244, 1252,
+         0xf4d132a0a15f0f40ULL, 0x74fe1d4b941ee9e1ULL},
+        {"mesh/spread", 5000, 5000, 67, 225460, 3200,
+         0x0e655b481d24c1d5ULL, 0xe0cebf086ef6d7bbULL},
+    };
+
+    TaskTrace trace = randomTrace(7, 80, 10, 5);
+    for (const Golden &g : goldens) {
+        const TopoCase &tc = std::string(g.topo) == topoCases[0].name
+            ? topoCases[0]
+            : topoCases[1];
+        SCOPED_TRACE(std::string(g.topo) + " budget " +
+                     std::to_string(g.budget));
+        PipelineConfig cfg = fuzzConfig(tc, false, 1);
+        auto sys = SystemBuilder(cfg, trace).build();
+        LivenessReport rep = sys->runWatchdog(g.budget);
+        EXPECT_FALSE(rep.completed);
+        EXPECT_FALSE(rep.wedged);
+        EXPECT_EQ(rep.eventsExecuted, g.events);
+        EXPECT_EQ(rep.tasksFinished, g.tasks);
+        obs::Snapshot snap = sys->metricsRegistry().snapshot();
+        EXPECT_EQ(snap.gauge("engine.now"), static_cast<double>(g.now));
+        EXPECT_EQ(snap.counter("engine.windows"), g.windows);
+        EXPECT_EQ(snap.counter("engine.event_digest"), g.eventDigest);
+        EXPECT_EQ(snap.counter("engine.apply_digest"), g.applyDigest);
+    }
 }
 
 } // namespace

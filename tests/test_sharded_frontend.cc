@@ -6,9 +6,9 @@
  * decode scaling across pipelines, deadlock-freedom of the ticket
  * protocol under window pressure, the differential oracle across
  * shard counts, a golden regression pinning numPipelines=1 behavior
- * bit-identical to the pre-shard frontend, and golden decode stats
- * for a relocated real StarSs kernel (trace/relocate.hh) at 1 and 4
- * pipelines.
+ * bit-identical to the pre-shard frontend, golden decode stats for a
+ * relocated real StarSs kernel (trace/relocate.hh) at 1 and 4
+ * pipelines, and the event-stream digests of both golden families.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +139,66 @@ TEST(ShardedFrontend, RelocatedCholeskyGoldenStats)
             << g.pipes << " pipelines";
         EXPECT_NEAR(r.decodeRateCycles, g.decodeRateCycles, 1e-4)
             << g.pipes << " pipelines";
+    }
+}
+
+/**
+ * Event-stream digests of the five golden configurations above:
+ * engine.event_digest folds the key of every executed event,
+ * engine.apply_digest the key of every deferred operation the
+ * barriers applied. The result goldens compare end-of-run state;
+ * these also fail when a change reorders same-cycle events whose
+ * effects happen to commute, or renumbers a station's sequence.
+ */
+TEST(ShardedFrontend, GoldenEventDigests)
+{
+    struct Golden
+    {
+        const char *workload; ///< nullptr: the relocated Cholesky
+        double scale;
+        std::uint64_t seed;
+        unsigned cores;
+        unsigned numTrs;
+        unsigned pipes;
+        unsigned threads;
+        std::uint64_t eventDigest;
+        std::uint64_t applyDigest;
+    };
+    const Golden goldens[] = {
+        {"Cholesky", 0.05, 1, 64, 8, 1, 1,
+         0x4fa1d63cdf5f9ac3ULL, 0xb3b76c5161fd55a6ULL},
+        {"H264", 0.05, 1, 32, 4, 1, 1,
+         0xae079cc8563df2a5ULL, 0x4991660ec671e38eULL},
+        {"MatMul", 0.1, 7, 16, 8, 1, 1,
+         0xc66ffb6ad5a86ccfULL, 0xc4b58c6084a32c3aULL},
+        {nullptr, 0, 1, 64, 8, 1, 8,
+         0x6f5d05a7f0cc0ed3ULL, 0x1b64ecdb731cb564ULL},
+        {nullptr, 0, 1, 64, 8, 4, 8,
+         0x47d7a9855bc29147ULL, 0x89435d9019311e8cULL},
+    };
+
+    for (const Golden &g : goldens) {
+        std::string what = g.workload
+            ? std::string(g.workload)
+            : "relocated Cholesky, " + std::to_string(g.pipes) +
+                " pipelines";
+        auto program = starss::makeCholeskyProgram(g.seed, 9, 8);
+        TaskTrace trace = g.workload
+            ? makeWorkload(g.workload, g.scale, g.seed)
+            : program->context().relocatedTrace();
+        PipelineConfig cfg = paperConfig(g.cores);
+        cfg.numTrs = g.numTrs;
+        cfg.numPipelines = g.pipes;
+        cfg.lookaheadMatrix = false;
+        auto sys = SystemBuilder(cfg, trace)
+                       .threads(roundRobin(trace.size(), g.threads))
+                       .build();
+        sys->run();
+        obs::Snapshot snap = sys->metricsRegistry().snapshot();
+        EXPECT_EQ(snap.counter("engine.event_digest"), g.eventDigest)
+            << what;
+        EXPECT_EQ(snap.counter("engine.apply_digest"), g.applyDigest)
+            << what;
     }
 }
 
