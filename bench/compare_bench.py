@@ -739,8 +739,7 @@ def selftest():
         "machine": machine_fingerprint(),
         "determinism": {"makespan": 1000, "events": 2000,
                         "messages": 300},
-        "windows": {"lookahead": "matrix", "backend_lookahead": 6,
-                    "windows": 500, "single_shard": 400, "fused": 350,
+        "windows": {"windows": 500, "single_shard": 400, "fused": 350,
                     "multi_shard": 90, "occupancy_sum": 600,
                     "max_occupancy": 3},
         "sim_scaling": [

@@ -52,15 +52,11 @@
  *        [--trace=off|tail|full]
  *        [--pipes=N] [--gen-threads=N] [--credits=N]
  *        [--relocate-seed=N] [--relocate-align=N] [--sim-threads=N]
- *        [--lookahead=global|matrix]
  *
  * `--sim-threads=N` sets PipelineConfig::simThreads, which must never
  * change a simulated number (the engine drains on one thread today;
  * sim/sim_engine.hh) — CI captures the sweep at 1 and 4 threads and
- * diffs the two JSONs exactly. `--lookahead=global` swaps the default
- * per-domain delay-matrix engine for the uniform-lookahead reference;
- * CI diffs that capture against the default too, proving the matrix
- * is invisible to simulated state on the full sweep.
+ * diffs the two JSONs exactly.
  */
 
 #include <cstdlib>
@@ -175,7 +171,6 @@ main(int argc, char **argv)
     unsigned gen_threads = opts.genThreads(8);
     unsigned credits = opts.credits.value_or(1);
     unsigned sim_threads = opts.simThreads.value_or(1);
-    const std::optional<bool> lookahead_matrix = opts.lookaheadMatrix;
     // --trace=off proves in CI that the default tail-mode tracer
     // never perturbs the gated simulated cells.
     const std::optional<tss::obs::TraceMode> trace_mode =
@@ -244,8 +239,6 @@ main(int argc, char **argv)
             cfg.simThreads = sim_threads;
             if (trace_mode)
                 cfg.traceMode = *trace_mode;
-            if (lookahead_matrix)
-                cfg.lookaheadMatrix = *lookahead_matrix;
             cfg.nocTopology = pt.topology;
             cfg.nocPlacement = pt.placement;
             cfg.batchOperands = pt.batch;
@@ -324,8 +317,6 @@ main(int argc, char **argv)
                 cfg.simThreads = sim_threads;
                 if (trace_mode)
                     cfg.traceMode = *trace_mode;
-                if (lookahead_matrix)
-                    cfg.lookaheadMatrix = *lookahead_matrix;
                 cfg.idealAdmission = oracle;
                 tss::RunResult r = tss::runHardwareThreads(
                     cfg, prog.trace, gen_threads);
@@ -392,8 +383,6 @@ main(int argc, char **argv)
             cfg.simThreads = sim_threads;
             if (trace_mode)
                 cfg.traceMode = *trace_mode;
-            if (lookahead_matrix)
-                cfg.lookaheadMatrix = *lookahead_matrix;
             tss::RunResult r =
                 tss::runHardwareThreads(cfg, trace, gen_threads);
             checkTopological(trace, r, prog.name,

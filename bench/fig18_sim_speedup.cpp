@@ -11,10 +11,7 @@
  *
  *  - *Determinism* (gated hard in CI): every simulated statistic and
  *    the complete scheduling decision must be bit-identical across
- *    thread counts — and across lookahead modes: the thread sweep
- *    runs the delay-matrix engine (the default), then one sequential
- *    global-lookahead run cross-checks that the matrix is invisible
- *    to simulated state. The bench exits non-zero on any divergence,
+ *    thread counts. The bench exits non-zero on any divergence,
  *    and the makespan/event/message triple plus the engine's
  *    window/fusion counters are recorded in the JSON so
  *    compare_bench.py re-checks them against BENCH_sim.json exactly.
@@ -115,7 +112,6 @@ main(int argc, char **argv)
     tss::PipelineConfig base = tss::paperConfig(256);
     base.numPipelines = pipes;
     base.slicePacketCredits = 1;
-    base.lookaheadMatrix = true; // the engine default, made explicit
 
     std::cerr << "# fig18: wide x " << trace.size() << " tasks, "
               << pipes << " pipelines, " << gen_threads
@@ -178,26 +174,6 @@ main(int argc, char **argv)
                   << (bit ? "" : "  DIVERGED") << "\n";
     }
 
-    // Cross-mode gate: the delay matrix must be invisible to
-    // simulated state. One sequential global-lookahead run against
-    // the (matrix) baseline.
-    {
-        tss::PipelineConfig cfg = base;
-        cfg.simThreads = 1;
-        cfg.lookaheadMatrix = false;
-        tss::RunResult g = tss::runHardwareThreads(cfg, trace,
-                                                   gen_threads);
-        if (!identical(g, baseline)) {
-            std::cerr << "BUG: global lookahead diverged from the "
-                      << "delay-matrix run (makespan " << g.makespan
-                      << " vs " << baseline.makespan << ")\n";
-            ++failures;
-        } else {
-            std::cerr << "#   global-lookahead cross-check: "
-                      << "bit-identical\n";
-        }
-    }
-
     std::cout << "{\n  \"machine\": {\"hardware_concurrency\": "
               << std::thread::hardware_concurrency() << "},\n";
     std::cout << "  \"workload\": {\"name\": \"wide\", \"tasks\": "
@@ -208,12 +184,7 @@ main(int argc, char **argv)
               << baseline.eventsExecuted << ", \"messages\": "
               << baseline.messagesOnNoc << ", \"versions_created\": "
               << baseline.versionsCreated << "},\n";
-    std::cout << "  \"windows\": {\"lookahead\": \"matrix\", "
-              << "\"backend_lookahead\": "
-              << (baseline.simDomainLookahead.empty()
-                      ? 0
-                      : baseline.simDomainLookahead.back())
-              << ", \"windows\": " << baseline.simWindows
+    std::cout << "  \"windows\": {\"windows\": " << baseline.simWindows
               << ", \"single_shard\": "
               << baseline.simSingleShardWindows
               << ", \"fused\": " << baseline.simFusedWindows

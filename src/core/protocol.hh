@@ -245,11 +245,10 @@ struct DecodeOperandMsg : ProtoMsg
     /**
      * Operand packet size — also the smallest message any station
      * ever injects to *itself* (a DecodeAdmit re-arbitration carries
-     * a stashed operand, below). The delay-matrix lookahead caps
-     * every self-sending domain's window at this message's
-     * serialization delay so the engine's conservative floor is
-     * provably inert (see sim/sim_engine.hh and
-     * TopologyNetwork::domainLookahead).
+     * a stashed operand, below). A self-message crosses no link, so
+     * its delay can undercut the engine's window length; the barrier
+     * floors such deliveries just past the window (see
+     * sim/sim_engine.hh).
      */
     static constexpr Bytes packetBytes = 28;
 

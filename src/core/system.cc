@@ -237,101 +237,7 @@ SystemBuilder::build()
     }
     sys->sched->setWorkers(worker_nodes);
 
-    // Lookahead — set only after every station is bound, so the
-    // delay-matrix mode can map stations to domains. The matrix is
-    // built over the *communication* edges this builder just wired
-    // (who can ever send to whom), not over all station pairs:
-    // co-located stations that never exchange a message (two worker
-    // cores on one ring, say) must not clamp their domain's
-    // run-ahead. Over-approximating an edge set only narrows a
-    // drain limit; omitting a real edge would break the
-    // conservative-safety argument (and trip the event queue's
-    // past-scheduling assertion), so every sendMsg/net.send
-    // destination a module can name appears below.
-    if (scfg.lookaheadMatrix) {
-        std::vector<int> domain_of(noc.numCores + noc.numFrontendTiles,
-                                   -1);
-        for (NodeId node = 0;
-             node < static_cast<NodeId>(domain_of.size()); ++node) {
-            if (EventQueue *q = net.boundQueue(node)) {
-                for (unsigned d = 0; d < engine.numDomains(); ++d) {
-                    if (q == &engine.shard(d)) {
-                        domain_of[node] = static_cast<int>(d);
-                        break;
-                    }
-                }
-            }
-        }
-
-        std::vector<std::pair<NodeId, NodeId>> edges;
-        auto link = [&edges](NodeId u, NodeId v) {
-            edges.emplace_back(u, v);
-        };
-        // Sources submit to their gateway; credits flow back.
-        for (unsigned thread = 0; thread < num_threads; ++thread) {
-            NodeId src = net.coreNode(thread);
-            link(src, gw_nodes[thread % pipes]);
-            link(gw_nodes[thread % pipes], src);
-        }
-        for (unsigned p = 0; p < pipes; ++p) {
-            // Gateways allocate into their own pipeline's TRS rows
-            // and hash operand descriptors to any directory slice.
-            for (unsigned i = 0; i < cfg.numTrs; ++i)
-                link(gw_nodes[p], trs_nodes[p * cfg.numTrs + i]);
-            for (NodeId ort : ort_nodes)
-                link(gw_nodes[p], ort);
-        }
-        for (unsigned g = 0; g < trs_nodes.size(); ++g) {
-            NodeId t = trs_nodes[g];
-            // Alloc replies / TRS-space reports to the own gateway;
-            // ordered mode broadcasts watermark advances to all.
-            link(t, gw_nodes[g / cfg.numTrs]);
-            if (ordered) {
-                for (NodeId gw : gw_nodes)
-                    link(t, gw);
-            }
-            link(t, sched_node);
-            // Consumer chaining crosses rows freely, version traffic
-            // reaches any OVT slice, and starved directory slices
-            // subscribe to watermark wakeups.
-            for (NodeId t2 : trs_nodes)
-                link(t, t2);
-            for (NodeId ovt : ovt_nodes)
-                link(t, ovt);
-            for (NodeId ort : ort_nodes)
-                link(t, ort);
-        }
-        for (unsigned g = 0; g < ort_nodes.size(); ++g) {
-            NodeId o = ort_nodes[g];
-            for (NodeId gw : gw_nodes)
-                link(o, gw); // stall/resume + decode credits
-            for (NodeId t : trs_nodes)
-                link(o, t); // operand info / starvation subscribe
-            link(o, ovt_nodes[g]); // version create/read commands
-            link(ovt_nodes[g], o); // quiescent/retire notifications
-            for (NodeId t : trs_nodes)
-                link(ovt_nodes[g], t); // data-ready on version grant
-        }
-        for (NodeId w : worker_nodes) {
-            link(sched_node, w); // dispatch
-            link(w, sched_node); // idle notifications
-            for (NodeId t : trs_nodes)
-                link(w, t); // task-finished
-        }
-
-        // Self-senders: ORT slices retry deferred-operand admission
-        // to themselves (DecodeAdmitMsg), and TRS consumer chains may
-        // land in the producer's own row (RegisterConsumer/DataReady
-        // via chainTo). Their domains never run ahead of the grid —
-        // a floored self-delivery must not land behind the frontier.
-        std::vector<NodeId> self_senders = ort_nodes;
-        self_senders.insert(self_senders.end(), trs_nodes.begin(),
-                            trs_nodes.end());
-        engine.setDomainLookahead(net.domainLookahead(
-            edges, domain_of, engine.numDomains(), self_senders));
-    } else {
-        engine.setLookahead(net.minDeliveryDelay());
-    }
+    engine.setLookahead(net.minDeliveryDelay());
 
     // The flight recorder: one buffer per event shard, wired into the
     // engine so records key on the DeferKey of the emitting event (see
@@ -645,9 +551,6 @@ System::collectResult()
     result.simMultiShardWindows = ws.multiShard;
     result.simWindowOccupancySum = ws.occupancySum;
     result.simMaxWindowOccupancy = ws.maxOccupancy;
-    result.simDomainLookahead.reserve(engine->numDomains());
-    for (unsigned d = 0; d < engine->numDomains(); ++d)
-        result.simDomainLookahead.push_back(engine->domainLookahead(d));
 
     // Makespan and the execution order, from the per-task records.
     std::vector<Cycle> decode_times;

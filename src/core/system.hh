@@ -83,12 +83,11 @@ struct RunResult
     /// exactly in BENCH_sim.json. See SimEngine::WindowStats.
     /// @{
     std::uint64_t simWindows = 0;          ///< lookahead windows run
-    std::uint64_t simSingleShardWindows = 0; ///< fused inline windows
+    std::uint64_t simSingleShardWindows = 0; ///< one active shard
     std::uint64_t simFusedWindows = 0;     ///< consecutive single-shard
-    std::uint64_t simMultiShardWindows = 0; ///< pool-dispatched windows
+    std::uint64_t simMultiShardWindows = 0; ///< >= 2 active shards
     std::uint64_t simWindowOccupancySum = 0; ///< Σ active shards
     std::uint64_t simMaxWindowOccupancy = 0; ///< peak active shards
-    std::vector<Cycle> simDomainLookahead; ///< window length per domain
     /// @}
 
     /** Trace indices ordered by execution start time. */

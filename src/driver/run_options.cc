@@ -58,13 +58,6 @@ RunOptions::parse(const CliArgs &args)
     opts.cores = parseUnsigned(args, "cores", 1);
     opts.generatingThreads = parseUnsigned(args, "gen-threads", 1);
     opts.simThreads = parseUnsigned(args, "sim-threads", 1);
-    std::string la = args.get("lookahead", "");
-    if (!la.empty()) {
-        if (la != "global" && la != "matrix")
-            fatal("--lookahead must be global or matrix (got '%s')",
-                  la.c_str());
-        opts.lookaheadMatrix = (la == "matrix");
-    }
     opts.noRename = args.has("no-rename");
     opts.noChaining = args.has("no-chaining");
     opts.relocate = args.has("relocate");
@@ -105,8 +98,6 @@ RunOptions::applyNoc(PipelineConfig &cfg) const
         cfg.idealAdmission = true;
     if (simThreads)
         cfg.simThreads = *simThreads;
-    if (lookaheadMatrix)
-        cfg.lookaheadMatrix = *lookaheadMatrix;
 }
 
 void

@@ -44,7 +44,6 @@ class RunOptions
      *   --placement-seed=N  --batch  --ideal-admission  --credits=N
      *   --pipes=N  --trs=N  --ort=N  --trs-kb=N --ort-kb=N --ovt-kb=N
      *   --cores=N  --gen-threads=N   --sim-threads=N
-     *   --lookahead=global|matrix
      *   --relocate  --relocate-seed=N  --relocate-align=N
      *   --no-rename  --no-chaining
      *   --trace=off|tail|full  --trace-out=PATH (implies full)
@@ -72,8 +71,8 @@ class RunOptions
 
     /**
      * The NoC/engine subset of apply(PipelineConfig&): topology,
-     * placement, placement seed, batching, idealAdmission, simThreads
-     * and lookahead mode only — no structural knobs.
+     * placement, placement seed, batching, idealAdmission and
+     * simThreads only — no structural knobs.
      */
     void applyNoc(PipelineConfig &cfg) const;
 
@@ -111,7 +110,6 @@ class RunOptions
     std::optional<unsigned> cores;
     std::optional<unsigned> generatingThreads;
     std::optional<unsigned> simThreads;
-    std::optional<bool> lookaheadMatrix;
     bool noRename = false;   ///< --no-rename given
     bool noChaining = false; ///< --no-chaining given
     bool relocate = false;   ///< --relocate given

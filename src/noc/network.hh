@@ -53,14 +53,6 @@ class Network : public SimObject
         station(node).queue = &eq;
     }
 
-    /** The queue @p node is bound to, or nullptr if unbound. */
-    EventQueue *
-    boundQueue(NodeId node) const
-    {
-        auto i = static_cast<std::uint32_t>(node);
-        return i < stations.size() ? stations[i].queue : nullptr;
-    }
-
     /**
      * Inject @p msg; ownership passes to the network. Routes now, or
      * defers to the window barrier under the parallel engine.
@@ -92,37 +84,6 @@ class Network : public SimObject
      * stations; the engine's conservative lookahead window length.
      */
     virtual Cycle minDeliveryDelay() const = 0;
-
-    /**
-     * Lower bound on inject-to-delivery delay from station @p src to
-     * a *distinct* station @p dst — the per-pair refinement of
-     * minDeliveryDelay() behind the engine's delay-matrix lookahead
-     * (adjacent stations are one hop; cross-ring routes many more).
-     * The base implementation returns the machine-wide minimum, so
-     * networks without a distance model degrade to the global window.
-     */
-    virtual Cycle
-    pairDelay(NodeId src, NodeId dst) const
-    {
-        (void)src;
-        (void)dst;
-        return minDeliveryDelay();
-    }
-
-    /**
-     * Lower bound on the delay of a station's message *to itself* of
-     * @p bytes size (pure serialization for the placed topologies,
-     * plus the end-to-end latency for the fixed one). Self-messages
-     * are the only deliveries the conservative floor may clamp, so
-     * per-domain lookaheads are capped at this bound to keep the
-     * floor provably inert (see sim/sim_engine.hh).
-     */
-    virtual Cycle
-    selfDelay(Bytes bytes) const
-    {
-        (void)bytes;
-        return minDeliveryDelay();
-    }
 
     std::uint64_t messagesSent() const { return numMessages.value(); }
     const Distribution &latencyStat() const { return latencies; }

@@ -223,65 +223,6 @@ TopologyNetwork::minDeliveryDelay() const
     return _params.hopLatency + 1;
 }
 
-Cycle
-TopologyNetwork::pairDelay(NodeId src, NodeId dst) const
-{
-    if (src == dst)
-        return selfDelay(0);
-    // Minimum delivery: one cycle of injection serialization plus an
-    // uncontended traversal of every link on the route. Clamped at
-    // the machine-wide minimum so a degenerate placement (two
-    // stations sharing a stop) can never shrink a window below the
-    // global-lookahead bound.
-    return std::max(minDeliveryDelay(),
-                    Cycle(1) +
-                        _params.hopLatency * hopCount(src, dst));
-}
-
-Cycle
-TopologyNetwork::selfDelay(Bytes bytes) const
-{
-    return serializationCycles(bytes);
-}
-
-std::vector<Cycle>
-TopologyNetwork::domainLookahead(
-    const std::vector<std::pair<NodeId, NodeId>> &edges,
-    const std::vector<int> &domain_of, unsigned num_domains,
-    const std::vector<NodeId> &self_senders) const
-{
-    std::vector<Cycle> la(num_domains, invalidCycle);
-    const auto n = domain_of.size();
-    for (const auto &[u, v] : edges) {
-        if (u == v)
-            continue; // self-deliveries are floored, not bounded
-        auto dst = static_cast<std::size_t>(v);
-        TSS_ASSERT(static_cast<std::size_t>(u) < n && dst < n,
-                   "edge %d -> %d names an unmapped station", u, v);
-        int d = domain_of[dst];
-        if (d < 0 || domain_of[static_cast<std::size_t>(u)] < 0)
-            continue;
-        TSS_ASSERT(static_cast<unsigned>(d) < num_domains,
-                   "domain %d out of range", d);
-        la[d] = std::min(la[d], pairDelay(u, v));
-    }
-    // Self-sending domains never run ahead of the grid: their own
-    // floored self-deliveries could land behind a run-ahead frontier
-    // (see the header comment).
-    for (NodeId v : self_senders) {
-        auto index = static_cast<std::size_t>(v);
-        TSS_ASSERT(index < n, "self-sender %d unbound", v);
-        int d = domain_of[index];
-        if (d >= 0)
-            la[static_cast<unsigned>(d)] = minDeliveryDelay();
-    }
-    for (Cycle &l : la) {
-        if (l == invalidCycle)
-            l = minDeliveryDelay();
-    }
-    return la;
-}
-
 unsigned
 TopologyNetwork::hopCount(NodeId src_node, NodeId dst_node) const
 {

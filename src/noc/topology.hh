@@ -115,50 +115,9 @@ class TopologyNetwork : public Network
     /**
      * Minimum inject-to-delivery delay between distinct stations:
      * injection serialization (>= 1 cycle) plus at least one link
-     * traversal. The parallel engine's lookahead.
+     * traversal. The engine's window length.
      */
     Cycle minDeliveryDelay() const override;
-
-    /**
-     * Per-pair lower bound behind the delay-matrix lookahead:
-     * injection serialization (>= 1 cycle) plus hop latency over the
-     * modeled route of @p src -> @p dst, never below the machine-wide
-     * minimum. A pure function of placement — no lane state.
-     */
-    Cycle pairDelay(NodeId src, NodeId dst) const override;
-
-    /**
-     * Self-messages never cross a link on the placed topologies:
-     * pure serialization. The Fixed override adds its end-to-end
-     * latency.
-     */
-    Cycle selfDelay(Bytes bytes) const override;
-
-    /**
-     * Build the per-domain lookahead vector of the delay-matrix
-     * engine mode: domain d's drain limit is the minimum
-     * pairDelay(u, v) over every *communication* edge u -> v with v
-     * in d — the shortest incoming edge of the domain, intra-domain
-     * edges included. @p edges is the directed sender/receiver
-     * relation SystemBuilder wires (who can ever send to whom) — NOT
-     * all station pairs: co-located stations that never exchange a
-     * message must not clamp a domain's run-ahead.
-     *
-     * Domains holding a station of @p self_senders (stations that
-     * inject messages to themselves) are held at exactly
-     * minDeliveryDelay() — one grid window, no run-ahead. A station's
-     * message to itself can compute below the grid window floor (the
-     * engine clamps it there; see sim/sim_engine.hh), so a
-     * self-sending domain that ran ahead could execute past a
-     * delivery it is yet to receive — only self-send-free domains may
-     * outrun the grid. @p domain_of maps node ids to domains
-     * (-1 = unbound station); domains with no incoming edge fall
-     * back to minDeliveryDelay().
-     */
-    std::vector<Cycle> domainLookahead(
-        const std::vector<std::pair<NodeId, NodeId>> &edges,
-        const std::vector<int> &domain_of, unsigned num_domains,
-        const std::vector<NodeId> &self_senders) const;
 
     /** Hop count between two nodes (route enumeration, no state). */
     virtual unsigned hopCount(NodeId src, NodeId dst) const;
@@ -337,13 +296,6 @@ class FixedNetwork : public TopologyNetwork
     minDeliveryDelay() const override
     {
         return _params.fixedLatency + 1;
-    }
-
-    /** Self-messages pay the end-to-end latency too (route below). */
-    Cycle
-    selfDelay(Bytes bytes) const override
-    {
-        return _params.fixedLatency + serializationCycles(bytes);
     }
 
   protected:

@@ -13,7 +13,6 @@
 #define TSS_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
 #include <queue>
 #include <vector>
 
@@ -200,28 +199,6 @@ class EventQueue
         return n;
     }
 
-    /**
-     * runUntil that additionally appends the firing time of every
-     * event executed strictly after @p ahead_after to @p log, in
-     * execution order. The parallel engine uses it to let a wide
-     * domain run ahead of the global window grid while keeping a
-     * virtual record of when those events would have been pending
-     * (SimEngine::virtualNext).
-     */
-    std::uint64_t
-    runUntil(Cycle limit, Cycle ahead_after, std::deque<Cycle> *log)
-    {
-        std::uint64_t n = 0;
-        while (!heap.empty() && heap.top().when <= limit) {
-            if (heap.top().when > ahead_after)
-                log->push_back(heap.top().when);
-            if (!step())
-                break;
-            ++n;
-        }
-        return n;
-    }
-
     /** Callback slots currently parked in the slab (for tests). */
     std::size_t slabCapacity() const { return slab.size(); }
 
@@ -243,17 +220,15 @@ class EventQueue
 
     /**
      * Conservative floor on deferred operations that schedule onto
-     * this queue: the end of the global-grid window just drained, set
+     * this queue: the first cycle past the window just drained, set
      * by the engine around the barrier's apply phase (0 outside it,
      * making the bound a no-op — bare queues and the software-runtime
      * model are unaffected). Deliveries that compute below it — only
      * same-station self-messages can, see sim/sim_engine.hh — are
      * lifted to the floor by the apply closures (network delivery,
      * DMA completion, TRS watermark flush) as
-     * `max(computed_time, windowFloor())`. The floor is the same for
-     * every shard — the delay-matrix mode lets wide domains run ahead
-     * of the grid but never moves the grid itself — which is what
-     * keeps the clamp bit-identical across lookahead modes.
+     * `max(computed_time, windowFloor())`. Every domain drains the
+     * same window, so the floor is the same for every shard.
      *
      * Per queue rather than process-global: independent Systems
      * simulating concurrently (tss-serve runs one per execute worker)

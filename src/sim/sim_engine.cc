@@ -29,8 +29,6 @@ SimEngine::SimEngine(unsigned num_domains)
         s->queue.setDeferSink(&s->sink);
         shards.push_back(std::move(s));
     }
-    domL.assign(num_domains, 1);
-    shardLimit.assign(num_domains, 0);
 }
 
 void
@@ -38,22 +36,6 @@ SimEngine::setLookahead(Cycle l)
 {
     TSS_ASSERT(l >= 1, "lookahead must be at least one cycle");
     _lookahead = l;
-    domL.assign(shards.size(), l);
-}
-
-void
-SimEngine::setDomainLookahead(std::vector<Cycle> per_domain)
-{
-    TSS_ASSERT(per_domain.size() == shards.size(),
-               "need one lookahead per domain (%zu given, %zu domains)",
-               per_domain.size(), shards.size());
-    Cycle min_l = invalidCycle;
-    for (Cycle l : per_domain) {
-        TSS_ASSERT(l >= 1, "lookahead must be at least one cycle");
-        min_l = std::min(min_l, l);
-    }
-    domL = std::move(per_domain);
-    _lookahead = min_l;
 }
 
 Cycle
@@ -69,10 +51,10 @@ bool
 SimEngine::empty() const
 {
     for (const auto &s : shards) {
-        if (!s->queue.empty() || !s->ahead.empty())
+        if (!s->queue.empty())
             return false;
     }
-    return pending.empty();
+    return true;
 }
 
 std::uint64_t
@@ -104,68 +86,36 @@ SimEngine::setTracer(obs::Tracer *t)
 }
 
 std::size_t
-SimEngine::applyBarrier()
+SimEngine::applyBarrier(Cycle window_end)
 {
-    merged.clear();
     for (auto &s : shards)
         s->sink.drainInto(merged);
-    if (!merged.empty()) {
-        std::sort(merged.begin(), merged.end(), keyLess);
-        if (pending.empty()) {
-            pending.swap(merged);
-        } else {
-            std::size_t mid = pending.size();
-            pending.insert(pending.end(),
-                           std::make_move_iterator(merged.begin()),
-                           std::make_move_iterator(merged.end()));
-            std::inplace_merge(pending.begin(), pending.begin() + mid,
-                               pending.end(), keyLess);
-            merged.clear();
-        }
-    }
-    if (pending.empty())
+    if (merged.empty())
         return 0;
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        TSS_ASSERT(!(pending[i - 1].first == pending[i].first),
+    std::sort(merged.begin(), merged.end(), keyLess);
+    for (std::size_t i = 1; i < merged.size(); ++i) {
+        TSS_ASSERT(!(merged[i - 1].first == merged[i].first),
                    "duplicate deferred-operation key (station %d seq "
                    "%llu at cycle %llu)",
-                   (int)pending[i].first.station,
-                   (unsigned long long)pending[i].first.seq,
-                   (unsigned long long)pending[i].first.when);
+                   (int)merged[i].first.station,
+                   (unsigned long long)merged[i].first.seq,
+                   (unsigned long long)merged[i].first.when);
     }
 
-    // The global horizon: the minimum *virtual* next event time over
-    // all shards — exactly what the uniform-lookahead engine would
-    // compute, since run-ahead events stay virtually pending until
-    // the grid reaches them. Only deferred operations recorded
-    // strictly below it may apply — later ones stay pending, so each
-    // op applies at the first barrier whose horizon exceeds its key,
-    // a grid property independent of which window's drain recorded
-    // it. At uniform lookahead every recorded op lies below the
-    // horizon and the prefix is the whole log, the historical
-    // apply-all barrier.
-    Cycle horizon = invalidCycle;
-    for (const auto &s : shards)
-        horizon = std::min(horizon, virtualNext(*s));
-
-    // Deliveries computed below the grid window end (only
-    // same-station self-messages can be) are floored at it; the floor
-    // is the same for every shard — run-ahead never moves the grid —
-    // so the clamp is bit-identical across lookahead modes. See
+    // Deliveries computed inside the window (only same-station
+    // self-messages can be) are floored just past it; see
     // EventQueue::setWindowFloor.
-    for (unsigned d = 0; d < shards.size(); ++d)
-        shards[d]->queue.setWindowFloor(windowEnd + 1);
-    auto it = pending.begin();
-    for (; it != pending.end() && it->first.when < horizon; ++it) {
-        const DeferKey &k = it->first;
+    for (auto &s : shards)
+        s->queue.setWindowFloor(window_end + 1);
+    for (auto &[k, apply] : merged) {
         _applyDigest = digestKey(_applyDigest, k.when, k.station, k.op, k.seq);
-        it->second();
+        apply();
     }
-    for (unsigned d = 0; d < shards.size(); ++d)
-        shards[d]->queue.setWindowFloor(0);
+    for (auto &s : shards)
+        s->queue.setWindowFloor(0);
 
-    auto applied = static_cast<std::size_t>(it - pending.begin());
-    pending.erase(pending.begin(), it);
+    std::size_t applied = merged.size();
+    merged.clear();
     return applied;
 }
 
@@ -173,70 +123,38 @@ std::uint64_t
 SimEngine::run(std::uint64_t max_events)
 {
     const std::uint64_t start = executed();
-    const auto nd = static_cast<unsigned>(shards.size());
     while (true) {
         Cycle t0 = invalidCycle;
         for (const auto &s : shards)
-            t0 = std::min(t0, virtualNext(*s));
-        if (t0 == invalidCycle) {
-            TSS_ASSERT(pending.empty(),
-                       "deferred operations pending with every shard "
-                       "drained");
+            t0 = std::min(t0, s->queue.nextTime());
+        if (t0 == invalidCycle)
             break;
-        }
 
-        // The grid window. Run-ahead events whose global-mode window
-        // this is retire from the virtual clock now — the grid has
-        // caught up with them.
-        windowEnd = t0 + _lookahead - 1;
-        for (auto &s : shards) {
-            while (!s->ahead.empty() && s->ahead.front() <= windowEnd)
-                s->ahead.pop_front();
-        }
-
-        // Window membership is decided on the grid window, not the
-        // per-domain drain limit: a wide domain drains *deeper* once
-        // it has an event in the grid window, but a wider limit never
-        // pulls it into a window it would sit out at uniform
-        // lookahead. Run-ahead can therefore only remove a shard from
-        // future windows (it already executed their events), pushing
-        // windows toward a single active shard.
+        // A shard's drain schedules only into its own queue (every
+        // cross-domain operation defers), so draining one shard never
+        // changes which others are active.
+        const Cycle window_end = t0 + _lookahead - 1;
         unsigned active = 0;
-        unsigned only = 0;
-        for (unsigned d = 0; d < nd; ++d) {
-            shardLimit[d] = t0 + domL[d] - 1;
-            if (shards[d]->queue.nextTime() <= windowEnd) {
+        for (auto &s : shards) {
+            if (s->queue.nextTime() <= window_end) {
+                s->queue.runUntil(window_end);
                 ++active;
-                only = d;
             }
         }
         ++wstats.windows;
         wstats.occupancySum += active;
         wstats.maxOccupancy =
             std::max<std::uint64_t>(wstats.maxOccupancy, active);
-
-        if (active == 0) {
-            // Every event of this grid window already ran ahead: the
-            // window only advances the grid and matures deferred
-            // operations at the barrier below.
-        } else if (active == 1) {
+        if (active == 1) {
             // Consecutive single-shard windows (the long single-domain
             // stretches of real traces) count as fused.
             ++wstats.singleShard;
             if (lastWindowSingle)
                 ++wstats.fusedWindows;
             lastWindowSingle = true;
-            drainShard(only);
         } else {
-            // A shard's drain schedules only into its own queue (every
-            // cross-domain operation defers), so draining one shard
-            // never changes which others are active.
             ++wstats.multiShard;
             lastWindowSingle = false;
-            for (unsigned d = 0; d < nd; ++d) {
-                if (shards[d]->queue.nextTime() <= windowEnd)
-                    drainShard(d);
-            }
         }
 
         // Deferred NoC sends/deliveries emit trace records too: route
@@ -245,7 +163,7 @@ SimEngine::run(std::uint64_t max_events)
         // DeferKey order.
         if (tracer)
             tracer->beginBarrier();
-        std::size_t applied = applyBarrier();
+        std::size_t applied = applyBarrier(window_end);
         if (tracer) {
             if (applied > 0)
                 tracer->recordWindowBarrier(t0 + _lookahead, applied);

@@ -23,51 +23,24 @@
  * measurement). PipelineConfig::simThreads therefore has no effect on
  * the engine.
  *
- * The window grid is global: every window spans [t0, t0 + L - 1] with
- * L = Network::minDeliveryDelay() and t0 the minimum *virtual* next
- * event time over all shards. The delay-matrix mode
- * (setDomainLookahead, built by TopologyNetwork::domainLookahead)
- * does not move that grid. Instead it lets domain d *run ahead*:
- * whenever d has an event inside the grid window it drains to
- * t0 + L(d) - 1, where L(d) = min over every *incoming*
- * communication edge's pair delay. Events executed
- * beyond the grid window log their firing times (EventQueue::runUntil
- * overload); a shard's virtual next time is the earliest logged time
- * not yet reached by the grid, so t0 — and with it every barrier,
- * horizon and window floor — advances exactly as it would at uniform
- * lookahead. A run-ahead domain simply sits idle in the windows whose
- * events it already executed, so more windows have a single active
- * shard.
+ * The window grid: every window spans [t0, t0 + L - 1] with
+ * L = Network::minDeliveryDelay() and t0 the minimum next event time
+ * over all shards, and every domain drains exactly that window.
+ * Conservative safety: an operation recorded in the window carries
+ * its event's cycle w >= t0, and a delivery between distinct stations
+ * takes at least L cycles, so it lands at >= w + L >= t0 + L —
+ * strictly after everything any shard just drained. Same-station
+ * self-messages are the one exception (their delay can undercut L):
+ * the barrier floors them just past the window
+ * (EventQueue::windowFloor).
+ * EventQueue::scheduleStation's past-scheduling assertion backstops
+ * the argument.
  *
  * Determinism: the merge key is a pure function of simulated state,
  * never of the order in which a window's shards drained, so the apply
  * order — and therefore every simulated statistic — is fixed by the
- * window grid alone. The barrier applies only the
- * sorted prefix of deferred operations whose key lies below the
- * post-drain global horizon (the minimum virtual next event time over
- * all shards); later ones stay pending. An operation with key w
- * therefore applies at the first barrier whose horizon exceeds w — a
- * grid property, independent of which (possibly earlier) window's
- * drain recorded it — so the apply schedule, the floors in force at
- * each apply, and hence the entire simulation are bit-identical
- * between uniform and delay-matrix lookahead by construction. At
- * uniform lookahead every recorded op lies below the horizon and the
- * prefix is the whole log, the historical apply-all barrier.
- *
- * Conservative safety of running ahead: every operation applied at a
- * barrier with window start t0 has key w >= t0 (deferred ops carry
- * key >= the previous horizon >= t0; fresh ops were recorded at
- * execution times >= t0), so a delivery into domain d computes to
- * >= w + pairDelay >= t0 + L(d) — strictly after everything d
- * executed, run-ahead included. Same-station self-messages are the
- * one exception (their delay can undercut L(d)), so domains holding
- * self-sending stations are pinned to L(d) = L by
- * TopologyNetwork::domainLookahead and never run ahead; their
- * self-deliveries are floored at the grid window end
- * (EventQueue::windowFloor) exactly as at uniform lookahead.
- * EventQueue::scheduleStation's past-scheduling assertion backstops
- * the whole argument — a mis-declared communication edge fails loudly
- * instead of drifting.
+ * window grid alone. Every operation recorded in a window lies below
+ * the next window's start, so each barrier applies its whole log.
  *
  * Window structure: WindowStats counts windows by how many shards had
  * events inside them. Consecutive single-shard windows (the long
@@ -77,9 +50,7 @@
 #ifndef TSS_SIM_SIM_ENGINE_HH
 #define TSS_SIM_SIM_ENGINE_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -101,8 +72,8 @@ class SimEngine
   public:
     /**
      * Deterministic window-structure counters: every field is a pure
-     * function of simulated state (which shards had events below
-     * their limits) — gated exactly in BENCH_sim.json.
+     * function of simulated state (which shards had events inside
+     * each window) — gated exactly in BENCH_sim.json.
      */
     struct WindowStats
     {
@@ -121,25 +92,11 @@ class SimEngine
     SimEngine &operator=(const SimEngine &) = delete;
 
     /**
-     * Set the uniform lookahead window length (cycles) for every
-     * domain. Must be >= 1; derive it from
-     * TopologyNetwork::minDeliveryDelay() so that real routes are
-     * never floored.
+     * Set the window length (cycles). Must be >= 1; derive it from
+     * Network::minDeliveryDelay() so that real routes are never
+     * floored.
      */
     void setLookahead(Cycle l);
-
-    /**
-     * Set per-domain window lengths (the delay-matrix mode). One
-     * entry per domain, each >= 1 and safe per the file comment:
-     * build the vector with TopologyNetwork::domainLookahead().
-     */
-    void setDomainLookahead(std::vector<Cycle> per_domain);
-
-    /** The minimum window length over all domains. */
-    Cycle lookahead() const { return _lookahead; }
-
-    /** Domain @p d's window length. */
-    Cycle domainLookahead(unsigned d) const { return domL[d]; }
 
     unsigned numDomains() const
     {
@@ -190,58 +147,19 @@ class SimEngine
     {
         EventQueue queue;
         DeferSink sink;
-        /// Firing times of events this shard executed ahead of the
-        /// global window grid (delay-matrix mode only), in execution
-        /// order. The front is the shard's virtual next event time;
-        /// entries retire as the grid reaches them.
-        std::deque<Cycle> ahead;
     };
 
-    /// The shard's next event time as the uniform-lookahead engine
-    /// would see it: run-ahead events count as pending until the grid
-    /// reaches them.
-    Cycle
-    virtualNext(const Shard &s) const
-    {
-        Cycle n = s.queue.nextTime();
-        return s.ahead.empty() ? n : std::min(n, s.ahead.front());
-    }
-
-    /// Drain shard @p d to its window limit, logging any execution
-    /// beyond the grid window end as run-ahead.
-    void
-    drainShard(unsigned d)
-    {
-        Shard &s = *shards[d];
-        if (shardLimit[d] == windowEnd)
-            s.queue.runUntil(windowEnd);
-        else
-            s.queue.runUntil(shardLimit[d], windowEnd, &s.ahead);
-    }
-
-    std::size_t applyBarrier();
+    std::size_t applyBarrier(Cycle window_end);
 
     std::vector<std::unique_ptr<Shard>> shards;
     Cycle _lookahead = 1;
-    std::vector<Cycle> domL;  ///< per-domain window length
     obs::Tracer *tracer = nullptr;
     WindowStats wstats;
     std::uint64_t _applyDigest = digestSeed;
     bool lastWindowSingle = false;
 
-    /// Per-shard drain limits of the current window, and the grid
-    /// window end (t0 + lookahead - 1) shared by all shards.
-    std::vector<Cycle> shardLimit;
-    Cycle windowEnd = 0;
-
     /// Barrier scratch: this window's deferred ops (reused).
     std::vector<std::pair<DeferKey, EventCallback>> merged;
-
-    /// Deferred operations not yet below the global horizon, sorted
-    /// by key. Always empty at uniform lookahead (every op recorded
-    /// in a window lies below the post-drain horizon); carries ops
-    /// across barriers when per-domain windows run ahead.
-    std::vector<std::pair<DeferKey, EventCallback>> pending;
 };
 
 } // namespace tss

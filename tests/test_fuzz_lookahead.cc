@@ -1,39 +1,25 @@
 /**
  * @file
- * Fuzz the delay-matrix lookahead against the global-minimum engine.
- * Random task programs run through the full pipeline under every
- * combination of {ring/adjacent, mesh/spread, fixed} topology,
- * lookahead mode {global, matrix} and --sim-threads {1, 2, 4}.
+ * Fuzz the windowed engine. Random task programs run through the full
+ * pipeline on {ring/adjacent, mesh/spread, fixed} topologies at
+ * --sim-threads {1, 2, 4}.
  *
- * Two properties with different strengths are pinned:
- *
- *  - Within one lookahead mode, *everything* — decisions, stats and
- *    the full exported trace including the engine's own window-
- *    barrier records — is bit-identical across thread counts. This
- *    holds by construction (the engine merges deferred operations in
- *    a simulated-state order; see sim/sim_engine.hh) and a violation
- *    is always an engine bug.
- *
- *  - Across modes, everything must match too — including the
- *    engine's window-barrier records, because the delay matrix never
- *    moves the window grid: it only lets wide domains run ahead
- *    within it (see sim/sim_engine.hh). Barriers, horizons and
- *    floors are therefore mode-invariant by construction, and these
- *    seeds pin that. The cross-mode compare is over the sorted
- *    record multiset rather than bytes, because the Full exporter
- *    flushes records window by window and a run-ahead domain's
- *    records flush in an earlier window than the one the grid
- *    assigns them to.
+ * Everything — decisions, stats and the full exported trace including
+ * the engine's own window-barrier records — must be bit-identical
+ * across thread counts. This holds by construction: every domain
+ * drains the same grid window, and the barrier applies deferred
+ * operations in a simulated-state order (see sim/sim_engine.hh), so a
+ * violation is always an engine bug.
  *
  * One fixed configuration additionally pins the window/fusion
- * counters as goldens, so a future engine change that silently turns
- * fused windows back into pool dispatches (or vice versa) fails here
- * rather than only showing up as a throughput drift in BENCH_sim.
+ * counters as goldens, so an engine change that silently reshapes the
+ * window grid fails here rather than only showing up as a throughput
+ * drift in BENCH_sim. Another pins where an event budget stops a
+ * System.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -107,77 +93,37 @@ struct RunOutcome
     RunResult result;
     std::string traceJson;
     SimEngine::WindowStats windows;
-    std::vector<Cycle> domainLookahead;
 };
 
 /** The fuzzed machine: 2 pipelines, 32 cores, full tracing. */
 PipelineConfig
-fuzzConfig(const TopoCase &tc, bool matrix, unsigned sim_threads,
-           std::uint32_t filter = obs::cat::all)
+fuzzConfig(const TopoCase &tc, unsigned sim_threads)
 {
     PipelineConfig cfg;
     cfg.numPipelines = 2;
     cfg.numCores = 32;
     cfg.nocTopology = tc.topology;
     cfg.nocPlacement = tc.placement;
-    cfg.lookaheadMatrix = matrix;
     cfg.simThreads = sim_threads;
     cfg.traceMode = obs::TraceMode::Full;
-    cfg.traceFilter = filter;
     return cfg;
 }
 
 RunOutcome
-runOnce(const TaskTrace &trace, const TopoCase &tc, bool matrix,
-        unsigned sim_threads, std::uint32_t filter = obs::cat::all)
+runOnce(const TaskTrace &trace, const TopoCase &tc, unsigned sim_threads)
 {
-    PipelineConfig cfg = fuzzConfig(tc, matrix, sim_threads, filter);
-    auto sys = SystemBuilder(cfg, trace).build();
+    auto sys = SystemBuilder(fuzzConfig(tc, sim_threads), trace).build();
     RunOutcome out;
     out.result = sys->run();
     out.windows = sys->simEngine().windowStats();
-    for (unsigned d = 0; d < sys->simEngine().numDomains(); ++d)
-        out.domainLookahead.push_back(
-            sys->simEngine().domainLookahead(d));
     out.traceJson = sys->tracer()->chromeJson();
-    return out;
-}
-
-/**
- * The exported trace with its lines in sorted order: a canonical
- * form of the record *multiset*. The Full-mode exporter appends
- * records window by window, so two engines with different window
- * grids interleave identical records differently in the file; the
- * records themselves (name, ts, station, args) must still match
- * one-for-one, which comparing sorted lines asserts exactly.
- */
-std::string
-sortedTraceLines(const std::string &json)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < json.size()) {
-        std::size_t end = json.find('\n', start);
-        if (end == std::string::npos)
-            end = json.size();
-        lines.push_back(json.substr(start, end - start));
-        start = end + 1;
-    }
-    std::sort(lines.begin(), lines.end());
-    std::string out;
-    for (const std::string &l : lines) {
-        out += l;
-        out += '\n';
-    }
     return out;
 }
 
 /** Every simulated decision and statistic, not just the makespan. */
 void
-expectSameSimulation(const RunOutcome &ref, const RunOutcome &got,
-                     const std::string &what, bool order_exact)
+expectSameSimulation(const RunOutcome &ref, const RunOutcome &got)
 {
-    SCOPED_TRACE(what);
     EXPECT_EQ(ref.result.makespan, got.result.makespan);
     EXPECT_EQ(ref.result.eventsExecuted, got.result.eventsExecuted);
     EXPECT_EQ(ref.result.messagesOnNoc, got.result.messagesOnNoc);
@@ -187,117 +133,31 @@ expectSameSimulation(const RunOutcome &ref, const RunOutcome &got,
     EXPECT_EQ(ref.result.dmaWritebacks, got.result.dmaWritebacks);
     EXPECT_EQ(ref.result.startOrder, got.result.startOrder);
     EXPECT_EQ(ref.result.coreOf, got.result.coreOf);
-    if (order_exact) {
-        EXPECT_EQ(ref.traceJson, got.traceJson)
-            << "trace bytes differ";
-    } else {
-        EXPECT_EQ(sortedTraceLines(ref.traceJson),
-                  sortedTraceLines(got.traceJson))
-            << "trace records differ";
-    }
+    EXPECT_EQ(ref.traceJson, got.traceJson) << "trace bytes differ";
+    EXPECT_EQ(ref.windows.windows, got.windows.windows);
+    EXPECT_EQ(ref.windows.singleShard, got.windows.singleShard);
+    EXPECT_EQ(ref.windows.fusedWindows, got.windows.fusedWindows);
+    EXPECT_EQ(ref.windows.multiShard, got.windows.multiShard);
+    EXPECT_EQ(ref.windows.occupancySum, got.windows.occupancySum);
+    EXPECT_EQ(ref.windows.maxOccupancy, got.windows.maxOccupancy);
 }
 
 /**
- * Cross-mode: the delay matrix must be invisible to simulated state,
- * engine-category window-barrier records included — the grid, and
- * with it every barrier record, is mode-invariant by construction.
- */
-TEST(FuzzLookahead, MatrixMatchesGlobalEverywhere)
-{
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        TaskTrace trace = randomTrace(seed, 60 + 20 * seed, 10, 5);
-        for (const TopoCase &tc : topoCases) {
-            // The oracle: sequential drain, global-minimum lookahead.
-            RunOutcome ref = runOnce(trace, tc, false, 1);
-            for (unsigned threads : {1u, 2u, 4u}) {
-                RunOutcome got = runOnce(trace, tc, true, threads);
-                expectSameSimulation(
-                    ref, got,
-                    std::string(tc.name) + " seed " +
-                        std::to_string(seed) + " matrix t" +
-                        std::to_string(threads),
-                    /*order_exact=*/false);
-                // Same grid: identical window count in both modes.
-                EXPECT_EQ(ref.windows.windows, got.windows.windows);
-            }
-        }
-    }
-}
-
-/**
- * Cross-thread, within each mode: total byte identity, engine
- * records included. Window structure is a pure function of simulated
- * state and the lookahead vector, never of the host thread count.
+ * Cross-thread: total byte identity, engine records included. Window
+ * structure is a pure function of simulated state, never of the host
+ * thread count.
  */
 TEST(FuzzLookahead, ThreadCountInvisible)
 {
     TaskTrace trace = randomTrace(5, 100, 10, 5);
     for (const TopoCase &tc : topoCases) {
-        for (bool matrix : {false, true}) {
-            RunOutcome ref = runOnce(trace, tc, matrix, 1);
-            for (unsigned threads : {2u, 4u}) {
-                RunOutcome got = runOnce(trace, tc, matrix, threads);
-                expectSameSimulation(
-                    ref, got,
-                    std::string(tc.name) +
-                        (matrix ? " matrix" : " global") + " t" +
-                        std::to_string(threads),
-                    /*order_exact=*/true);
-                EXPECT_EQ(ref.windows.windows, got.windows.windows);
-                EXPECT_EQ(ref.windows.singleShard,
-                          got.windows.singleShard);
-                EXPECT_EQ(ref.windows.fusedWindows,
-                          got.windows.fusedWindows);
-                EXPECT_EQ(ref.windows.multiShard,
-                          got.windows.multiShard);
-                EXPECT_EQ(ref.windows.occupancySum,
-                          got.windows.occupancySum);
-                EXPECT_EQ(ref.windows.maxOccupancy,
-                          got.windows.maxOccupancy);
-            }
+        RunOutcome ref = runOnce(trace, tc, 1);
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(std::string(tc.name) + " t" +
+                         std::to_string(threads));
+            expectSameSimulation(ref, runOnce(trace, tc, threads));
         }
     }
-}
-
-/**
- * The matrix must actually let the backend run ahead where the
- * topology allows: the dedicated backend domain only hears from
- * stations at least one global-fabric crossing away, so its window
- * must exceed the machine-wide minimum on the placed topologies. The
- * grid itself never moves — the window count must match global mode
- * exactly — but bulk-draining the backend ahead of the grid empties
- * it out of later grid windows: total shard activations (the
- * occupancy sum) must strictly drop, a window can lose its last
- * active shard and become a grid-only no-op (so active windows no
- * longer cover the count), and no window may gain a shard.
- */
-TEST(FuzzLookahead, MatrixRunsAheadOfTheGrid)
-{
-    TaskTrace trace = randomTrace(7, 80, 10, 5);
-    TopoCase tc{"mesh/spread", TopologyKind::Mesh,
-                PlacementKind::Spread};
-    RunOutcome global = runOnce(trace, tc, false, 1);
-    RunOutcome matrix = runOnce(trace, tc, true, 1);
-
-    ASSERT_EQ(global.domainLookahead.size(),
-              matrix.domainLookahead.size());
-    Cycle global_min = global.domainLookahead.front();
-    for (Cycle la : global.domainLookahead)
-        EXPECT_EQ(la, global_min); // global mode: uniform windows
-    // Backend domain (last) hears only from distant stations.
-    EXPECT_GT(matrix.domainLookahead.back(), global_min);
-    for (Cycle la : matrix.domainLookahead)
-        EXPECT_GE(la, global_min);
-    EXPECT_EQ(matrix.windows.windows, global.windows.windows);
-    // At uniform lookahead every window has an active shard; with
-    // run-ahead some windows only advance the grid.
-    EXPECT_EQ(global.windows.singleShard + global.windows.multiShard,
-              global.windows.windows);
-    EXPECT_LE(matrix.windows.singleShard + matrix.windows.multiShard,
-              matrix.windows.windows);
-    EXPECT_LE(matrix.windows.multiShard, global.windows.multiShard);
-    EXPECT_LT(matrix.windows.occupancySum,
-              global.windows.occupancySum);
 }
 
 /**
@@ -310,9 +170,11 @@ TEST(FuzzLookahead, GoldenWindowCounters)
     TaskTrace trace = randomTrace(1, 80, 10, 5);
     TopoCase tc{"ring/adjacent", TopologyKind::Ring,
                 PlacementKind::Adjacent};
-    RunOutcome out = runOnce(trace, tc, true, 2);
+    RunOutcome out = runOnce(trace, tc, 2);
 
-    EXPECT_GE(out.windows.windows,
+    // Every grid window starts at some shard's next event, so each
+    // has at least one active shard.
+    EXPECT_EQ(out.windows.windows,
               out.windows.singleShard + out.windows.multiShard);
     EXPECT_GE(out.windows.singleShard, out.windows.fusedWindows);
     EXPECT_GE(out.windows.occupancySum, out.windows.singleShard);
@@ -321,17 +183,11 @@ TEST(FuzzLookahead, GoldenWindowCounters)
 
     // Pinned goldens (ring/adjacent, 2 pipelines, 32 cores, seed 1).
     EXPECT_EQ(out.windows.windows, 3148u);
-    EXPECT_EQ(out.windows.singleShard, 2884u);
-    EXPECT_EQ(out.windows.fusedWindows, 2654u);
-    EXPECT_EQ(out.windows.multiShard, 264u);
-    EXPECT_EQ(out.windows.occupancySum, 3414u);
+    EXPECT_EQ(out.windows.singleShard, 2883u);
+    EXPECT_EQ(out.windows.fusedWindows, 2653u);
+    EXPECT_EQ(out.windows.multiShard, 265u);
+    EXPECT_EQ(out.windows.occupancySum, 3415u);
     EXPECT_EQ(out.windows.maxOccupancy, 3u);
-    // And the lookahead vector the edge matrix produced: both
-    // pipeline domains at the machine minimum (frontend tiles are
-    // one hop apart), the backend domain widened to its shortest
-    // incoming route.
-    std::vector<Cycle> expect_la = {2, 2, 6};
-    EXPECT_EQ(out.domainLookahead, expect_la);
 }
 
 /**
@@ -376,7 +232,7 @@ TEST(FuzzLookahead, EventBudgetStopPoint)
             : topoCases[1];
         SCOPED_TRACE(std::string(g.topo) + " budget " +
                      std::to_string(g.budget));
-        PipelineConfig cfg = fuzzConfig(tc, false, 1);
+        PipelineConfig cfg = fuzzConfig(tc, 1);
         auto sys = SystemBuilder(cfg, trace).build();
         LivenessReport rep = sys->runWatchdog(g.budget);
         EXPECT_FALSE(rep.completed);

@@ -189,7 +189,6 @@ TEST(ShardedFrontend, GoldenEventDigests)
         PipelineConfig cfg = paperConfig(g.cores);
         cfg.numTrs = g.numTrs;
         cfg.numPipelines = g.pipes;
-        cfg.lookaheadMatrix = false;
         auto sys = SystemBuilder(cfg, trace)
                        .threads(roundRobin(trace.size(), g.threads))
                        .build();
