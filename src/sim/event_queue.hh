@@ -73,9 +73,10 @@ class EventQueue
     /**
      * Running digest of the executed event stream: every event's
      * full ordering key (cycle, priority, station, per-station
-     * sequence), folded in execution order. Two runs with equal
-     * digests executed the same events in the same order — a gate
-     * that also catches reorderings whose effects happen to commute.
+     * sequence), folded in execution order. Barring a 64-bit
+     * collision, equal digests mean the same events ran in the same
+     * order — a gate that also catches reorderings whose effects
+     * happen to commute.
      */
     std::uint64_t digest() const { return _digest; }
 

@@ -201,7 +201,7 @@ TEST(FuzzLookahead, EventBudgetStopPoint)
 {
     struct Golden
     {
-        const char *topo;
+        const TopoCase &tc;
         std::uint64_t budget;
         std::uint64_t events;
         std::size_t tasks;
@@ -211,29 +211,25 @@ TEST(FuzzLookahead, EventBudgetStopPoint)
         std::uint64_t applyDigest;
     };
     const Golden goldens[] = {
-        {"ring/adjacent", 500, 500, 0, 1821, 318,
+        {topoCases[0], 500, 500, 0, 1821, 318,
          0xae91fe037b4efe60ULL, 0x9aa0f9828404c27dULL},
-        {"ring/adjacent", 2000, 2001, 2, 6268, 1241,
+        {topoCases[0], 2000, 2001, 2, 6268, 1241,
          0xe2b5ba6fcc10fcf1ULL, 0x91d37e3ecdf5150aULL},
-        {"ring/adjacent", 5000, 5000, 67, 226325, 3233,
+        {topoCases[0], 5000, 5000, 67, 226325, 3233,
          0x598a6524724bc21eULL, 0xe34fccbb6549b455ULL},
-        {"mesh/spread", 500, 500, 0, 1821, 316,
+        {topoCases[1], 500, 500, 0, 1821, 316,
          0x829d47939298d46dULL, 0x3574c014801cca7bULL},
-        {"mesh/spread", 2000, 2001, 2, 6244, 1252,
+        {topoCases[1], 2000, 2001, 2, 6244, 1252,
          0xf4d132a0a15f0f40ULL, 0x74fe1d4b941ee9e1ULL},
-        {"mesh/spread", 5000, 5000, 67, 225460, 3200,
+        {topoCases[1], 5000, 5000, 67, 225460, 3200,
          0x0e655b481d24c1d5ULL, 0xe0cebf086ef6d7bbULL},
     };
 
     TaskTrace trace = randomTrace(7, 80, 10, 5);
     for (const Golden &g : goldens) {
-        const TopoCase &tc = std::string(g.topo) == topoCases[0].name
-            ? topoCases[0]
-            : topoCases[1];
-        SCOPED_TRACE(std::string(g.topo) + " budget " +
+        SCOPED_TRACE(std::string(g.tc.name) + " budget " +
                      std::to_string(g.budget));
-        PipelineConfig cfg = fuzzConfig(tc, 1);
-        auto sys = SystemBuilder(cfg, trace).build();
+        auto sys = SystemBuilder(fuzzConfig(g.tc, 1), trace).build();
         LivenessReport rep = sys->runWatchdog(g.budget);
         EXPECT_FALSE(rep.completed);
         EXPECT_FALSE(rep.wedged);
