@@ -9,10 +9,12 @@
  *
  * Two kinds of numbers come out:
  *
- *  - *Determinism* (gated hard in CI): every simulated statistic and
- *    the complete scheduling decision must be bit-identical across
- *    thread counts. The bench exits non-zero on any divergence,
- *    and the makespan/event/message triple plus the engine's
+ *  - *Determinism* (gated hard in CI): every simulated statistic,
+ *    the complete scheduling decision and the engine's event and
+ *    apply digests must be bit-identical across thread counts. The
+ *    bench exits non-zero on any divergence, and the
+ *    makespan/event/message triple, the two digests (as hex strings,
+ *    so no JSON reader rounds them through a double) and the engine's
  *    window/fusion counters are recorded in the JSON so
  *    compare_bench.py re-checks them against BENCH_sim.json exactly.
  *  - *Throughput* (advisory): wall seconds, events/second and
@@ -29,6 +31,7 @@
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -80,11 +83,21 @@ makeWideTrace(unsigned tasks, std::uint64_t seed)
     return trace;
 }
 
-/** True when every deterministic field of @p a and @p b agrees. */
-bool
-identical(const tss::RunResult &a, const tss::RunResult &b)
+/** One simulation's results and the engine's event-stream digests. */
+struct Run
 {
-    return a.makespan == b.makespan &&
+    tss::RunResult result;
+    std::uint64_t eventDigest = 0;
+    std::uint64_t applyDigest = 0;
+};
+
+/** True when every deterministic field of @p x and @p y agrees. */
+bool
+identical(const Run &x, const Run &y)
+{
+    const tss::RunResult &a = x.result, &b = y.result;
+    return x.eventDigest == y.eventDigest &&
+        x.applyDigest == y.applyDigest && a.makespan == b.makespan &&
         a.eventsExecuted == b.eventsExecuted &&
         a.messagesOnNoc == b.messagesOnNoc &&
         a.versionsCreated == b.versionsCreated &&
@@ -93,6 +106,16 @@ identical(const tss::RunResult &a, const tss::RunResult &b)
         a.gatewayStallCycles == b.gatewayStallCycles &&
         a.decodeRateCycles == b.decodeRateCycles &&
         a.startOrder == b.startOrder && a.coreOf == b.coreOf;
+}
+
+/** A digest as "0x" and 16 hex digits. */
+std::string
+hexString(std::uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 } // namespace
@@ -128,37 +151,51 @@ main(int argc, char **argv)
         bool bitIdentical;
     };
     std::vector<Row> rows;
-    tss::RunResult baseline;
+    Run baseline;
     int failures = 0;
+
+    std::vector<unsigned> thread_of(trace.size());
+    for (std::size_t t = 0; t < trace.size(); ++t)
+        thread_of[t] = static_cast<unsigned>(t % gen_threads);
 
     for (unsigned threads : {1u, 2u, 4u}) {
         tss::PipelineConfig cfg = base;
         cfg.simThreads = threads;
 
-        tss::RunResult r;
+        Run run;
         double best = 0;
         for (unsigned rep = 0; rep < reps; ++rep) {
             auto begin = std::chrono::steady_clock::now();
-            r = tss::runHardwareThreads(cfg, trace, gen_threads);
+            auto sys = tss::SystemBuilder(cfg, trace)
+                           .threads(thread_of)
+                           .build();
+            run.result = sys->run();
             auto end = std::chrono::steady_clock::now();
             double wall =
                 std::chrono::duration<double>(end - begin).count();
             if (rep == 0 || wall < best)
                 best = wall;
+            tss::obs::Snapshot snap = sys->metricsRegistry().snapshot();
+            run.eventDigest = snap.counter("engine.event_digest");
+            run.applyDigest = snap.counter("engine.apply_digest");
         }
+        const tss::RunResult &r = run.result;
 
         bool bit = true;
         if (threads == 1) {
-            baseline = r;
+            baseline = run;
         } else {
-            bit = identical(r, baseline);
+            bit = identical(run, baseline);
             if (!bit) {
                 std::cerr << "BUG: simThreads=" << threads
                           << " diverged from the sequential run "
                           << "(makespan " << r.makespan << " vs "
-                          << baseline.makespan << ", events "
+                          << baseline.result.makespan << ", events "
                           << r.eventsExecuted << " vs "
-                          << baseline.eventsExecuted << ")\n";
+                          << baseline.result.eventsExecuted
+                          << ", event digest "
+                          << hexString(run.eventDigest) << " vs "
+                          << hexString(baseline.eventDigest) << ")\n";
                 ++failures;
             }
         }
@@ -179,20 +216,22 @@ main(int argc, char **argv)
     std::cout << "  \"workload\": {\"name\": \"wide\", \"tasks\": "
               << trace.size() << ", \"pipelines\": " << pipes
               << ", \"gen_threads\": " << gen_threads << "},\n";
-    std::cout << "  \"determinism\": {\"makespan\": "
-              << baseline.makespan << ", \"events\": "
-              << baseline.eventsExecuted << ", \"messages\": "
-              << baseline.messagesOnNoc << ", \"versions_created\": "
-              << baseline.versionsCreated << "},\n";
-    std::cout << "  \"windows\": {\"windows\": " << baseline.simWindows
-              << ", \"single_shard\": "
-              << baseline.simSingleShardWindows
-              << ", \"fused\": " << baseline.simFusedWindows
-              << ", \"multi_shard\": " << baseline.simMultiShardWindows
-              << ", \"occupancy_sum\": "
-              << baseline.simWindowOccupancySum
-              << ", \"max_occupancy\": "
-              << baseline.simMaxWindowOccupancy << "},\n";
+    const tss::RunResult &seq = baseline.result;
+    std::cout << "  \"determinism\": {\"makespan\": " << seq.makespan
+              << ", \"events\": " << seq.eventsExecuted
+              << ", \"messages\": " << seq.messagesOnNoc
+              << ", \"versions_created\": " << seq.versionsCreated
+              << ", \"event_digest\": \""
+              << hexString(baseline.eventDigest)
+              << "\", \"apply_digest\": \""
+              << hexString(baseline.applyDigest) << "\"},\n";
+    std::cout << "  \"windows\": {\"windows\": " << seq.simWindows
+              << ", \"single_shard\": " << seq.simSingleShardWindows
+              << ", \"fused\": " << seq.simFusedWindows
+              << ", \"multi_shard\": " << seq.simMultiShardWindows
+              << ", \"occupancy_sum\": " << seq.simWindowOccupancySum
+              << ", \"max_occupancy\": " << seq.simMaxWindowOccupancy
+              << "},\n";
     std::cout << "  \"sim_scaling\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &row = rows[i];

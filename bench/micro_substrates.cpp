@@ -39,6 +39,62 @@ BM_EventQueueScheduleStep(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleStep);
 
 /**
+ * The event queue under paper-mix's scheduling-distance shape: a
+ * closed population of 300 pending events over 8 stations, each
+ * executed event scheduling one successor from its station. Delays
+ * come from a seeded table built before the timed loop: 96% below
+ * 128 cycles, 2% in [128, 256), and 2% task-runtime-like, mostly
+ * below 16 Ki cycles with one in 200 of them up to 2 M. At steady
+ * state about 260 of the 300 pending events sit 256 or more cycles
+ * out, as paper-mix's running tasks do. One item is one event.
+ */
+void
+BM_EventQueuePaperMixShape(benchmark::State &state)
+{
+    struct Shape
+    {
+        tss::EventQueue eq;
+        std::vector<std::uint32_t> delays;
+        std::size_t next = 0;
+        std::uint64_t ran = 0;
+
+        void
+        hop(std::int32_t station)
+        {
+            ++ran;
+            tss::Cycle d = delays[next];
+            next = (next + 1) % delays.size();
+            eq.scheduleStation(eq.now() + d, station,
+                               [this, station] { hop(station); });
+        }
+    } shape;
+
+    tss::Rng rng(11);
+    shape.delays.resize(1 << 16);
+    for (std::uint32_t &d : shape.delays) {
+        std::uint64_t r = rng.range(10000);
+        if (r < 9600)
+            d = static_cast<std::uint32_t>(rng.range(128));
+        else if (r < 9800)
+            d = static_cast<std::uint32_t>(128 + rng.range(128));
+        else if (r < 9999)
+            d = static_cast<std::uint32_t>(rng.rangeInclusive(256, 16384));
+        else
+            d = static_cast<std::uint32_t>(
+                rng.rangeInclusive(16384, 2000000));
+    }
+    for (std::int32_t token = 0; token < 300; ++token)
+        shape.hop(token % 8);
+    shape.eq.run(1 << 20); // reach the steady near/far split
+
+    for (auto _ : state)
+        shape.eq.step();
+    benchmark::DoNotOptimize(shape.ran);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueuePaperMixShape);
+
+/**
  * Allocation accounting for the pooled kernel: run a full pipeline
  * simulation and report how many fresh chunks the event/message pools
  * requested from the global allocator versus how many messages and

@@ -418,6 +418,8 @@ System::buildMetrics()
                        [this] { return engine->eventDigest(); });
     metrics.addCounter("engine.apply_digest",
                        [this] { return engine->applyDigest(); });
+    metrics.addCounter("engine.far_events",
+                       [this] { return engine->farEvents(); });
     metrics.addCounter("dma.writebacks",
                        [this] { return dma->numTransfers(); });
     metrics.addCounter("dma.bytes",

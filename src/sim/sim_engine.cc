@@ -75,6 +75,15 @@ SimEngine::eventDigest() const
     return h;
 }
 
+std::uint64_t
+SimEngine::farEvents() const
+{
+    std::uint64_t n = 0;
+    for (const auto &s : shards)
+        n += s->queue.farEvents();
+    return n;
+}
+
 void
 SimEngine::setTracer(obs::Tracer *t)
 {

@@ -128,6 +128,9 @@ class SimEngine
     /** The shards' event-stream digests, folded in domain order. */
     std::uint64_t eventDigest() const;
 
+    /** Events scheduled into the shards' far heaps (EventQueue). */
+    std::uint64_t farEvents() const;
+
     /**
      * Running digest of every deferred operation's DeferKey, folded
      * in the barriers' apply order.

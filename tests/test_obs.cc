@@ -209,13 +209,16 @@ TEST(ObsTrace, TracerOffBitIdenticalResults)
 {
     TaskTrace trace = sharedProgram(40);
     std::vector<RunResult> results;
+    std::vector<obs::Snapshot> metrics;
     for (obs::TraceMode mode :
          {obs::TraceMode::Off, obs::TraceMode::Tail,
           obs::TraceMode::Full}) {
         PipelineConfig cfg = tinyConfig(2);
         cfg.traceMode = mode;
         cfg.simThreads = 2;
-        results.push_back(runTraced(trace, cfg, 2).result);
+        TracedRun run = runTraced(trace, cfg, 2);
+        results.push_back(run.result);
+        metrics.push_back(run.metrics);
     }
     const RunResult &off = results[0];
     // Golden decode stats with the tracer off (pins the zero-overhead
@@ -231,6 +234,14 @@ TEST(ObsTrace, TracerOffBitIdenticalResults)
         EXPECT_EQ(results[i].versionsCreated, off.versionsCreated);
         EXPECT_EQ(results[i].startOrder, off.startOrder);
         EXPECT_EQ(results[i].coreOf, off.coreOf);
+        // The same events in the same order, the same ops applied.
+        for (const char *digest :
+             {"engine.event_digest", "engine.apply_digest"}) {
+            ASSERT_TRUE(metrics[i].hasCounter(digest)) << digest;
+            EXPECT_EQ(metrics[i].counter(digest),
+                      metrics[0].counter(digest))
+                << digest << ", trace mode " << i;
+        }
     }
 }
 

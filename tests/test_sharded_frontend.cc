@@ -155,6 +155,8 @@ TEST(ShardedFrontend, RelocatedCholeskyGoldenStats)
  * barriers applied. The result goldens compare end-of-run state;
  * these also fail when a change reorders same-cycle events whose
  * effects happen to commute, or renumbers a station's sequence.
+ * engine.far_events counts the events scheduled at least
+ * EventQueue::wheelSlots cycles ahead (into the shards' far heaps).
  */
 TEST(ShardedFrontend, GoldenEventDigests)
 {
@@ -169,18 +171,19 @@ TEST(ShardedFrontend, GoldenEventDigests)
         unsigned threads;
         std::uint64_t eventDigest;
         std::uint64_t applyDigest;
+        std::uint64_t farEvents;
     };
     const Golden goldens[] = {
         {"Cholesky", 0.05, 1, 64, 8, 1, 1,
-         0x4fa1d63cdf5f9ac3ULL, 0xb3b76c5161fd55a6ULL},
+         0x4fa1d63cdf5f9ac3ULL, 0xb3b76c5161fd55a6ULL, 3042},
         {"H264", 0.05, 1, 32, 4, 1, 1,
-         0xae079cc8563df2a5ULL, 0x4991660ec671e38eULL},
+         0xae079cc8563df2a5ULL, 0x4991660ec671e38eULL, 13242},
         {"MatMul", 0.1, 7, 16, 8, 1, 1,
-         0xc66ffb6ad5a86ccfULL, 0xc4b58c6084a32c3aULL},
+         0xc66ffb6ad5a86ccfULL, 0xc4b58c6084a32c3aULL, 2787},
         {nullptr, 0, 0, 64, 8, 1, 8,
-         0x6f5d05a7f0cc0ed3ULL, 0x1b64ecdb731cb564ULL},
+         0x6f5d05a7f0cc0ed3ULL, 0x1b64ecdb731cb564ULL, 202},
         {nullptr, 0, 0, 64, 8, 4, 8,
-         0x47d7a9855bc29147ULL, 0x89435d9019311e8cULL},
+         0x47d7a9855bc29147ULL, 0x89435d9019311e8cULL, 356},
     };
 
     for (const Golden &g : goldens) {
@@ -202,6 +205,8 @@ TEST(ShardedFrontend, GoldenEventDigests)
         EXPECT_EQ(snap.counter("engine.event_digest"), g.eventDigest)
             << what;
         EXPECT_EQ(snap.counter("engine.apply_digest"), g.applyDigest)
+            << what;
+        EXPECT_EQ(snap.counter("engine.far_events"), g.farEvents)
             << what;
     }
 }

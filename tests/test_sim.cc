@@ -10,11 +10,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/hash.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -173,6 +177,253 @@ TEST(EventQueue, NextTimeTracksEarliestPending)
     EXPECT_EQ(eq.nextTime(), 40u);
     eq.step();
     EXPECT_EQ(eq.nextTime(), invalidCycle);
+}
+
+/*
+ * Timing-wheel edges. Events due fewer than EventQueue::wheelSlots
+ * cycles ahead of now() file on the wheel, the rest on the far heap;
+ * the pop order must be the one (when, priority, station, seq) order
+ * regardless of where an event was filed.
+ */
+
+TEST(EventQueue, WheelEdgeDelays)
+{
+    constexpr Cycle span = EventQueue::wheelSlots;
+    EventQueue eq;
+    std::vector<Cycle> fired;
+    auto record = [&] { fired.push_back(eq.now()); };
+    eq.schedule(10, record);
+    eq.step();
+    eq.scheduleIn(span, record);     // first far cycle
+    eq.scheduleIn(span - 1, record); // last near cycle
+    eq.scheduleIn(0, record);        // now() itself
+    EXPECT_EQ(eq.farEvents(), 1u);
+    EXPECT_EQ(eq.size(), 3u);
+    EXPECT_EQ(eq.nextTime(), 10u);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Cycle>{10, 10, 265, 266}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextTime(), invalidCycle);
+}
+
+TEST(EventQueue, SameCycleOnWheelAndFarHeap)
+{
+    // Cycle 1000 is far when scheduled at now 0 and near once now
+    // reaches 900: one key on the heap, the others on the wheel. The
+    // heap's key must interleave by station and by priority.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleStation(1000, 5, [&] { order.push_back(5); });
+    eq.scheduleStation(1000, 6, [&] { order.push_back(16); }, -1);
+    eq.schedule(900, [] {});
+    EXPECT_EQ(eq.farEvents(), 3u);
+    eq.step();
+    ASSERT_EQ(eq.now(), 900u);
+    eq.scheduleStation(1000, 9, [&] { order.push_back(9); });
+    eq.scheduleStation(1000, 2, [&] { order.push_back(2); });
+    eq.scheduleStation(1000, 1, [&] { order.push_back(11); }, -1);
+    eq.scheduleStation(1000, 7, [&] { order.push_back(17); }, -1);
+    EXPECT_EQ(eq.farEvents(), 3u);
+    EXPECT_EQ(eq.nextTime(), 1000u);
+    eq.run();
+    // Priority -1: station 1 (wheel), 6 (heap), 7 (wheel); then
+    // priority 0: station 2 (wheel), 5 (heap), 9 (wheel).
+    EXPECT_EQ(order, (std::vector<int>{11, 16, 17, 2, 5, 9}));
+}
+
+TEST(EventQueue, WheelSlotIndexWraps)
+{
+    // From now 200 the near window [200, 456) wraps past slot 255;
+    // a chain of 250-cycle hops then laps the wheel many times.
+    EventQueue eq;
+    std::vector<Cycle> fired;
+    auto record = [&] { fired.push_back(eq.now()); };
+    eq.schedule(200, [] {});
+    eq.step();
+    for (Cycle when : {455, 300, 256, 255, 255, 260})
+        eq.schedule(when, record);
+    EXPECT_EQ(eq.farEvents(), 0u);
+    EXPECT_EQ(eq.nextTime(), 255u);
+    eq.run();
+    EXPECT_EQ(fired,
+              (std::vector<Cycle>{255, 255, 256, 260, 300, 455}));
+
+    int hops = 0;
+    std::function<void()> hop = [&] {
+        if (++hops < 40)
+            eq.scheduleIn(250, [&] { hop(); });
+    };
+    eq.scheduleIn(250, [&] { hop(); });
+    eq.run();
+    EXPECT_EQ(hops, 40);
+    EXPECT_EQ(eq.now(), 455u + 40 * 250);
+    EXPECT_EQ(eq.farEvents(), 0u);
+}
+
+TEST(EventQueue, MidListInsertKeepsStationFifo)
+{
+    // Later inserts with a lower priority or station land in the
+    // middle of the cycle's list; one station's events stay FIFO.
+    EventQueue eq;
+    std::vector<int> order;
+    auto push = [&](std::int32_t station, int tag, int priority = 0) {
+        auto fn = [&order, tag] { order.push_back(tag); };
+        eq.scheduleStation(10, station, fn, priority);
+    };
+    push(5, 50);
+    push(5, 51);
+    push(3, 30);     // before both station-5 events
+    push(5, 52);     // appends
+    push(4, 40);     // between stations 3 and 5
+    push(3, 31);     // after 30, before 40
+    push(8, 80, -1); // a lower priority: the new head
+    push(2, 20, 1);  // a higher priority: the new tail
+    push(3, 32);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{80, 30, 31, 32, 40, 50, 51, 52, 20}));
+}
+
+TEST(EventQueue, LaggingQueueTakesNearAndFarEvents)
+{
+    // An idle shard whose now() lags far behind, as when a barrier
+    // applies deliveries onto it: events at most wheelSlots - 1 past
+    // its now() are near, later ones far, and both keep the order.
+    EventQueue eq;
+    std::vector<std::pair<Cycle, int>> fired;
+    auto record = [&](int tag) {
+        return [&fired, &eq, tag] { fired.emplace_back(eq.now(), tag); };
+    };
+    eq.schedule(3, record(0));
+    eq.step();
+    eq.scheduleStation(50000, 4, record(1));
+    eq.scheduleStation(200, 4, record(2));
+    eq.scheduleStation(50000, 2, record(3));
+    eq.scheduleStation(259, 1, record(4)); // 256 ahead: far
+    EXPECT_EQ(eq.farEvents(), 3u);
+    EXPECT_EQ(eq.nextTime(), 200u);
+    eq.step();
+    // now 200: 50000 is still far, 455 the last near cycle.
+    eq.scheduleStation(50000, 3, record(5));
+    eq.scheduleStation(455, 0, record(6));
+    EXPECT_EQ(eq.farEvents(), 4u);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<std::pair<Cycle, int>>{
+                         {3, 0}, {200, 2}, {259, 4}, {455, 6},
+                         {50000, 3}, {50000, 5}, {50000, 1}}));
+}
+
+TEST(EventQueue, RunUntilBetweenWheelAndHeap)
+{
+    EventQueue eq;
+    std::vector<Cycle> fired;
+    auto record = [&] { fired.push_back(eq.now()); };
+    for (Cycle when : {10, 20, 700, 1000})
+        eq.schedule(when, record);
+    EXPECT_EQ(eq.farEvents(), 2u);
+    EXPECT_EQ(eq.runUntil(15), 1u);
+    EXPECT_EQ(eq.nextTime(), 20u);
+    EXPECT_EQ(eq.runUntil(699), 1u);
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.nextTime(), 700u);
+    // A near event behind the heap's top, then a limit between them.
+    eq.schedule(30, record);
+    EXPECT_EQ(eq.runUntil(699), 1u);
+    EXPECT_EQ(eq.runUntil(700), 1u);
+    // From now 700, cycle 900 is near: the heap's 1000 comes after.
+    eq.schedule(900, record);
+    EXPECT_EQ(eq.runUntil(999), 1u);
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.runUntil(1000), 1u);
+    EXPECT_EQ(eq.runUntil(invalidCycle - 1), 0u);
+    EXPECT_EQ(fired, (std::vector<Cycle>{10, 20, 30, 700, 900, 1000}));
+}
+
+/**
+ * Differential run against a reference std::priority_queue with the
+ * same total order. Executed events schedule successors: most within
+ * a few hundred cycles (the wheel's edges included), about 2% up to
+ * 2 M cycles ahead. Every step compares the executed key, nextTime()
+ * and size(); the end compares the event-stream digest.
+ */
+TEST(EventQueue, MatchesReferenceHeap)
+{
+    struct Ref
+    {
+        Cycle when;
+        int priority;
+        std::int32_t station;
+        std::uint64_t seq;
+        std::uint64_t id;
+
+        bool
+        operator>(const Ref &o) const
+        {
+            return std::tie(when, priority, station, seq) >
+                std::tie(o.when, o.priority, o.station, o.seq);
+        }
+    };
+
+    for (std::uint64_t seed : {1, 2, 3}) {
+        EventQueue eq;
+        std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+        std::vector<std::uint64_t> seqOf(9, 0);
+        Rng rng(seed);
+        std::uint64_t nextId = 0, ranId = ~std::uint64_t(0);
+        std::uint64_t far = 0, budget = 60000;
+
+        std::function<void()> spawn;
+        auto schedule = [&](Cycle when) {
+            auto station = static_cast<std::int32_t>(rng.range(9)) - 1;
+            int priority = static_cast<int>(rng.range(3)) - 1;
+            std::uint64_t id = nextId++;
+            far += when - eq.now() >= EventQueue::wheelSlots;
+            ref.push(Ref{when, priority, station, seqOf[station + 1]++, id});
+            auto fn = [&ranId, &spawn, id] {
+                ranId = id;
+                spawn();
+            };
+            eq.scheduleStation(when, station, fn, priority);
+        };
+        auto delay = [&]() -> Cycle {
+            std::uint64_t r = rng.range(1000);
+            if (r < 20)
+                return rng.rangeInclusive(256, 2000000);
+            if (r < 40)
+                return 254 + rng.range(4); // 254..257
+            if (r < 100)
+                return 0;
+            return rng.range(256);
+        };
+        spawn = [&] {
+            std::uint64_t kids = rng.range(4); // 0..3, mean 1.5
+            for (std::uint64_t k = 0; k < kids && nextId < budget; ++k)
+                schedule(eq.now() + delay());
+        };
+        for (int i = 0; i < 300; ++i)
+            schedule(rng.range(512));
+
+        std::uint64_t digest = digestSeed, steps = 0;
+        while (!ref.empty()) {
+            ASSERT_EQ(eq.nextTime(), ref.top().when) << "step " << steps;
+            ASSERT_EQ(eq.size(), ref.size()) << "step " << steps;
+            Ref top = ref.top();
+            ref.pop();
+            digest = digestKey(digest, top.when, top.priority, top.station,
+                               top.seq);
+            ASSERT_TRUE(eq.step());
+            ASSERT_EQ(ranId, top.id) << "step " << steps;
+            ASSERT_EQ(eq.now(), top.when);
+            ++steps;
+        }
+        EXPECT_FALSE(eq.step());
+        EXPECT_TRUE(eq.empty());
+        EXPECT_EQ(eq.nextTime(), invalidCycle);
+        EXPECT_EQ(steps, nextId);
+        EXPECT_EQ(eq.executed(), steps);
+        EXPECT_EQ(eq.farEvents(), far);
+        EXPECT_GT(far, steps / 100) << "seed " << seed;
+        EXPECT_EQ(eq.digest(), digest) << "seed " << seed;
+    }
 }
 
 TEST(Clock, ConvertsPaperConstants)
