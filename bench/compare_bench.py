@@ -1,110 +1,60 @@
 #!/usr/bin/env python3
 """Perf-regression gate for the checked-in benchmark baselines.
 
-Two benchmark families are gated:
+Five benches are captured and gated, each against BENCH_<kind>.json:
+kernel (fig12_decode_rate), parallel (parallel_exec), noc
+(fig17_noc_contention), sim (fig18_sim_speedup) and serve
+(fig19_serve_load). ``CAPTURES`` says how to run each bench and turn
+its stdout into a fresh JSON. ``RULES`` says how each gated cell of the
+fresh JSON must relate to the baseline's. A path separates keys with
+``/``; ``*`` matches every key of an object, and ``rows[field]`` every
+row of a list, pairing the two files' rows by ``field``. The rules:
 
-* kernel  -- ``fig12_decode_rate --quick --csv``: the decode-rate grid
-  (cycles/task per TRS x ORT design point) is a *deterministic*
-  simulator metric, compared cell by cell against the
-  ``fig12_quick_decode_rates`` section of BENCH_kernel.json. Higher
-  cycles/task than baseline * (1 + tolerance) fails. The bench's wall
-  time is also captured but always advisory: wall seconds are not
-  comparable across machines, and even on the same machine a noisy
-  neighbor (a shared CI runner, a background build) skews them far
-  beyond any honest tolerance.
+  exact             equal: simulated quantities are pure functions of
+                    (program, config), so any drift changed semantics
+  lower / higher    within 15% of the baseline
+  ~lower / ~higher  advisory (wall-clock numbers depend on the machine
+                    and its load): printed, never fails, skipped when
+                    absent
+  positive / true   fresh file only, on every row: a row that lacks
+                    the leaf fails
+  suffix ?          baseline rows may be absent from the fresh file (a
+                    --quick run) as long as one row is shared
 
-* parallel -- ``parallel_exec``: per-thread-count ``sim_speedup``
-  (deterministic) must stay above baseline * (1 - tolerance);
-  ``wall_speedup`` is advisory for the same reason as above. The
-  machine fingerprint recorded in both JSONs tells a human reader how
-  seriously to take an advisory wall delta. The bench itself aborts
-  if any parallel execution is not bit-identical to sequential
-  execution, so correctness is already enforced upstream.
-
-* noc -- ``fig17_noc_contention --quick --csv``: the topology x
-  placement x batching sweep and the ticket-protocol ablation. The
-  synthetic ``wide`` program always used deterministic AddressSpace
-  addresses; the cholesky/jacobi real-kernel rows are now decoded
-  from *relocated* traces (src/trace/relocate.hh rebases the captured
-  heap regions onto the same synthetic space), so every row of the
-  bench is a pure function of (program, config) and all of them gate
-  hard: wide rows under ``sweep``/``ticket`` (historical keys), real
-  rows under ``real_sweep``/``real_ticket`` keyed by program name.
-  Decode cycles and message counts gate against the baseline; the
-  sweep's acceptance shape (spread degrades decode, batching recovers
-  it) is enforced by the bench itself, which exits non-zero — so a
-  shape regression already fails the capture step. The compare step
-  additionally re-checks the recorded shape and that ordered
-  admission is never cheaper than the idealAdmission oracle at the
-  multi-pipeline point.
-
-The ``determinism`` subcommand diffs the ``fig17_quick`` sections of
-two captures *exactly* (no tolerance): CI runs the noc capture twice
-in one job and fails if any row — in particular the relocated
-real-kernel rows — changed between invocations (e.g. an address
-sneaking back into simulated routing).
-
-* sim -- ``fig18_sim_speedup --quick``: the parallel simulation
-  engine (src/sim/sim_engine.hh). The ``determinism`` section
-  (makespan / events / messages of the sequential reference run)
-  gates *exactly* — any drift means simulated semantics changed. The
-  per-thread-count throughput rows are advisory (wall-clock, and the
-  bench itself already exits non-zero if any thread count is not
-  bit-identical to sequential).
-
-* serve -- ``fig19_serve_load --quick``: the multi-tenant trace
-  service (src/serve/) under load. The ``closed_loop`` section —
-  per-tenant percentiles over per-job *simulated* makespans, plus
-  completed-job and simulated-task counts and the tenant carve base —
-  gates *exactly* (zero tolerance): every number there is a pure
-  function of (program panel, machine config, carve base). The
-  ``open_loop`` section (wall latencies, tasks/sec) is advisory, but
-  ``busy_rejections`` must be positive — the bench saturates
-  capacity-1 stages on purpose, and zero Busy responses means the
-  admission bound stopped engaging (the bench itself also exits
-  non-zero in that case; the compare re-checks the recorded value).
-
-Every gated comparison also hard-fails when either JSON lacks the
-machine fingerprint (``machine`` with ``hardware_concurrency`` /
-``platform`` / ``machine``): a baseline without provenance makes the
-advisory wall numbers uninterpretable, and historically meant a
-hand-edited file.
+One walker applies the rules to the union of both files' cells: a
+gated cell present in only one file fails and names its path, and so
+does a gated rule that matches no cell of both. Both files must also
+carry the machine fingerprint (without it the advisory numbers are
+uninterpretable), and noc re-checks fig17's acceptance shape on the
+fresh numbers.
 
 Usage:
-  compare_bench.py capture-kernel   --bench PATH --out FRESH.json
-  compare_bench.py capture-parallel --bench PATH --out FRESH.json
-  compare_bench.py capture-noc      --bench PATH --out FRESH.json
-  compare_bench.py capture-sim      --bench PATH --out FRESH.json
-  compare_bench.py capture-serve    --bench PATH --out FRESH.json
-  compare_bench.py compare --kind {kernel,parallel,noc,sim,serve} \
-      --baseline BASE.json --fresh FRESH.json [--tolerance 0.15]
+  compare_bench.py capture --kind K --bench PATH --out FRESH.json [--arg=A]
+  compare_bench.py compare --kind K --baseline BASE.json --fresh FRESH.json
   compare_bench.py determinism --a RUN1.json --b RUN2.json
-  compare_bench.py trace --file TRACE.json [--schema SCHEMA.json] \
-      [--diff OTHER_TRACE.json]
+  compare_bench.py trace --file TRACE.json [--schema SCHEMA.json]
   compare_bench.py selftest
 
-The ``trace`` subcommand validates a flight-recorder Chrome trace
-(src/obs/trace.hh exporter) against the checked-in
-``bench/trace_schema.json`` — phase-specific required fields,
-integers-only timestamps, known categories, the ``\\n]}\\n`` splice
-suffix — and, with ``--diff``, byte-compares two traces exactly (CI
-captures the same run at ``--sim-threads`` 1 and 4 and requires the
-exported traces to be identical).
-
-``capture-*`` runs the benchmark and writes a fresh JSON (uploaded as
-a CI artifact — use it to re-baseline by hand). ``compare`` and
-``determinism`` exit non-zero on regression/divergence. ``selftest``
-exercises the gate logic itself on synthetic fixtures (run by the
-perf-regression CI job before any real comparison).
+``determinism`` diffs two noc captures' ``fig17_quick`` cells exactly;
+``trace`` validates a Chrome trace against ``bench/trace_schema.json``;
+``selftest`` runs the gate on mutated copies of the baselines (CI runs
+it first, so a broken gate cannot pass every comparison).
 """
 
 import argparse
+import copy
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import tempfile
 import time
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_DIR = os.path.dirname(BENCH_DIR)
+TOLERANCE = 0.15
 
 
 def machine_fingerprint():
@@ -124,22 +74,19 @@ def machine_fingerprint():
     return info
 
 
-REQUIRED_FINGERPRINT = ("hardware_concurrency", "platform", "machine")
+def load(path):
+    with open(path) as f:
+        return json.load(f)
 
 
-def check_fingerprint(data, label, gate):
-    """Hard-fail a gated comparison when @p data lacks the machine
-    fingerprint: advisory wall numbers are meaningless without
-    provenance, and a missing fingerprint means the file was not
-    produced by a capture-* run."""
+def check_fingerprint(data, label):
+    """Failures for @p data lacking the machine fingerprint."""
     machine = data.get("machine")
     if not isinstance(machine, dict):
-        gate.failures.append(f"{label}: no machine fingerprint")
-        return
-    for field in REQUIRED_FINGERPRINT:
-        if field not in machine:
-            gate.failures.append(
-                f"{label}: machine fingerprint missing '{field}'")
+        return [f"{label}: no machine fingerprint"]
+    return [f"{label}: machine fingerprint missing '{field}'"
+            for field in ("hardware_concurrency", "platform", "machine")
+            if field not in machine]
 
 
 def parse_fig12_csv(text):
@@ -167,34 +114,6 @@ def parse_fig12_csv(text):
             for ort, value in zip(ort_counts, cells[1:]):
                 grid[f"{trs}x{ort}"] = float(value)
     return grids
-
-
-def run_bench(argv):
-    """Run a benchmark; on failure, surface its own diagnostics
-    (e.g. parallel_exec's differential-oracle divergence message)
-    instead of a bare CalledProcessError."""
-    result = subprocess.run(argv, capture_output=True, text=True)
-    if result.returncode != 0:
-        sys.stderr.write(result.stdout)
-        sys.stderr.write(result.stderr)
-        sys.exit(f"{' '.join(argv)} failed "
-                 f"(exit {result.returncode}); output above")
-    return result
-
-
-def capture_kernel(bench, out, extra=()):
-    begin = time.monotonic()
-    result = run_bench([bench, "--quick", "--csv", *extra])
-    wall = time.monotonic() - begin
-    fresh = {
-        "machine": machine_fingerprint(),
-        "fig12_quick_wall_seconds": round(wall, 3),
-        "fig12_quick_decode_rates": parse_fig12_csv(result.stdout),
-    }
-    with open(out, "w") as f:
-        json.dump(fresh, f, indent=2)
-        f.write("\n")
-    print(f"captured kernel metrics in {wall:.1f}s -> {out}")
 
 
 def parse_fig17_csv(text):
@@ -249,329 +168,194 @@ def parse_fig17_csv(text):
     return out
 
 
-def capture_noc(bench, out, extra=()):
+# kind -> (bench arguments, stdout -> fresh JSON, wall-seconds key).
+CAPTURES = {
+    "kernel": (["--quick", "--csv"],
+               lambda out: {"fig12_quick_decode_rates":
+                            parse_fig12_csv(out)},
+               "fig12_quick_wall_seconds"),
+    "parallel": ([], json.loads, None),
+    "noc": (["--quick", "--csv"],
+            lambda out: {"fig17_quick": parse_fig17_csv(out)},
+            "fig17_quick_wall_seconds"),
+    "sim": (["--quick"], json.loads, "fig18_quick_wall_seconds"),
+    "serve": (["--quick"], json.loads, "fig19_quick_wall_seconds"),
+}
+
+# kind -> [(path, rule)]; the module docstring gives the syntax.
+RULES = {
+    "kernel": [
+        ("fig12_quick_decode_rates/*/*", "lower"),
+        ("fig12_quick_wall_seconds", "~lower"),
+    ],
+    "parallel": [
+        ("graph_mode[threads]/sim_speedup", "higher?"),
+        ("graph_mode[threads]/wall_speedup", "~higher"),
+        ("replay_mode/sim_speedup", "higher"),
+    ],
+    "noc": [
+        ("fig17_quick/sweep/*/decode_cy", "lower"),
+        ("fig17_quick/sweep/*/messages", "lower"),
+        ("fig17_quick/ticket/*/decode_real_cy", "lower"),
+        ("fig17_quick/real_sweep/*/*/decode_cy", "lower"),
+        ("fig17_quick/real_sweep/*/*/messages", "lower"),
+        ("fig17_quick/real_ticket/*/*/decode_real_cy", "lower"),
+        # The --relocate-seed rows are deterministic per seed but
+        # legitimately layout-dependent.
+        ("fig17_quick/relocate_sweep/*/*/decode_cy", "~lower"),
+        # Re-pinning the OVT bound (tests/ovt_bound.hh) is a deliberate
+        # act that re-baselines both; it must not drift silently.
+        ("fig17_quick/ovt_min_safe_slots_per_slice", "exact"),
+    ],
+    "sim": [
+        ("determinism/*", "exact"),
+        ("windows/*", "exact"),
+        ("sim_scaling[sim_threads]/bit_identical", "true"),
+        ("sim_scaling[sim_threads]/events_per_sec", "~higher"),
+        ("sim_scaling[sim_threads]/speedup", "~higher"),
+    ],
+    "serve": [
+        ("closed_loop/tenants[name]/completed", "exact"),
+        ("closed_loop/tenants[name]/simulated_tasks", "exact"),
+        ("closed_loop/tenants[name]/carve_base", "exact"),
+        ("closed_loop/tenants[name]/sim_makespan_cycles/*", "exact"),
+        # The bench saturates capacity-1 stages on purpose: zero Busy
+        # replies mean the admission bound stopped engaging.
+        ("open_loop/busy_rejections", "positive"),
+        ("open_loop/tasks_per_sec", "~higher"),
+        ("open_loop/wall_latency_seconds/p95", "~lower"),
+    ],
+}
+
+
+def capture(kind, bench, out, extra):
+    """Run @p bench and write its fresh JSON, stamped with this
+    machine's fingerprint and the bench's wall seconds."""
+    args, parse, wall_key = CAPTURES[kind]
+    argv = [bench, *args, *extra]
     begin = time.monotonic()
-    result = run_bench([bench, "--quick", "--csv", *extra])
+    result = subprocess.run(argv, capture_output=True, text=True)
     wall = time.monotonic() - begin
-    fresh = {
-        "machine": machine_fingerprint(),
-        "fig17_quick_wall_seconds": round(wall, 3),
-        "fig17_quick": parse_fig17_csv(result.stdout),
-    }
-    with open(out, "w") as f:
-        json.dump(fresh, f, indent=2)
-        f.write("\n")
-    print(f"captured noc metrics in {wall:.1f}s -> {out}")
-
-
-def capture_parallel(bench, out, extra=()):
-    result = run_bench([bench, *extra])
-    fresh = json.loads(result.stdout)
+    if result.returncode != 0:
+        # Surface the bench's own diagnostics (e.g. parallel_exec's
+        # differential-oracle divergence), not a bare exit code.
+        sys.stderr.write(result.stdout + result.stderr)
+        sys.exit(f"{' '.join(argv)} failed "
+                 f"(exit {result.returncode}); output above")
+    fresh = parse(result.stdout)
     fresh["machine"] = {**fresh.get("machine", {}),
                         **machine_fingerprint()}
+    if wall_key:
+        fresh[wall_key] = round(wall, 3)
     with open(out, "w") as f:
         json.dump(fresh, f, indent=2)
         f.write("\n")
-    rows = ", ".join(
-        f"{r['threads']}t x{r['wall_speedup']:.2f}"
-        for r in fresh["graph_mode"])
-    print(f"captured parallel metrics ({rows}) -> {out}")
+    print(f"captured {kind} metrics in {wall:.1f}s -> {out}")
 
 
-def capture_sim(bench, out, extra=()):
-    begin = time.monotonic()
-    result = run_bench([bench, "--quick", *extra])
-    wall = time.monotonic() - begin
-    fresh = json.loads(result.stdout)
-    fresh["machine"] = {**fresh.get("machine", {}),
-                        **machine_fingerprint()}
-    fresh["fig18_quick_wall_seconds"] = round(wall, 3)
-    with open(out, "w") as f:
-        json.dump(fresh, f, indent=2)
-        f.write("\n")
-    rows = ", ".join(
-        f"{r['sim_threads']}t x{r['speedup']:.2f}"
-        for r in fresh["sim_scaling"])
-    print(f"captured sim metrics ({rows}) in {wall:.1f}s -> {out}")
+def cells(node, keys, path=()):
+    """Yield (path, value) for every cell of @p node that the rule path
+    @p keys matches; a row's path element carries its pairing key. A
+    leaf its object lacks yields None."""
+    if not keys:
+        yield path, node
+        return
+    key, rest = keys[0], keys[1:]
+    if key.endswith("]"):
+        name, field = key[:-1].split("[")
+        rows = node.get(name) if isinstance(node, dict) else None
+        for row in rows if isinstance(rows, list) else ():
+            if isinstance(row, dict):
+                yield from cells(row, rest, path + (
+                    f"{name}[{field}={row.get(field)}]",))
+    elif isinstance(node, dict):
+        for k in node if key == "*" else [key]:
+            yield from cells(node.get(k), rest, path + (k,))
 
 
-def capture_serve(bench, out, extra=()):
-    begin = time.monotonic()
-    result = run_bench([bench, "--quick", *extra])
-    wall = time.monotonic() - begin
-    fresh = json.loads(result.stdout)
-    fresh["machine"] = {**fresh.get("machine", {}),
-                        **machine_fingerprint()}
-    fresh["fig19_quick_wall_seconds"] = round(wall, 3)
-    with open(out, "w") as f:
-        json.dump(fresh, f, indent=2)
-        f.write("\n")
-    rows = ", ".join(
-        f"{t['name']} p95={t['sim_makespan_cycles']['p95']:g}cy"
-        for t in fresh["closed_loop"]["tenants"])
-    print(f"captured serve metrics ({rows}) in {wall:.1f}s -> {out}")
+def judge(op, base, new):
+    """(passed, detail) for one cell under rule @p op."""
+    if op == "exact":
+        return new == base, f"fresh {new!r} != baseline {base!r}"
+    if op == "true":
+        return new is True, f"{new!r}, not true"
+    number = (int, float)
+    if op == "positive":
+        return isinstance(new, number) and new > 0, f"{new!r}, not positive"
+    if not (isinstance(base, number) and isinstance(new, number)):
+        return False, f"fresh {new!r} vs baseline {base!r}: not numbers"
+    limit = base * (1 + TOLERANCE if op == "lower" else 1 - TOLERANCE)
+    passed = new <= limit if op == "lower" else new >= limit
+    return passed, f"fresh {new:g} vs baseline {base:g} (limit {limit:g})"
 
 
-class Gate:
-    def __init__(self, tolerance):
-        self.tolerance = tolerance
-        self.failures = []
-
-    def check(self, name, fresh, baseline, higher_is_better,
-              advisory=False):
-        if higher_is_better:
-            limit = baseline * (1 - self.tolerance)
-            bad = fresh < limit
-        else:
-            limit = baseline * (1 + self.tolerance)
-            bad = fresh > limit
-        status = "ADVISORY" if advisory else ("FAIL" if bad else "ok")
-        if bad or advisory:
-            print(f"  [{status}] {name}: fresh {fresh:g} vs baseline "
-                  f"{baseline:g} (limit {limit:g})")
-        if bad and not advisory:
-            self.failures.append(name)
-
-
-def compare_kernel(baseline, fresh, gate):
-    base_grids = baseline["fig12_quick_decode_rates"]
-    fresh_grids = fresh["fig12_quick_decode_rates"]
-    for workload, grid in base_grids.items():
-        for point, value in grid.items():
-            if point not in fresh_grids.get(workload, {}):
-                gate.failures.append(f"{workload} {point} missing")
-                continue
-            gate.check(f"{workload} {point} cy/task",
-                       fresh_grids[workload][point], value,
-                       higher_is_better=False)
-    if "fig12_quick_wall_seconds" in baseline:
-        gate.check("fig12 --quick wall seconds",
-                   fresh["fig12_quick_wall_seconds"],
-                   baseline["fig12_quick_wall_seconds"],
-                   higher_is_better=False, advisory=True)
-
-
-def compare_parallel(baseline, fresh, gate):
-    fresh_rows = {r["threads"]: r for r in fresh["graph_mode"]}
-    compared = 0
-    for row in baseline["graph_mode"]:
-        threads = row["threads"]
-        if threads not in fresh_rows:
-            continue  # baseline rows beyond a --quick run
-        compared += 1
-        gate.check(f"graph_mode {threads}t sim_speedup",
-                   fresh_rows[threads]["sim_speedup"],
-                   row["sim_speedup"], higher_is_better=True)
-        gate.check(f"graph_mode {threads}t wall_speedup",
-                   fresh_rows[threads]["wall_speedup"],
-                   row["wall_speedup"], higher_is_better=True,
-                   advisory=True)
-    if compared == 0:
-        # A disjoint thread-count set would otherwise gate nothing
-        # and still report success.
-        gate.failures.append(
-            "no graph_mode thread counts in common with the baseline")
-    if "replay_mode" in baseline and "replay_mode" in fresh:
-        gate.check("replay_mode sim_speedup",
-                   fresh["replay_mode"]["sim_speedup"],
-                   baseline["replay_mode"]["sim_speedup"],
-                   higher_is_better=True)
-
-
-def compare_noc(baseline, fresh, gate):
-    base = baseline["fig17_quick"]
-    new = fresh["fig17_quick"]
-
-    def gate_sweep(name, base_rows, new_rows):
-        for key, cell in base_rows.items():
-            if key not in new_rows:
-                gate.failures.append(f"{name} {key} missing")
-                continue
-            gate.check(f"{name} {key} decode cy/task",
-                       new_rows[key]["decode_cy"], cell["decode_cy"],
-                       higher_is_better=False)
-            gate.check(f"{name} {key} messages",
-                       new_rows[key]["messages"], cell["messages"],
-                       higher_is_better=False)
-
-    def gate_ticket(name, base_rows, new_rows):
-        for pipes, cell in base_rows.items():
-            if pipes not in new_rows:
-                gate.failures.append(f"{name} {pipes}p missing")
-                continue
-            gate.check(f"{name} {pipes}p real decode cy/task",
-                       new_rows[pipes]["decode_real_cy"],
-                       cell["decode_real_cy"], higher_is_better=False)
-
-    gate_sweep("sweep wide", base["sweep"], new["sweep"])
-    gate_ticket("ticket wide", base["ticket"], new["ticket"])
-
-    # Relocated real-kernel rows gate exactly like the wide ones: a
-    # missing program is a hard failure (a silently dropped row would
-    # otherwise read as "no regression").
-    for prog, rows in base.get("real_sweep", {}).items():
-        gate_sweep(f"sweep {prog}", rows,
-                   new.get("real_sweep", {}).get(prog, {}))
-    for prog, rows in base.get("real_ticket", {}).items():
-        gate_ticket(f"ticket {prog}", rows,
-                    new.get("real_ticket", {}).get(prog, {}))
-
-    # The --relocate-seed layout rows: deterministic per seed but
-    # legitimately layout-dependent, so advisory only.
-    for prog, rows in base.get("relocate_sweep", {}).items():
-        new_rows = new.get("relocate_sweep", {}).get(prog, {})
-        for seed, cell in rows.items():
-            if seed not in new_rows:
-                continue
-            gate.check(f"relocate {prog} seed {seed} decode cy/task",
-                       new_rows[seed]["decode_cy"], cell["decode_cy"],
-                       higher_is_better=False, advisory=True)
-
-    # Capture metadata: the pinned minimum-safe OVT bound must not
-    # drift silently between baseline and fresh (re-pinning the bound
-    # is a deliberate act that re-baselines both).
-    base_bound = base.get("ovt_min_safe_slots_per_slice")
-    new_bound = new.get("ovt_min_safe_slots_per_slice")
-    if base_bound is not None and base_bound != new_bound:
-        gate.failures.append(
-            f"ovt_min_safe_slots_per_slice: fresh {new_bound} != "
-            f"baseline {base_bound}")
-
-    # Acceptance shape, re-checked on the recorded numbers: a spread
-    # floorplan costs decode throughput, batching recovers part of
-    # it, and the real ordered-admission protocol is never cheaper
-    # than its zero-cost oracle at the multi-pipeline point.
-    sweep = new["sweep"]
+def noc_shape(fresh):
+    """fig17's acceptance shape on the fresh numbers: a spread
+    floorplan costs decode throughput, batching recovers part of it,
+    and the real ordered-admission protocol is never cheaper than its
+    zero-cost oracle at the multi-pipeline point."""
     try:
-        adjacent = sweep["ring/adjacent/solo"]["decode_cy"]
-        spread = sweep["ring/spread/solo"]["decode_cy"]
-        spread_b = sweep["ring/spread/batch"]["decode_cy"]
-        if not spread > adjacent:
-            gate.failures.append(
-                f"shape: spread ({spread}) did not degrade decode "
-                f"vs adjacent ({adjacent})")
-        if not spread_b < spread:
-            gate.failures.append(
-                f"shape: batching ({spread_b}) did not recover "
-                f"decode vs spread ({spread})")
-        multi = max(new["ticket"], key=int)
-        real = new["ticket"][multi]["decode_real_cy"]
-        ideal = new["ticket"][multi]["decode_ideal_cy"]
-        if not real >= ideal:
-            gate.failures.append(
-                f"shape: ordered admission ({real}) beat its "
-                f"zero-cost oracle ({ideal}) at {multi}p")
+        quick = fresh["fig17_quick"]
+        adjacent, spread, batched = (
+            quick["sweep"][f"ring/{point}"]["decode_cy"]
+            for point in ("adjacent/solo", "spread/solo", "spread/batch"))
+        multi = max(quick["ticket"], key=int)
+        real = quick["ticket"][multi]["decode_real_cy"]
+        ideal = quick["ticket"][multi]["decode_ideal_cy"]
     except KeyError as missing:
-        gate.failures.append(f"shape: cell {missing} missing")
+        return [f"shape: cell {missing} missing"]
     except ValueError:
-        # max() over an empty ticket section: the CSV drifted and
-        # parse_fig17_csv found no wide ticket rows at all.
-        gate.failures.append("shape: ticket section empty")
+        return ["shape: ticket section empty"]
+    return [f"shape: {message}" for held, message in (
+        (spread > adjacent, f"spread ({spread}) did not degrade decode "
+                            f"vs adjacent ({adjacent})"),
+        (batched < spread, f"batching ({batched}) did not recover decode "
+                           f"vs spread ({spread})"),
+        (real >= ideal, f"ordered admission ({real}) beat its zero-cost "
+                        f"oracle ({ideal}) at {multi}p")) if not held]
 
 
-def compare_sim(baseline, fresh, gate):
-    """The parallel engine's gate: simulated semantics exactly,
-    throughput advisory."""
-    base_det = baseline.get("determinism", {})
-    new_det = fresh.get("determinism", {})
-    if not base_det:
-        gate.failures.append("sim baseline has no determinism section")
-    for key, value in base_det.items():
-        if key not in new_det:
-            gate.failures.append(f"sim determinism {key} missing")
-        elif new_det[key] != value:
-            # Zero tolerance: these are simulated quantities; any
-            # drift means the engine's semantics changed.
-            gate.failures.append(
-                f"sim determinism {key}: fresh {new_det[key]} != "
-                f"baseline {value}")
-
-    # Window/fusion counters are pure functions of simulated state
-    # (SimEngine::WindowStats): gated exactly, like determinism.
-    # Baselines captured before the counters existed skip the gate.
-    base_win = baseline.get("windows", {})
-    new_win = fresh.get("windows", {})
-    for key, value in base_win.items():
-        if key not in new_win:
-            gate.failures.append(f"sim windows {key} missing")
-        elif new_win[key] != value:
-            gate.failures.append(
-                f"sim windows {key}: fresh {new_win[key]} != "
-                f"baseline {value}")
-
-    fresh_rows = fresh.get("sim_scaling", [])
-    if not fresh_rows:
-        gate.failures.append("sim fresh has no sim_scaling rows")
-    for row in fresh_rows:
-        if not row.get("bit_identical", False):
-            gate.failures.append(
-                f"sim_scaling {row.get('sim_threads')}t not "
-                "bit-identical to sequential")
-
-    base_rows = {r["sim_threads"]: r
-                 for r in baseline.get("sim_scaling", [])}
-    for row in fresh_rows:
-        base_row = base_rows.get(row["sim_threads"])
-        if base_row is None:
+def gate(kind, baseline, fresh):
+    """Apply RULES[kind], the fingerprint rule and noc's shape check
+    to @p fresh against @p baseline: (failures, advisory lines)."""
+    failures = check_fingerprint(baseline, "baseline") + \
+        check_fingerprint(fresh, "fresh")
+    advisories = []
+    for rule_path, rule in RULES[kind]:
+        keys = rule_path.split("/")
+        op = rule.strip("~?")
+        if op in ("positive", "true"):
+            found = list(cells(fresh, keys))
+            if not found:
+                failures.append(f"{rule_path}: absent from fresh")
+            for path, value in found:
+                passed, detail = judge(op, None, value)
+                if not passed:
+                    failures.append(f"{'/'.join(path)}: {detail}")
             continue
-        gate.check(f"sim {row['sim_threads']}t events/sec",
-                   row["events_per_sec"], base_row["events_per_sec"],
-                   higher_is_better=True, advisory=True)
-        gate.check(f"sim {row['sim_threads']}t speedup",
-                   row["speedup"], base_row["speedup"],
-                   higher_is_better=True, advisory=True)
-
-
-def compare_serve(baseline, fresh, gate):
-    """The trace service's gate: the closed-loop (simulated) section
-    exactly, the open-loop (wall) section advisory except that
-    backpressure must have engaged."""
-    base_tenants = {t["name"]: t
-                    for t in baseline.get("closed_loop", {})
-                    .get("tenants", [])}
-    new_tenants = {t["name"]: t
-                   for t in fresh.get("closed_loop", {})
-                   .get("tenants", [])}
-    if not base_tenants:
-        gate.failures.append("serve baseline has no closed_loop "
-                             "tenants")
-    for name, base_t in base_tenants.items():
-        new_t = new_tenants.get(name)
-        if new_t is None:
-            gate.failures.append(f"serve tenant {name} missing")
-            continue
-        # Zero tolerance: simulated quantities, byte-identical by
-        # construction; any drift means service semantics changed.
-        for key in ("completed", "simulated_tasks", "carve_base"):
-            if new_t.get(key) != base_t.get(key):
-                gate.failures.append(
-                    f"serve {name} {key}: fresh {new_t.get(key)} != "
-                    f"baseline {base_t.get(key)}")
-        base_pct = base_t.get("sim_makespan_cycles", {})
-        new_pct = new_t.get("sim_makespan_cycles", {})
-        for key, value in base_pct.items():
-            if new_pct.get(key) != value:
-                gate.failures.append(
-                    f"serve {name} sim_makespan {key}: fresh "
-                    f"{new_pct.get(key)} != baseline {value}")
-
-    open_loop = fresh.get("open_loop", {})
-    if not open_loop.get("busy_rejections", 0) > 0:
-        gate.failures.append(
-            "serve open loop recorded no busy_rejections — "
-            "backpressure did not engage")
-    base_open = baseline.get("open_loop", {})
-    if base_open.get("tasks_per_sec") and open_loop.get(
-            "tasks_per_sec") is not None:
-        gate.check("serve open-loop tasks/sec",
-                   open_loop["tasks_per_sec"],
-                   base_open["tasks_per_sec"],
-                   higher_is_better=True, advisory=True)
-    base_p95 = base_open.get("wall_latency_seconds", {}).get("p95")
-    new_p95 = open_loop.get("wall_latency_seconds", {}).get("p95")
-    if base_p95 and new_p95 is not None:
-        gate.check("serve open-loop wall p95", new_p95, base_p95,
-                   higher_is_better=False, advisory=True)
+        base = dict(cells(baseline, keys))
+        new = dict(cells(fresh, keys))
+        advisory = rule.startswith("~")
+        shared = 0
+        for path in sorted(base.keys() | new.keys()):
+            name = "/".join(path)
+            if base.get(path) is None or new.get(path) is None:
+                # A "?" rule lets fresh lack a whole baseline row.
+                if not advisory and (path in new or not rule.endswith("?")):
+                    side = "baseline" if base.get(path) is None else "fresh"
+                    failures.append(f"{name}: missing from {side}")
+                continue
+            shared += 1
+            passed, detail = judge(op, base[path], new[path])
+            if advisory:
+                advisories.append(f"{name}: {detail}")
+            elif not passed:
+                failures.append(f"{name}: {detail}")
+        if not advisory and not shared:
+            failures.append(f"{rule_path}: no cell in both files")
+    if kind == "noc":
+        failures += noc_shape(fresh)
+    return failures, advisories
 
 
 def validate_trace(path, schema_path):
@@ -638,28 +422,6 @@ def validate_trace(path, schema_path):
     return errors
 
 
-def check_trace(path, schema_path, diff_path=None):
-    """The ``trace`` subcommand: schema-validate @p path and, with
-    --diff, require the two trace files to be byte-identical (the
-    cross---sim-threads determinism gate)."""
-    errors = validate_trace(path, schema_path)
-    for err in errors:
-        print(f"  [FAIL] {path}: {err}")
-    if diff_path is not None:
-        with open(path, "rb") as f:
-            a = f.read()
-        with open(diff_path, "rb") as f:
-            b = f.read()
-        if a != b:
-            print(f"  [FAIL] {path} and {diff_path} differ "
-                  f"({len(a)} vs {len(b)} bytes)")
-            errors.append("trace byte-diff")
-        else:
-            print(f"trace determinism ok: {path} == {diff_path} "
-                  f"({len(a)} bytes)")
-    return 1 if errors else 0
-
-
 def flatten(value, prefix=""):
     """Nested dict -> {"a/b/c": leaf} for readable exact diffs."""
     if not isinstance(value, dict):
@@ -671,13 +433,9 @@ def flatten(value, prefix=""):
     return out
 
 
-def check_determinism(path_a, path_b):
+def check_determinism(a, b):
     """Exact (zero-tolerance) diff of two noc captures' fig17_quick
     sections; every simulated metric must be byte-identical."""
-    with open(path_a) as f:
-        a = json.load(f)
-    with open(path_b) as f:
-        b = json.load(f)
     cells_a = flatten(a["fig17_quick"])
     cells_b = flatten(b["fig17_quick"])
     diverged = []
@@ -696,154 +454,132 @@ def check_determinism(path_a, path_b):
     return 0
 
 
-def selftest():
-    """Exercise the gate logic on synthetic fixtures; exits non-zero
-    if the gate itself has regressed (run by CI before any real
-    comparison, so a broken gate cannot silently pass everything)."""
-    import copy
-    import tempfile
+DROP = object()
 
+
+def times(factor):
+    return lambda v: v * factor
+
+
+# (check, kind, keys of one cell in a copy of BENCH_<kind>.json that
+# serves as the fresh file, the cell's new value, a function of its old
+# value or DROP, whether the gate must pass).
+SELFTEST = [
+    ("within-tolerance passes (lower is better)", "kernel",
+     ("fig12_quick_decode_rates", "Cholesky", "1x1"), times(1.1), True),
+    ("higher-is-worse flagged", "kernel",
+     ("fig12_quick_decode_rates", "Cholesky", "1x1"), times(1.2), False),
+    ("grid cell missing from fresh fails", "kernel",
+     ("fig12_quick_decode_rates", "H264", "1x1"), DROP, False),
+    ("lower-is-worse flagged", "parallel",
+     ("graph_mode", 1, "sim_speedup"), times(0.8), False),
+    ("within-tolerance passes (higher is better)", "parallel",
+     ("graph_mode", 1, "sim_speedup"), times(0.9), True),
+    ("advisory never fails", "parallel",
+     ("graph_mode", 1, "wall_speedup"), times(0.1), True),
+    ("quick run may omit baseline rows", "parallel", ("graph_mode", 3),
+     DROP, True),
+    ("a shared row may not omit its gated leaf", "parallel",
+     ("graph_mode", 1, "sim_speedup"), DROP, False),
+    ("no thread count in common fails", "parallel", ("graph_mode",), [],
+     False),
+    ("fingerprint {} rejected", "parallel", ("machine",), DROP, False),
+    ("fingerprint {'machine': 'x86_64'} rejected", "parallel",
+     ("machine",), "x86_64", False),
+    ("fingerprint {'machine': {'hardware_concurrency': 1}} rejected",
+     "parallel", ("machine",), {"hardware_concurrency": 1}, False),
+    ("real-kernel message regression fails", "noc",
+     ("fig17_quick", "real_sweep", "jacobi", "mesh/spread/solo",
+      "messages"), times(1.5), False),
+    ("shape: spread must degrade decode", "noc",
+     ("fig17_quick", "sweep", "ring/spread/solo", "decode_cy"), 1.0, False),
+    ("relocate-seed rows stay advisory", "noc",
+     ("fig17_quick", "relocate_sweep", "cholesky", "1", "decode_cy"),
+     times(2), True),
+    ("pinned OVT bound drift fails", "noc",
+     ("fig17_quick", "ovt_min_safe_slots_per_slice"), times(2), False),
+    ("row missing from the baseline fails", "noc",
+     ("fig17_quick", "real_ticket", "jacobi", "8"), {"decode_real_cy": 1.0},
+     False),
+    ("sim determinism drift fails", "sim", ("determinism", "makespan"),
+     times(2), False),
+    ("sim digest drift fails", "sim", ("determinism", "event_digest"),
+     "0x0", False),
+    ("sim counter missing from the baseline fails", "sim",
+     ("determinism", "new_counter"), 1, False),
+    ("sim window-counter drift fails", "sim", ("windows", "fused"),
+     times(2), False),
+    ("sim missing windows section fails", "sim", ("windows",), DROP,
+     False),
+    ("non-bit-identical sim row fails", "sim",
+     ("sim_scaling", 1, "bit_identical"), False, False),
+    ("sim row without bit_identical fails", "sim",
+     ("sim_scaling", 1, "bit_identical"), DROP, False),
+    ("sim throughput drop stays advisory", "sim",
+     ("sim_scaling", 1, "events_per_sec"), times(0.01), True),
+    ("serve sim-percentile drift fails", "serve",
+     ("closed_loop", "tenants", 0, "sim_makespan_cycles", "p95"),
+     times(2), False),
+    ("renamed serve tenant fails", "serve",
+     ("closed_loop", "tenants", 2, "name"), "tenant9", False),
+    ("serve without backpressure fails", "serve",
+     ("open_loop", "busy_rejections"), 0, False),
+    ("serve wall slowdown stays advisory", "serve",
+     ("open_loop", "tasks_per_sec"), 1.0, True),
+    ("serve wall p95 slowdown stays advisory", "serve",
+     ("open_loop", "wall_latency_seconds", "p95"), 9.9, True),
+    ("absent advisory cell is skipped", "serve",
+     ("open_loop", "tasks_per_sec"), DROP, True),
+]
+
+
+def mutated(doc, keys, change):
+    """A deep copy of @p doc with the cell at @p keys changed."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if change is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = change(node[keys[-1]]) if callable(change) \
+            else change
+    return doc
+
+
+def selftest():
+    """Exercise the gate on mutated copies of the checked-in baselines
+    and synthetic traces; non-zero if the gate itself regressed."""
     checks = []
 
     def expect(name, cond):
         checks.append((name, cond))
         print(f"  [{'ok' if cond else 'FAIL'}] {name}")
 
-    # Gate math: a regression past tolerance fails, within passes.
-    g = Gate(0.10)
-    g.check("worse-lower", 0.8, 1.0, higher_is_better=True)
-    expect("lower-is-worse flagged", g.failures == ["worse-lower"])
-    g = Gate(0.10)
-    g.check("ok-lower", 0.95, 1.0, higher_is_better=True)
-    g.check("ok-higher", 1.05, 1.0, higher_is_better=False)
-    expect("within-tolerance passes", g.failures == [])
-    g = Gate(0.10)
-    g.check("advisory", 0.1, 1.0, higher_is_better=True,
-            advisory=True)
-    expect("advisory never fails", g.failures == [])
-
-    # Fingerprint: gated files without provenance hard-fail.
-    fingerprinted = {"machine": machine_fingerprint()}
-    g = Gate(0.10)
-    check_fingerprint(fingerprinted, "base", g)
-    expect("full fingerprint accepted", g.failures == [])
-    for bad in ({}, {"machine": "x86_64"},
-                {"machine": {"hardware_concurrency": 1}}):
-        g = Gate(0.10)
-        check_fingerprint(bad, "base", g)
-        expect(f"fingerprint {bad!r} rejected", g.failures != [])
-
-    # The sim gate: determinism drift and a non-bit-identical row
-    # each hard-fail; a clean fresh run passes with rows advisory.
-    sim = {
-        "machine": machine_fingerprint(),
-        "determinism": {"makespan": 1000, "events": 2000,
-                        "messages": 300},
-        "windows": {"windows": 500, "single_shard": 400, "fused": 350,
-                    "multi_shard": 90, "occupancy_sum": 600,
-                    "max_occupancy": 3},
-        "sim_scaling": [
-            {"sim_threads": 1, "wall_seconds": 1.0,
-             "events_per_sec": 2000.0, "speedup": 1.0,
-             "bit_identical": True},
-            {"sim_threads": 2, "wall_seconds": 0.6,
-             "events_per_sec": 3333.3, "speedup": 1.66,
-             "bit_identical": True},
-        ],
-    }
-    g = Gate(0.10)
-    compare_sim(sim, copy.deepcopy(sim), g)
-    expect("clean sim compare passes", g.failures == [])
-    drifted = copy.deepcopy(sim)
-    drifted["determinism"]["makespan"] = 1001
-    g = Gate(0.10)
-    compare_sim(sim, drifted, g)
-    expect("sim determinism drift fails", g.failures != [])
-    fused_drift = copy.deepcopy(sim)
-    fused_drift["windows"]["fused"] = 351
-    g = Gate(0.10)
-    compare_sim(sim, fused_drift, g)
-    expect("sim window-counter drift fails", g.failures != [])
-    no_windows = copy.deepcopy(sim)
-    del no_windows["windows"]
-    g = Gate(0.10)
-    compare_sim(sim, no_windows, g)
-    expect("sim missing windows section fails", g.failures != [])
-    diverged = copy.deepcopy(sim)
-    diverged["sim_scaling"][1]["bit_identical"] = False
-    g = Gate(0.10)
-    compare_sim(sim, diverged, g)
-    expect("non-bit-identical sim row fails", g.failures != [])
-    slow = copy.deepcopy(sim)
-    slow["sim_scaling"][1]["events_per_sec"] = 10.0
-    g = Gate(0.10)
-    compare_sim(sim, slow, g)
-    expect("sim throughput drop stays advisory", g.failures == [])
-
-    # The serve gate: closed-loop drift hard-fails, wall numbers stay
-    # advisory, and a fresh run without Busy rejections hard-fails.
-    serve = {
-        "machine": machine_fingerprint(),
-        "closed_loop": {"tenants": [
-            {"name": "tenant0", "completed": 8,
-             "simulated_tasks": 1360, "carve_base": 268435456,
-             "sim_makespan_cycles": {"count": 8, "p50": 35311.0,
-                                     "p95": 104659.0,
-                                     "p99": 104659.0,
-                                     "max": 104659.0}},
-        ]},
-        "open_loop": {"fired": 128, "accepted": 3,
-                      "busy_rejections": 125, "wall_seconds": 0.04,
-                      "tasks_per_sec": 43000.0,
-                      "wall_latency_seconds": {"count": 3,
-                                               "p50": 0.02,
-                                               "p95": 0.03,
-                                               "p99": 0.03,
-                                               "max": 0.03}},
-    }
-    g = Gate(0.10)
-    compare_serve(serve, copy.deepcopy(serve), g)
-    expect("clean serve compare passes", g.failures == [])
-    drifted_serve = copy.deepcopy(serve)
-    drifted_serve["closed_loop"]["tenants"][0][
-        "sim_makespan_cycles"]["p95"] = 104660.0
-    g = Gate(0.10)
-    compare_serve(serve, drifted_serve, g)
-    expect("serve sim-percentile drift fails", g.failures != [])
-    no_busy = copy.deepcopy(serve)
-    no_busy["open_loop"]["busy_rejections"] = 0
-    g = Gate(0.10)
-    compare_serve(serve, no_busy, g)
-    expect("serve without backpressure fails", g.failures != [])
-    slow_serve = copy.deepcopy(serve)
-    slow_serve["open_loop"]["tasks_per_sec"] = 1.0
-    slow_serve["open_loop"]["wall_latency_seconds"]["p95"] = 9.9
-    g = Gate(0.10)
-    compare_serve(serve, slow_serve, g)
-    expect("serve wall slowdown stays advisory", g.failures == [])
+    baselines = {kind: load(os.path.join(REPO_DIR, f"BENCH_{kind}.json"))
+                 for kind in RULES}
+    expect("full fingerprint accepted",
+           not check_fingerprint({"machine": machine_fingerprint()}, "x"))
+    for kind in RULES:
+        expect(f"clean {kind} compare passes",
+               not gate(kind, baselines[kind], baselines[kind])[0])
+    for name, kind, keys, change, passes in SELFTEST:
+        failures, _ = gate(kind, baselines[kind],
+                           mutated(baselines[kind], keys, change))
+        expect(name, not failures if passes else bool(failures))
 
     # The pinned minimum-safe OVT bound: the constant the OvtCapacity
     # tests assert (tests/ovt_bound.hh) and the metadata the noc
-    # baseline carries (BENCH_noc.json) must agree — a re-pin that
-    # touches one but not the other is exactly the silent drift this
-    # gate exists to catch.
-    import re
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    bound_header = os.path.join(repo, "tests", "ovt_bound.hh")
-    noc_baseline = os.path.join(repo, "BENCH_noc.json")
-    try:
-        with open(bound_header) as f:
-            match = re.search(r"kMinSafeOvtSlotsPerSlice\s*=\s*(\d+)",
-                              f.read())
-        with open(noc_baseline) as f:
-            recorded = json.load(f)["fig17_quick"].get(
-                "ovt_min_safe_slots_per_slice")
-        expect("pinned OVT bound consistent "
-               f"(header {match and match.group(1)}, "
-               f"baseline {recorded})",
-               match is not None and recorded == int(match.group(1)))
-    except (OSError, KeyError, json.JSONDecodeError) as err:
-        expect(f"pinned OVT bound readable ({err})", False)
+    # baseline carries must agree — a re-pin that touches one but not
+    # the other is exactly the silent drift this gate exists to catch.
+    with open(os.path.join(REPO_DIR, "tests", "ovt_bound.hh")) as f:
+        match = re.search(r"kMinSafeOvtSlotsPerSlice\s*=\s*(\d+)",
+                          f.read())
+    recorded = baselines["noc"]["fig17_quick"].get(
+        "ovt_min_safe_slots_per_slice")
+    expect("pinned OVT bound consistent "
+           f"(header {match and match.group(1)}, baseline {recorded})",
+           match is not None and recorded == int(match.group(1)))
 
     # The trace schema validator: a well-formed exporter document
     # passes; each corruption class is caught.
@@ -867,51 +603,30 @@ def selftest():
             path = os.path.join(tmp, "trace.json")
             with open(path, "w") as f:
                 f.write(text)
-            repo_dir = os.path.dirname(os.path.abspath(__file__))
             return validate_trace(
-                path, os.path.join(repo_dir, "trace_schema.json"))
+                path, os.path.join(BENCH_DIR, "trace_schema.json"))
 
     expect("good trace validates",
            trace_errors(trace_text(good_events)) == [])
-    bad_phase = copy.deepcopy(good_events)
-    bad_phase[1]["ph"] = "Z"
-    expect("unknown phase rejected",
-           trace_errors(trace_text(bad_phase)) != [])
-    bad_cat = copy.deepcopy(good_events)
-    bad_cat[1]["cat"] = "mystery"
-    expect("unknown category rejected",
-           trace_errors(trace_text(bad_cat)) != [])
-    float_ts = copy.deepcopy(good_events)
-    float_ts[1]["ts"] = 10.5
-    expect("float timestamp rejected",
-           trace_errors(trace_text(float_ts)) != [])
-    missing = copy.deepcopy(good_events)
-    del missing[1]["dur"]
-    expect("missing required field rejected",
-           trace_errors(trace_text(missing)) != [])
-    no_bp = copy.deepcopy(good_events)
-    del no_bp[3]["bp"]
-    expect("flow end without bp rejected",
-           trace_errors(trace_text(no_bp)) != [])
+    for name, event, field, value in (
+            ("unknown phase rejected", 1, "ph", "Z"),
+            ("unknown category rejected", 1, "cat", "mystery"),
+            ("float timestamp rejected", 1, "ts", 10.5),
+            ("missing required field rejected", 1, "dur", DROP),
+            ("flow end without bp rejected", 3, "bp", DROP)):
+        events = mutated(good_events, (event, field), value)
+        expect(name, trace_errors(trace_text(events)) != [])
     expect("truncated document rejected",
            trace_errors(trace_text(good_events)[:-3]) != [])
 
     # Exact determinism diff on noc captures.
-    run = {"machine": machine_fingerprint(),
-           "fig17_quick": {"sweep": {"ring/adjacent/solo":
+    run = {"fig17_quick": {"sweep": {"ring/adjacent/solo":
                                      {"decode_cy": 10.5}}}}
-    changed = copy.deepcopy(run)
-    changed["fig17_quick"]["sweep"]["ring/adjacent/solo"][
-        "decode_cy"] = 10.6
-    with tempfile.TemporaryDirectory() as tmp:
-        a, b, c = (os.path.join(tmp, n) for n in ("a", "b", "c"))
-        for path, data in ((a, run), (b, run), (c, changed)):
-            with open(path, "w") as f:
-                json.dump(data, f)
-        expect("identical captures deterministic",
-               check_determinism(a, b) == 0)
-        expect("changed cell detected",
-               check_determinism(a, c) == 1)
+    changed = mutated(run, ("fig17_quick", "sweep", "ring/adjacent/solo",
+                            "decode_cy"), 10.6)
+    expect("identical captures deterministic",
+           check_determinism(run, copy.deepcopy(run)) == 0)
+    expect("changed cell detected", check_determinism(run, changed) == 1)
 
     failed = [name for name, cond in checks if not cond]
     if failed:
@@ -926,23 +641,18 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for name in ("capture-kernel", "capture-parallel", "capture-noc",
-                 "capture-sim", "capture-serve"):
-        p = sub.add_parser(name)
-        p.add_argument("--bench", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--arg", action="append", default=[],
-                       help="extra argument passed to the bench "
-                            "(repeatable), e.g. --arg=--sim-threads=4")
+    p = sub.add_parser("capture")
+    p.add_argument("--kind", choices=CAPTURES, required=True)
+    p.add_argument("--bench", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--arg", action="append", default=[],
+                   help="extra argument passed to the bench "
+                        "(repeatable), e.g. --arg=--sim-threads=4")
 
     p = sub.add_parser("compare")
-    p.add_argument("--kind",
-                   choices=("kernel", "parallel", "noc", "sim",
-                            "serve"),
-                   required=True)
+    p.add_argument("--kind", choices=RULES, required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--fresh", required=True)
-    p.add_argument("--tolerance", type=float, default=0.15)
 
     p = sub.add_parser("determinism")
     p.add_argument("--a", required=True)
@@ -952,12 +662,7 @@ def main():
     p.add_argument("--file", required=True,
                    help="Chrome trace JSON to schema-validate")
     p.add_argument("--schema",
-                   default=os.path.join(
-                       os.path.dirname(os.path.abspath(__file__)),
-                       "trace_schema.json"))
-    p.add_argument("--diff", default=None,
-                   help="second trace that must be byte-identical "
-                        "(e.g. the same run at another --sim-threads)")
+                   default=os.path.join(BENCH_DIR, "trace_schema.json"))
 
     sub.add_parser("selftest")
 
@@ -965,47 +670,25 @@ def main():
     if args.cmd == "selftest":
         return selftest()
     if args.cmd == "determinism":
-        return check_determinism(args.a, args.b)
+        return check_determinism(load(args.a), load(args.b))
     if args.cmd == "trace":
-        return check_trace(args.file, args.schema, args.diff)
-    if args.cmd == "capture-kernel":
-        capture_kernel(args.bench, args.out, args.arg)
-        return 0
-    if args.cmd == "capture-parallel":
-        capture_parallel(args.bench, args.out, args.arg)
-        return 0
-    if args.cmd == "capture-noc":
-        capture_noc(args.bench, args.out, args.arg)
-        return 0
-    if args.cmd == "capture-sim":
-        capture_sim(args.bench, args.out, args.arg)
-        return 0
-    if args.cmd == "capture-serve":
-        capture_serve(args.bench, args.out, args.arg)
+        errors = validate_trace(args.file, args.schema)
+        for err in errors:
+            print(f"  [FAIL] {args.file}: {err}")
+        return 1 if errors else 0
+    if args.cmd == "capture":
+        capture(args.kind, args.bench, args.out, args.arg)
         return 0
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    with open(args.fresh) as f:
-        fresh = json.load(f)
-    gate = Gate(args.tolerance)
-    print(f"comparing {args.kind} against {args.baseline} "
-          f"(tolerance +/-{gate.tolerance:.0%})")
-    check_fingerprint(baseline, f"baseline {args.baseline}", gate)
-    check_fingerprint(fresh, f"fresh {args.fresh}", gate)
-    if args.kind == "kernel":
-        compare_kernel(baseline, fresh, gate)
-    elif args.kind == "noc":
-        compare_noc(baseline, fresh, gate)
-    elif args.kind == "sim":
-        compare_sim(baseline, fresh, gate)
-    elif args.kind == "serve":
-        compare_serve(baseline, fresh, gate)
-    else:
-        compare_parallel(baseline, fresh, gate)
-    if gate.failures:
-        print(f"{len(gate.failures)} regression(s): "
-              + "; ".join(gate.failures))
+    print(f"comparing {args.kind}: {args.fresh} against {args.baseline}")
+    failures, advisories = gate(args.kind, load(args.baseline),
+                                load(args.fresh))
+    for line in advisories:
+        print(f"  [ADVISORY] {line}")
+    for line in failures:
+        print(f"  [FAIL] {line}")
+    if failures:
+        print(f"{len(failures)} regression(s)")
         return 1
     print("no regressions")
     return 0

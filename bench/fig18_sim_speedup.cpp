@@ -9,22 +9,24 @@
  *
  * Two kinds of numbers come out:
  *
- *  - *Determinism* (gated hard in CI): every simulated statistic,
- *    the complete scheduling decision and the engine's event and
- *    apply digests must be bit-identical across thread counts. The
- *    bench exits non-zero on any divergence, and the
- *    makespan/event/message triple, the two digests (as hex strings,
- *    so no JSON reader rounds them through a double) and the engine's
- *    window/fusion counters are recorded in the JSON so
- *    compare_bench.py re-checks them against BENCH_sim.json exactly.
+ *  - *Determinism* (gated hard in CI): the whole registry snapshot
+ *    (every simulated statistic and the engine's event and apply
+ *    digests) and the complete scheduling decision must be
+ *    bit-identical across thread counts. The bench exits non-zero on
+ *    any divergence. The makespan, the event/message/version/far-event
+ *    counts, the two digests (as hex strings, so no JSON reader rounds
+ *    them through a double) and the engine's window/fusion counters
+ *    are recorded in the JSON, all read from the snapshot but the
+ *    makespan, so compare_bench.py re-checks them against
+ *    BENCH_sim.json exactly.
  *  - *Throughput* (advisory): wall seconds, events/second and
  *    self-relative speedup per thread count. Wall time is not
  *    comparable across machines, so these never gate; the machine
  *    fingerprint in BENCH_sim.json tells a reader how to weigh them.
  *
  * Output is a JSON object on stdout (consumed by
- * `compare_bench.py capture-sim`); human-readable progress goes to
- * stderr.
+ * `compare_bench.py capture --kind sim`); human-readable progress
+ * goes to stderr.
  *
  * Usage: fig18_sim_speedup [--quick|--full] [--pipes=N]
  *        [--gen-threads=N] [--reps=N]
@@ -83,27 +85,24 @@ makeWideTrace(unsigned tasks, std::uint64_t seed)
     return trace;
 }
 
-/** One simulation's results and the engine's event-stream digests. */
+/** One simulation's results and its final registry snapshot. */
 struct Run
 {
     tss::RunResult result;
-    std::uint64_t eventDigest = 0;
-    std::uint64_t applyDigest = 0;
+    tss::obs::Snapshot metrics;
 };
 
-/** True when every deterministic field of @p x and @p y agrees. */
+/**
+ * True when @p x and @p y agree on every registry metric (counters,
+ * gauges, histograms and the engine's event and apply digests) and on
+ * the results the registry does not carry.
+ */
 bool
 identical(const Run &x, const Run &y)
 {
     const tss::RunResult &a = x.result, &b = y.result;
-    return x.eventDigest == y.eventDigest &&
-        x.applyDigest == y.applyDigest && a.makespan == b.makespan &&
-        a.eventsExecuted == b.eventsExecuted &&
-        a.messagesOnNoc == b.messagesOnNoc &&
-        a.versionsCreated == b.versionsCreated &&
-        a.versionsRenamed == b.versionsRenamed &&
-        a.dmaWritebacks == b.dmaWritebacks &&
-        a.gatewayStallCycles == b.gatewayStallCycles &&
+    return x.metrics.toJson() == y.metrics.toJson() &&
+        a.makespan == b.makespan &&
         a.decodeRateCycles == b.decodeRateCycles &&
         a.startOrder == b.startOrder && a.coreOf == b.coreOf;
 }
@@ -175,9 +174,7 @@ main(int argc, char **argv)
                 std::chrono::duration<double>(end - begin).count();
             if (rep == 0 || wall < best)
                 best = wall;
-            tss::obs::Snapshot snap = sys->metricsRegistry().snapshot();
-            run.eventDigest = snap.counter("engine.event_digest");
-            run.applyDigest = snap.counter("engine.apply_digest");
+            run.metrics = sys->metricsRegistry().snapshot();
         }
         const tss::RunResult &r = run.result;
 
@@ -194,8 +191,12 @@ main(int argc, char **argv)
                           << r.eventsExecuted << " vs "
                           << baseline.result.eventsExecuted
                           << ", event digest "
-                          << hexString(run.eventDigest) << " vs "
-                          << hexString(baseline.eventDigest) << ")\n";
+                          << hexString(run.metrics.counter(
+                                 "engine.event_digest"))
+                          << " vs "
+                          << hexString(baseline.metrics.counter(
+                                 "engine.event_digest"))
+                          << ")\n";
                 ++failures;
             }
         }
@@ -216,22 +217,33 @@ main(int argc, char **argv)
     std::cout << "  \"workload\": {\"name\": \"wide\", \"tasks\": "
               << trace.size() << ", \"pipelines\": " << pipes
               << ", \"gen_threads\": " << gen_threads << "},\n";
-    const tss::RunResult &seq = baseline.result;
-    std::cout << "  \"determinism\": {\"makespan\": " << seq.makespan
-              << ", \"events\": " << seq.eventsExecuted
-              << ", \"messages\": " << seq.messagesOnNoc
-              << ", \"versions_created\": " << seq.versionsCreated
+    const tss::obs::Snapshot &seq = baseline.metrics;
+    std::cout << "  \"determinism\": {\"makespan\": "
+              << baseline.result.makespan
+              << ", \"events\": " << seq.counter("engine.events_executed")
+              << ", \"messages\": " << seq.counter("noc.messages")
+              << ", \"versions_created\": "
+              << seq.counter("frontend.versions_created")
+              << ", \"far_events\": " << seq.counter("engine.far_events")
               << ", \"event_digest\": \""
-              << hexString(baseline.eventDigest)
+              << hexString(seq.counter("engine.event_digest"))
               << "\", \"apply_digest\": \""
-              << hexString(baseline.applyDigest) << "\"},\n";
-    std::cout << "  \"windows\": {\"windows\": " << seq.simWindows
-              << ", \"single_shard\": " << seq.simSingleShardWindows
-              << ", \"fused\": " << seq.simFusedWindows
-              << ", \"multi_shard\": " << seq.simMultiShardWindows
-              << ", \"occupancy_sum\": " << seq.simWindowOccupancySum
-              << ", \"max_occupancy\": " << seq.simMaxWindowOccupancy
-              << "},\n";
+              << hexString(seq.counter("engine.apply_digest")) << "\"},\n";
+    const char *const windowCounters[][2] = {
+        {"windows", "engine.windows"},
+        {"single_shard", "engine.single_shard_windows"},
+        {"fused", "engine.fused_windows"},
+        {"multi_shard", "engine.multi_shard_windows"},
+        {"occupancy_sum", "engine.window_occupancy_sum"},
+        {"max_occupancy", "engine.max_window_occupancy"},
+    };
+    std::cout << "  \"windows\": {";
+    const char *sep = "";
+    for (const auto &[key, counter] : windowCounters) {
+        std::cout << sep << "\"" << key << "\": " << seq.counter(counter);
+        sep = ", ";
+    }
+    std::cout << "},\n";
     std::cout << "  \"sim_scaling\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &row = rows[i];

@@ -20,7 +20,7 @@
  *    the admission bound is broken, and the bench exits non-zero.
  *
  * Output is a JSON object on stdout (consumed by
- * `compare_bench.py capture-serve`); progress goes to stderr.
+ * `compare_bench.py capture --kind serve`); progress goes to stderr.
  *
  * Usage: fig19_serve_load [--quick|--full] [--tenants=N] [--jobs=N]
  */

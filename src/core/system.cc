@@ -546,14 +546,6 @@ System::collectResult()
     result.eventsExecuted = engine->executed();
     result.messagesOnNoc = net->messagesSent();
 
-    const SimEngine::WindowStats &ws = engine->windowStats();
-    result.simWindows = ws.windows;
-    result.simSingleShardWindows = ws.singleShard;
-    result.simFusedWindows = ws.fusedWindows;
-    result.simMultiShardWindows = ws.multiShard;
-    result.simWindowOccupancySum = ws.occupancySum;
-    result.simMaxWindowOccupancy = ws.maxOccupancy;
-
     // Makespan and the execution order, from the per-task records.
     std::vector<Cycle> decode_times;
     decode_times.reserve(trace.size());

@@ -78,18 +78,6 @@ struct RunResult
     double maxLinkUtilization = 0;      ///< busiest link busy fraction
     /// @}
 
-    /// @name Parallel-engine window structure. Pure functions of
-    /// simulated state (never of the host thread count) — gated
-    /// exactly in BENCH_sim.json. See SimEngine::WindowStats.
-    /// @{
-    std::uint64_t simWindows = 0;          ///< lookahead windows run
-    std::uint64_t simSingleShardWindows = 0; ///< one active shard
-    std::uint64_t simFusedWindows = 0;     ///< consecutive single-shard
-    std::uint64_t simMultiShardWindows = 0; ///< >= 2 active shards
-    std::uint64_t simWindowOccupancySum = 0; ///< Σ active shards
-    std::uint64_t simMaxWindowOccupancy = 0; ///< peak active shards
-    /// @}
-
     /** Trace indices ordered by execution start time. */
     std::vector<std::uint32_t> startOrder;
 

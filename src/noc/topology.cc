@@ -319,32 +319,6 @@ TopologyNetwork::utilizationHistogram(Cycle now) const
 }
 
 void
-TopologyNetwork::writeStatsJson(std::ostream &os, Cycle now,
-                                int indent) const
-{
-    std::string pad(static_cast<std::size_t>(indent), ' ');
-    LinkStats agg = linkStats(now);
-    obs::HistogramSnapshot hist = utilizationHistogram(now);
-    os << pad << "{\n";
-    os << pad << "  \"links\": " << agg.links << ",\n";
-    os << pad << "  \"traversals\": " << agg.traversals << ",\n";
-    os << pad << "  \"busy_lane_cycles\": " << agg.busyLaneCycles
-       << ",\n";
-    os << pad << "  \"lane_wait_cycles\": " << agg.laneWaitCycles
-       << ",\n";
-    os << pad << "  \"max_utilization\": "
-       << obs::formatMetricValue(agg.maxUtilization) << ",\n";
-    os << pad << "  \"utilization_histogram\": {\"lower_bounds_pct\": [";
-    for (std::size_t i = 0; i < hist.lowerBounds.size(); ++i)
-        os << (i ? ", " : "") << hist.lowerBounds[i];
-    os << "], \"counts\": [";
-    for (std::size_t i = 0; i < hist.counts.size(); ++i)
-        os << (i ? ", " : "") << hist.counts[i];
-    os << "]}\n";
-    os << pad << "}";
-}
-
-void
 TopologyNetwork::dumpStats(std::ostream &os, Cycle now) const
 {
     LinkStats agg = linkStats(now);

@@ -149,14 +149,6 @@ class TopologyNetwork : public Network
     obs::HistogramSnapshot utilizationHistogram(Cycle now) const;
 
     /**
-     * Structured form of dumpStats(): link aggregates plus the
-     * bounded utilization histogram as a JSON object, indented by
-     * @p indent spaces per line for nesting in larger reports.
-     */
-    void writeStatsJson(std::ostream &os, Cycle now,
-                        int indent = 0) const;
-
-    /**
      * Write the per-link utilization histogram (plus traversal and
      * backpressure aggregates) for the run ending at @p now. A pure
      * text formatter over linkStats() + utilizationHistogram().

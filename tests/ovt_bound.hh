@@ -4,7 +4,7 @@
  * wedge repro (wideTrace(80, 64, 5) over 3 generating threads and 2
  * directory slices — see tests/test_noc_system.cc). Shared between
  * the OvtCapacity tests and the bench metadata selftest
- * (tools/compare_bench.py checks BENCH_noc.json carries this value),
+ * (bench/compare_bench.py checks BENCH_noc.json carries this value),
  * so capacity-sizing changes surface loudly in both places.
  *
  * Why 10 is the structural minimum: under the reserve/escape liveness
