@@ -73,14 +73,14 @@ main(int argc, char **argv)
         for (const Variant &variant : variants) {
             tss::PipelineConfig cfg = tss::paperConfig(256);
             variant.tweak(cfg);
-            auto pipe = tss::SystemBuilder(cfg, trace).build();
-            tss::RunResult r = pipe->run();
-            table.addRow(
-                {variant.name, tss::TablePrinter::num(r.speedup),
-                 tss::TablePrinter::num(r.decodeRateCycles),
-                 tss::TablePrinter::num(r.versionsRenamed),
-                 tss::TablePrinter::num(
-                     pipe->frontendStats().dataReadyForwards.value())});
+            tss::RunResult r = tss::runHardware(cfg, trace);
+            auto counter = [&r](const char *name) {
+                return tss::TablePrinter::num(r.metrics.counter(name));
+            };
+            table.addRow({variant.name, tss::TablePrinter::num(r.speedup),
+                          tss::TablePrinter::num(r.decodeRateCycles),
+                          counter("frontend.versions_renamed"),
+                          counter("frontend.data_ready_forwards")});
         }
         if (args.has("csv"))
             table.printCsv(std::cout);

@@ -57,7 +57,8 @@ main(int argc, char **argv)
             tss::RunResult result = tss::runHardware(cfg, trace);
             speedups.push_back(result.speedup);
             sum += result.speedup;
-            window_sum += result.avgTasksInFlight;
+            window_sum +=
+                result.metrics.gauge("frontend.tasks_in_flight_avg");
         }
         auto n = static_cast<double>(traces.size());
         table.addRow({std::to_string(kb) + " KB",

@@ -203,22 +203,22 @@ main(int argc, char **argv)
             sw_avg[i] += sw.speedup;
 
             if (args.has("stats") && p == 256) {
+                auto gauge = [&hw](const char *name, double scale = 1) {
+                    return tss::TablePrinter::num(
+                        hw.metrics.gauge(name) * scale);
+                };
                 std::cerr << info.name << " @256p: decode "
                           << tss::TablePrinter::num(hw.decodeRateNs)
                           << " ns/task, window avg/peak "
-                          << tss::TablePrinter::num(hw.avgTasksInFlight)
-                          << "/"
-                          << tss::TablePrinter::num(
-                                 hw.peakTasksInFlight)
+                          << gauge("frontend.tasks_in_flight_avg") << "/"
+                          << gauge("frontend.tasks_in_flight_peak")
                           << ", chains p95/max "
-                          << tss::TablePrinter::num(hw.chainP95) << "/"
-                          << tss::TablePrinter::num(hw.chainMax)
+                          << gauge("frontend.chain_consumers_p95") << "/"
+                          << gauge("frontend.chain_consumers_max")
                           << ", frag "
-                          << tss::TablePrinter::num(
-                                 hw.avgFragmentation * 100)
+                          << gauge("frontend.fragmentation_mean", 100)
                           << "%, 1-cycle allocs "
-                          << tss::TablePrinter::num(
-                                 hw.sramHitRate * 100)
+                          << gauge("frontend.sram_hit_rate", 100)
                           << "%\n";
             }
         }

@@ -246,6 +246,10 @@ main(int argc, char **argv)
                 tss::runHardwareThreads(cfg, prog.trace, gen_threads);
             checkTopological(prog.trace, r, prog.name, pointKey(pt));
             decode[pointKey(pt)] = r.decodeRateCycles;
+            std::uint64_t messages = r.metrics.counter("noc.messages");
+            std::uint64_t lane_wait =
+                r.metrics.counter("noc.lane_wait_cycles");
+            double fill = r.metrics.gauge("frontend.batch_fill_mean");
 
             if (csv) {
                 std::cout << "sweep," << prog.name << ","
@@ -254,19 +258,17 @@ main(int argc, char **argv)
                           << (pt.batch ? 1 : 0) << ","
                           << prog.trace.size() << ","
                           << r.decodeRateCycles << "," << r.makespan
-                          << "," << r.messagesOnNoc << ","
-                          << r.linkWaitCycles << "," << r.avgBatchFill
-                          << "\n";
+                          << "," << messages << "," << lane_wait << ","
+                          << fill << "\n";
             } else {
                 table.addRow(
                     {prog.name, tss::toString(pt.topology),
                      tss::toString(pt.placement),
                      pt.batch ? "on" : "off",
                      tss::TablePrinter::num(r.decodeRateCycles),
-                     std::to_string(r.makespan),
-                     std::to_string(r.messagesOnNoc),
-                     std::to_string(r.linkWaitCycles),
-                     tss::TablePrinter::num(r.avgBatchFill)});
+                     std::to_string(r.makespan), std::to_string(messages),
+                     std::to_string(lane_wait),
+                     tss::TablePrinter::num(fill)});
             }
         }
 
@@ -324,7 +326,8 @@ main(int argc, char **argv)
                     checkTopological(prog.trace, r, prog.name,
                                      "ticket");
                     real = r.decodeRateCycles;
-                    deferrals = r.decodeDeferrals;
+                    deferrals =
+                        r.metrics.counter("frontend.decode_deferrals");
                 } else {
                     ideal = r.decodeRateCycles;
                 }
@@ -387,18 +390,18 @@ main(int argc, char **argv)
                 tss::runHardwareThreads(cfg, trace, gen_threads);
             checkTopological(trace, r, prog.name,
                              "relocate-seed " + std::to_string(seed));
+            std::uint64_t messages = r.metrics.counter("noc.messages");
 
             if (csv) {
                 std::cout << "relocate," << prog.name << "," << seed
                           << "," << r.decodeRateCycles << ","
-                          << r.makespan << "," << r.messagesOnNoc
-                          << "\n";
+                          << r.makespan << "," << messages << "\n";
             } else {
                 relocTable.addRow(
                     {prog.name, std::to_string(seed),
                      tss::TablePrinter::num(r.decodeRateCycles),
                      std::to_string(r.makespan),
-                     std::to_string(r.messagesOnNoc)});
+                     std::to_string(messages)});
             }
         }
     }

@@ -85,28 +85,6 @@ makeWideTrace(unsigned tasks, std::uint64_t seed)
     return trace;
 }
 
-/** One simulation's results and its final registry snapshot. */
-struct Run
-{
-    tss::RunResult result;
-    tss::obs::Snapshot metrics;
-};
-
-/**
- * True when @p x and @p y agree on every registry metric (counters,
- * gauges, histograms and the engine's event and apply digests) and on
- * the results the registry does not carry.
- */
-bool
-identical(const Run &x, const Run &y)
-{
-    const tss::RunResult &a = x.result, &b = y.result;
-    return x.metrics.toJson() == y.metrics.toJson() &&
-        a.makespan == b.makespan &&
-        a.decodeRateCycles == b.decodeRateCycles &&
-        a.startOrder == b.startOrder && a.coreOf == b.coreOf;
-}
-
 /** A digest as "0x" and 16 hex digits. */
 std::string
 hexString(std::uint64_t v)
@@ -150,60 +128,54 @@ main(int argc, char **argv)
         bool bitIdentical;
     };
     std::vector<Row> rows;
-    Run baseline;
+    tss::RunResult baseline;
     int failures = 0;
-
-    std::vector<unsigned> thread_of(trace.size());
-    for (std::size_t t = 0; t < trace.size(); ++t)
-        thread_of[t] = static_cast<unsigned>(t % gen_threads);
 
     for (unsigned threads : {1u, 2u, 4u}) {
         tss::PipelineConfig cfg = base;
         cfg.simThreads = threads;
 
-        Run run;
+        tss::RunResult r;
         double best = 0;
         for (unsigned rep = 0; rep < reps; ++rep) {
             auto begin = std::chrono::steady_clock::now();
             auto sys = tss::SystemBuilder(cfg, trace)
-                           .threads(thread_of)
+                           .roundRobin(gen_threads)
                            .build();
-            run.result = sys->run();
+            r = sys->run();
             auto end = std::chrono::steady_clock::now();
             double wall =
                 std::chrono::duration<double>(end - begin).count();
             if (rep == 0 || wall < best)
                 best = wall;
-            run.metrics = sys->metricsRegistry().snapshot();
         }
-        const tss::RunResult &r = run.result;
+        const tss::obs::Snapshot &m = r.metrics;
+        std::uint64_t events = m.counter("engine.events_executed");
 
+        // Determinism: the whole schedule and the whole snapshot, every
+        // simulated statistic and the event and apply digests included.
         bool bit = true;
         if (threads == 1) {
-            baseline = run;
+            baseline = r;
         } else {
-            bit = identical(run, baseline);
+            bit = r == baseline;
             if (!bit) {
+                const tss::obs::Snapshot &seq = baseline.metrics;
                 std::cerr << "BUG: simThreads=" << threads
                           << " diverged from the sequential run "
                           << "(makespan " << r.makespan << " vs "
-                          << baseline.result.makespan << ", events "
-                          << r.eventsExecuted << " vs "
-                          << baseline.result.eventsExecuted
+                          << baseline.makespan << ", events " << events
+                          << " vs " << seq.counter("engine.events_executed")
                           << ", event digest "
-                          << hexString(run.metrics.counter(
-                                 "engine.event_digest"))
+                          << hexString(m.counter("engine.event_digest"))
                           << " vs "
-                          << hexString(baseline.metrics.counter(
-                                 "engine.event_digest"))
+                          << hexString(seq.counter("engine.event_digest"))
                           << ")\n";
                 ++failures;
             }
         }
 
-        double eps = best > 0
-            ? static_cast<double>(r.eventsExecuted) / best
-            : 0;
+        double eps = best > 0 ? static_cast<double>(events) / best : 0;
         double speedup =
             rows.empty() ? 1.0 : rows[0].wallSeconds / best;
         rows.push_back({threads, best, eps, speedup, bit});
@@ -219,7 +191,7 @@ main(int argc, char **argv)
               << ", \"gen_threads\": " << gen_threads << "},\n";
     const tss::obs::Snapshot &seq = baseline.metrics;
     std::cout << "  \"determinism\": {\"makespan\": "
-              << baseline.result.makespan
+              << baseline.makespan
               << ", \"events\": " << seq.counter("engine.events_executed")
               << ", \"messages\": " << seq.counter("noc.messages")
               << ", \"versions_created\": "

@@ -118,8 +118,8 @@ BM_PipelineAllocationCounts(benchmark::State &state)
         cfg.numCores = 32;
         auto pipe = tss::SystemBuilder(cfg, trace).build();
         tss::RunResult result = pipe->run();
-        messages += result.messagesOnNoc;
-        events += result.eventsExecuted;
+        messages += result.metrics.counter("noc.messages");
+        events += result.metrics.counter("engine.events_executed");
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
     state.counters["noc_messages"] =

@@ -7,9 +7,9 @@
  *
  * Wall numbers are machine-dependent and therefore *advisory* in
  * BENCH_kernel.json (re-baseline by hand). What is NOT advisory is
- * the zero-perturbation contract: the bench hard-fails unless every
- * simulated statistic (makespan, events, NoC messages, deferrals,
- * start order) is bit-identical across all three modes — tracing must
+ * the zero-perturbation contract: the bench hard-fails unless the
+ * schedule and every registry metric but the tracer's own record
+ * count are bit-identical across all three modes — tracing must
  * observe the machine, never steer it.
  *
  * Usage: obs_overhead [--reps=N] [--scale=S] [--sim-threads=N]
@@ -32,7 +32,6 @@ struct ModeResult
 {
     tss::RunResult result;
     double bestSeconds = 0;
-    std::uint64_t traceRecords = 0;
 };
 
 ModeResult
@@ -53,21 +52,18 @@ runMode(const tss::TaskTrace &trace, tss::obs::TraceMode mode,
             std::chrono::steady_clock::now() - t0;
         if (rep == 0 || dt.count() < out.bestSeconds)
             out.bestSeconds = dt.count();
-        if (sys->tracer())
-            out.traceRecords = sys->tracer()->totalRecords();
         out.result = std::move(r);
     }
     return out;
 }
 
+/** Equal but for the record count, which only a tracer binds. */
 bool
-sameSimulation(const tss::RunResult &a, const tss::RunResult &b)
+sameSimulation(tss::RunResult a, tss::RunResult b)
 {
-    return a.makespan == b.makespan &&
-        a.eventsExecuted == b.eventsExecuted &&
-        a.messagesOnNoc == b.messagesOnNoc &&
-        a.decodeDeferrals == b.decodeDeferrals &&
-        a.startOrder == b.startOrder && a.coreOf == b.coreOf;
+    a.metrics.counters.erase("obs.trace_records");
+    b.metrics.counters.erase("obs.trace_records");
+    return a == b;
 }
 
 } // namespace
@@ -98,10 +94,11 @@ main(int argc, char **argv)
         return 1;
     }
 
+    std::uint64_t events =
+        off.result.metrics.counter("engine.events_executed");
     auto events_per_sec = [&](const ModeResult &m) {
         return m.bestSeconds > 0
-            ? static_cast<double>(m.result.eventsExecuted) /
-                m.bestSeconds
+            ? static_cast<double>(events) / m.bestSeconds
             : 0.0;
     };
     double off_eps = events_per_sec(off);
@@ -117,9 +114,9 @@ main(int argc, char **argv)
               << "(best of " << reps << "), tracer off vs tail vs "
               << "full; advisory\",\n"
               << "    \"tasks\": " << trace.size() << ",\n"
-              << "    \"events\": " << off.result.eventsExecuted
-              << ",\n"
-              << "    \"trace_records_full\": " << full.traceRecords
+              << "    \"events\": " << events << ",\n"
+              << "    \"trace_records_full\": "
+              << full.result.metrics.counter("obs.trace_records")
               << ",\n"
               << "    \"events_per_sec_off\": " << off_eps << ",\n"
               << "    \"events_per_sec_tail\": " << tail_eps << ",\n"

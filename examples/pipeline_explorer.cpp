@@ -58,13 +58,15 @@ main(int argc, char **argv)
               << tss::TablePrinter::num(limit.speedupBound(cores))
               << "\n\n";
 
-    std::vector<unsigned> thread_of(trace.size());
-    for (std::size_t t = 0; t < trace.size(); ++t)
-        thread_of[t] = static_cast<unsigned>(t % gen_threads);
-    auto sys = tss::SystemBuilder(cfg, trace)
-                   .threads(std::move(thread_of))
-                   .build();
+    auto sys =
+        tss::SystemBuilder(cfg, trace).roundRobin(gen_threads).build();
     tss::RunResult hw = sys->run();
+    auto counter = [&hw](const char *name) {
+        return hw.metrics.counter(name);
+    };
+    auto gauge = [&hw](const char *name, double scale = 1) {
+        return tss::TablePrinter::num(hw.metrics.gauge(name) * scale);
+    };
     std::cout << "task superscalar (" << cfg.numPipelines
               << " pipeline(s) of " << cfg.numTrs << " TRS, "
               << cfg.numOrt << " ORT/OVT, "
@@ -78,32 +80,33 @@ main(int argc, char **argv)
               << " cycles/task ("
               << tss::TablePrinter::num(hw.decodeRateNs) << " ns)\n"
               << "  window occupancy   "
-              << tss::TablePrinter::num(hw.avgTasksInFlight)
-              << " avg / "
-              << tss::TablePrinter::num(hw.peakTasksInFlight)
-              << " peak tasks\n"
+              << gauge("frontend.tasks_in_flight_avg") << " avg / "
+              << gauge("frontend.tasks_in_flight_peak") << " peak tasks\n"
               << "  chain length       p95 "
-              << tss::TablePrinter::num(hw.chainP95) << ", max "
-              << tss::TablePrinter::num(hw.chainMax) << "\n"
+              << gauge("frontend.chain_consumers_p95") << ", max "
+              << gauge("frontend.chain_consumers_max") << "\n"
               << "  TRS fragmentation  "
-              << tss::TablePrinter::num(hw.avgFragmentation * 100)
-              << "%\n"
+              << gauge("frontend.fragmentation_mean", 100) << "%\n"
               << "  1-cycle allocs     "
-              << tss::TablePrinter::num(hw.sramHitRate * 100) << "%\n"
+              << gauge("frontend.sram_hit_rate", 100) << "%\n"
               << "  stalls (cycles)    gateway(ORT-full) "
-              << hw.gatewayStallCycles << ", window-full "
-              << hw.allocWaitCycles << ", thread-blocked "
-              << hw.sourceStallCycles << "\n"
-              << "  renamed versions   " << hw.versionsRenamed << " / "
-              << hw.versionsCreated << ", DMA write-backs "
-              << hw.dmaWritebacks << "\n"
-              << "  NoC messages       " << hw.messagesOnNoc
-              << ", events " << hw.eventsExecuted << "\n"
+              << counter("frontend.gateway_stall_cycles")
+              << ", window-full " << counter("frontend.alloc_wait_cycles")
+              << ", thread-blocked "
+              << counter("frontend.source_stall_cycles") << "\n"
+              << "  renamed versions   "
+              << counter("frontend.versions_renamed") << " / "
+              << counter("frontend.versions_created")
+              << ", DMA write-backs " << counter("frontend.dma_writebacks")
+              << "\n"
+              << "  NoC messages       " << counter("noc.messages")
+              << ", events " << counter("engine.events_executed") << "\n"
               << "  NoC links          lane waits "
-              << hw.linkWaitCycles << " cy, busiest "
-              << tss::TablePrinter::num(hw.maxLinkUtilization * 100)
-              << "% busy, batches " << hw.operandBatches
-              << ", deferrals " << hw.decodeDeferrals << "\n";
+              << counter("noc.lane_wait_cycles") << " cy, busiest "
+              << gauge("noc.max_link_utilization", 100)
+              << "% busy, batches " << counter("frontend.decode_batches")
+              << ", deferrals " << counter("frontend.decode_deferrals")
+              << "\n";
 
     if (args.has("modstats")) {
         std::cout << "\n";

@@ -47,8 +47,11 @@ main()
               << "x on " << cfg.numCores << " cores\n"
               << "task decode rate: " << result.decodeRateNs
               << " ns/task\n"
-              << "task window occupancy: " << result.avgTasksInFlight
-              << " tasks (peak " << result.peakTasksInFlight << ")\n";
+              << "task window occupancy: "
+              << result.metrics.gauge("frontend.tasks_in_flight_avg")
+              << " tasks (peak "
+              << result.metrics.gauge("frontend.tasks_in_flight_peak")
+              << ")\n";
 
     // 5. The execution order the pipeline chose is a legal
     //    topological order of the dependency graph.

@@ -82,7 +82,7 @@ class WorkerCore : public SimObject, public Endpoint
 
         Cycle started = curCycle();
         scheduleIn(runtime, [this, id, trace_index, runtime, started] {
-            registry.record(trace_index).finished = curCycle();
+            registry.recordFinish(trace_index, curCycle());
             obs::trace(obs::TraceEvent::TaskRetire, curCycle(),
                        trace_index, started);
             totalBusy += runtime;

@@ -28,6 +28,16 @@ isDataPartitioned(const TaskTrace &trace,
     return true;
 }
 
+SystemBuilder &
+SystemBuilder::roundRobin(unsigned num_threads)
+{
+    num_threads = std::max(num_threads, 1u);
+    threadOf.resize(trace.size());
+    for (std::size_t t = 0; t < trace.size(); ++t)
+        threadOf[t] = static_cast<unsigned>(t % num_threads);
+    return *this;
+}
+
 std::unique_ptr<System>
 SystemBuilder::build()
 {
@@ -295,10 +305,14 @@ System::buildMetrics()
     counter("frontend.versions_created", stats.versionsCreated);
     counter("frontend.versions_renamed", stats.versionsRenamed);
     counter("frontend.dma_writebacks", stats.dmaWritebacks);
-    metrics.bindCounter("frontend.gateway_stall_cycles",
-                        stats.gatewayStallCycles);
-    metrics.bindCounter("frontend.source_stall_cycles",
-                        stats.sourceStallCycles);
+    counter("frontend.gateway_stall_cycles", stats.gatewayStallCycles);
+    counter("frontend.source_stall_cycles", stats.sourceStallCycles);
+    metrics.addCounter("frontend.alloc_wait_cycles", [this] {
+        std::uint64_t waits = 0;
+        for (const auto &gw : gateways)
+            waits += gw->allocWaitCycles();
+        return waits;
+    });
     metrics.addGauge("frontend.chain_consumers_mean",
                      [this] { return stats.chainConsumers.mean(); });
     metrics.addGauge("frontend.chain_consumers_p95", [this] {
@@ -312,11 +326,20 @@ System::buildMetrics()
                      [this] { return stats.decodeLatency.mean(); });
     metrics.addGauge("frontend.batch_fill_mean",
                      [this] { return stats.batchFill.mean(); });
+    // Run averages divide by the latest task finish, the makespan of
+    // a completed run: eager DMA write-backs may run the engine well
+    // past it, and the window is what tasks occupy while they run.
     metrics.addGauge("frontend.tasks_in_flight_avg", [this] {
-        return stats.tasksInFlight.average(engine->now());
+        return stats.tasksInFlight.average(registry.lastFinish());
     });
     metrics.addGauge("frontend.tasks_in_flight_peak",
                      [this] { return stats.tasksInFlight.maximum(); });
+    metrics.addGauge("frontend.sram_hit_rate", [this] {
+        double hits = 0;
+        for (const auto &trs : trsModules)
+            hits += trs->blockList().sramHitRate();
+        return hits / static_cast<double>(trsModules.size());
+    });
 
     for (std::size_t i = 0; i < ortModules.size(); ++i) {
         std::string base = "slice." + std::to_string(i) + ".";
@@ -378,17 +401,17 @@ System::buildMetrics()
     metrics.addGauge("noc.latency_max",
                      [this] { return net->latencyStat().max(); });
     metrics.addCounter("noc.link_traversals", [this] {
-        return net->linkStats(engine->now()).traversals;
+        return net->linkStats(registry.lastFinish()).traversals;
     });
     metrics.addCounter("noc.lane_wait_cycles", [this] {
         return static_cast<std::uint64_t>(
-            net->linkStats(engine->now()).laneWaitCycles);
+            net->linkStats(registry.lastFinish()).laneWaitCycles);
     });
     metrics.addGauge("noc.max_link_utilization", [this] {
-        return net->linkStats(engine->now()).maxUtilization;
+        return net->linkStats(registry.lastFinish()).maxUtilization;
     });
     metrics.addHistogram("noc.link_utilization_pct", [this] {
-        return net->utilizationHistogram(engine->now());
+        return net->utilizationHistogram(registry.lastFinish());
     });
 
     metrics.addCounter("engine.events_executed",
@@ -543,10 +566,10 @@ System::collectResult()
     RunResult result;
     result.numTasks = trace.size();
     result.sequential = trace.sequentialCycles();
-    result.eventsExecuted = engine->executed();
-    result.messagesOnNoc = net->messagesSent();
+    result.makespan = registry.lastFinish();
 
-    // Makespan and the execution order, from the per-task records.
+    // The decode rate and the execution order, from the per-task
+    // records.
     std::vector<Cycle> decode_times;
     decode_times.reserve(trace.size());
     std::vector<std::uint32_t> order(trace.size());
@@ -554,7 +577,6 @@ System::collectResult()
     const auto &records = registry.allRecords();
     result.coreOf.reserve(records.size());
     for (const auto &rec : records) {
-        result.makespan = std::max(result.makespan, rec.finished);
         if (rec.decodeDone != invalidCycle)
             decode_times.push_back(rec.decodeDone);
         result.coreOf.push_back(rec.core);
@@ -583,34 +605,7 @@ System::collectResult()
             defaultClock.cyclesToNs(1) * result.decodeRateCycles;
     }
 
-    result.avgTasksInFlight =
-        stats.tasksInFlight.average(result.makespan);
-    result.peakTasksInFlight = stats.tasksInFlight.maximum();
-    result.gatewayStallCycles = stats.gatewayStallCycles;
-    for (const auto &gw : gateways)
-        result.allocWaitCycles += gw->allocWaitCycles();
-    result.sourceStallCycles = stats.sourceStallCycles;
-    result.chainP95 = stats.chainConsumers.percentile(95);
-    result.chainMax = stats.chainConsumers.max();
-    result.avgFragmentation = stats.fragmentation.mean();
-    result.versionsCreated = stats.versionsCreated.value();
-    result.versionsRenamed = stats.versionsRenamed.value();
-    result.dmaWritebacks = stats.dmaWritebacks.value();
-
-    result.decodeDeferrals = stats.decodeDeferrals.value();
-    result.operandBatches = stats.decodeBatches.value();
-    result.avgBatchFill = stats.batchFill.mean();
-    LinkStats links = net->linkStats(result.makespan);
-    result.linkTraversals = links.traversals;
-    result.linkWaitCycles = links.laneWaitCycles;
-    result.maxLinkUtilization = links.maxUtilization;
-
-    double hits = 0;
-    for (const auto &trs : trsModules)
-        hits += trs->blockList().sramHitRate();
-    result.sramHitRate =
-        hits / static_cast<double>(trsModules.size());
-
+    result.metrics = metrics.snapshot();
     return result;
 }
 

@@ -36,7 +36,12 @@
 namespace tss
 {
 
-/** Aggregated results of one simulated run. */
+/**
+ * Results of one simulated run: what only the per-task records give
+ * (the makespan, the decode rate and the schedule), plus the metrics
+ * registry polled once when the run completed. Every other statistic
+ * is a named metric of `metrics` (System::buildMetrics binds them).
+ */
 struct RunResult
 {
     std::size_t numTasks = 0;
@@ -49,35 +54,6 @@ struct RunResult
     double decodeRateCycles = 0;
     double decodeRateNs = 0;
 
-    double avgTasksInFlight = 0; ///< window occupancy
-    double peakTasksInFlight = 0;
-
-    Cycle gatewayStallCycles = 0; ///< ORT-full stalls
-    Cycle allocWaitCycles = 0;    ///< TRS-window-full waits
-    Cycle sourceStallCycles = 0;  ///< thread blocked on the buffer
-
-    double chainP95 = 0;          ///< 95th pct consumer chain length
-    double chainMax = 0;
-    double avgFragmentation = 0;  ///< TRS allocation waste fraction
-    double sramHitRate = 1.0;     ///< 1-cycle block allocations
-
-    std::uint64_t versionsCreated = 0;
-    std::uint64_t versionsRenamed = 0;
-    std::uint64_t dmaWritebacks = 0;
-    std::uint64_t messagesOnNoc = 0;
-    std::uint64_t eventsExecuted = 0;
-
-    /// @name Ticket-protocol and NoC observability (the fig17 sweep).
-    /// @{
-    std::uint64_t decodeDeferrals = 0;  ///< out-of-order operands parked
-    std::uint64_t operandBatches = 0;   ///< multi-operand packets sent
-    double avgBatchFill = 0;            ///< operands per issue event
-                                        ///< (batching only)
-    std::uint64_t linkTraversals = 0;   ///< lane reservations on links
-    Cycle linkWaitCycles = 0;           ///< backpressure lane waits
-    double maxLinkUtilization = 0;      ///< busiest link busy fraction
-    /// @}
-
     /** Trace indices ordered by execution start time. */
     std::vector<std::uint32_t> startOrder;
 
@@ -88,6 +64,12 @@ struct RunResult
      * it on real threads (see runtime/parallel_exec.hh).
      */
     std::vector<unsigned> coreOf;
+
+    /** Every registry metric, polled by System::collectResult(). */
+    obs::Snapshot metrics;
+
+    /** The same schedule and the same metrics: the same simulation. */
+    bool operator==(const RunResult &) const = default;
 };
 
 /**
@@ -311,6 +293,13 @@ class SystemBuilder
         threadOf = std::move(thread_of);
         return *this;
     }
+
+    /**
+     * Interleave the trace over @p num_threads generating threads:
+     * task t is emitted by thread t % num_threads (one thread for 0
+     * or 1, the default).
+     */
+    SystemBuilder &roundRobin(unsigned num_threads);
 
     /** Validate the configuration and assemble the machine. */
     std::unique_ptr<System> build();

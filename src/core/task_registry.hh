@@ -10,6 +10,7 @@
 #ifndef TSS_CORE_TASK_REGISTRY_HH
 #define TSS_CORE_TASK_REGISTRY_HH
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -118,6 +119,20 @@ class TaskRegistry
     TaskRecord &record(TaskId id) { return records[traceIndex(id)]; }
 
     const std::vector<TaskRecord> &allRecords() const { return records; }
+
+    /** A task's kernel completed on its core at @p now. */
+    void
+    recordFinish(std::uint32_t trace_index, Cycle now)
+    {
+        records[trace_index].finished = now;
+        latestFinish = std::max(latestFinish, now);
+    }
+
+    /**
+     * The latest task finish so far: the makespan once every task
+     * finished, and the time base of the run-average metrics.
+     */
+    Cycle lastFinish() const { return latestFinish; }
 
     /** Drop the id binding once a task fully retired. */
     void
@@ -234,6 +249,7 @@ class TaskRegistry
 
     std::vector<char> finishedFlags;
     std::size_t minUnfinished = 0;
+    Cycle latestFinish = 0;
 };
 
 } // namespace tss

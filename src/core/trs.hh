@@ -21,7 +21,11 @@
 namespace tss
 {
 
-/** Shared run-wide statistics sink filled in by the modules. */
+/**
+ * Run-wide statistics sink the modules of one System fill in. Stations
+ * of every NoC domain share it; one thread drains every domain, so
+ * nothing here needs a lock or an atomic (see Counter).
+ */
 struct FrontendStats
 {
     Counter tasksAllocated;
@@ -36,11 +40,8 @@ struct FrontendStats
     Counter batchedOperands; ///< operands that rode a batch packet
     Distribution batchFill;  ///< operands per memory issue event
                              ///< (sampled only with batching on)
-    /// Stall cycles accumulate from ORTs / task sources in different
-    /// NoC domains; sums commute, so relaxed atomics keep the totals
-    /// thread-count independent.
-    std::atomic<Cycle> gatewayStallCycles{0};
-    std::atomic<Cycle> sourceStallCycles{0};
+    Counter gatewayStallCycles; ///< ORT-full stalls
+    Counter sourceStallCycles;  ///< threads blocked on the buffer
     Distribution chainConsumers; ///< consumers chained per version
     Distribution fragmentation;  ///< TRS allocation waste fraction
     Distribution decodeLatency;  ///< submit -> decodeDone per task

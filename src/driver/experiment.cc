@@ -19,12 +19,8 @@ RunResult
 runHardwareThreads(const PipelineConfig &config, const TaskTrace &trace,
                    unsigned num_threads)
 {
-    std::vector<unsigned> thread_of(trace.size());
-    for (std::size_t t = 0; t < trace.size(); ++t)
-        thread_of[t] = static_cast<unsigned>(t % num_threads);
-    auto sys = SystemBuilder(config, trace)
-                   .threads(std::move(thread_of))
-                   .build();
+    auto sys =
+        SystemBuilder(config, trace).roundRobin(num_threads).build();
     return sys->run();
 }
 

@@ -5,16 +5,47 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/logging.hh"
+
 namespace tss
 {
 namespace obs
 {
+
+namespace
+{
+
+/** The value bound to @p name; panics naming it when there is none. */
+template <typename Map>
+typename Map::mapped_type
+lookup(const Map &metrics, const std::string &name, const char *kind)
+{
+    auto it = metrics.find(name);
+    if (it == metrics.end())
+        panic("no %s named '%s' in the metrics snapshot", kind,
+              name.c_str());
+    return it->second;
+}
+
+} // namespace
+
+std::uint64_t
+Snapshot::counter(const std::string &name) const
+{
+    return lookup(counters, name, "counter");
+}
 
 std::uint64_t
 Snapshot::counter(const std::string &name, std::uint64_t fallback) const
 {
     auto it = counters.find(name);
     return it == counters.end() ? fallback : it->second;
+}
+
+double
+Snapshot::gauge(const std::string &name) const
+{
+    return lookup(gauges, name, "gauge");
 }
 
 double

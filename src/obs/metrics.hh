@@ -41,6 +41,8 @@ struct HistogramSnapshot
     std::vector<std::uint64_t> lowerBounds;
     std::vector<std::uint64_t> counts;
 
+    bool operator==(const HistogramSnapshot &) const = default;
+
     std::uint64_t
     totalCount() const
     {
@@ -58,10 +60,18 @@ struct Snapshot
     std::map<std::string, double> gauges;
     std::map<std::string, HistogramSnapshot> histograms;
 
+    /// @name Lookups. Without a fallback a metric that is not bound
+    /// panics naming it, so a misspelt name never reads as 0.
+    /// @{
+    std::uint64_t counter(const std::string &name) const;
     std::uint64_t counter(const std::string &name,
-                          std::uint64_t fallback = 0) const;
-    double gauge(const std::string &name, double fallback = 0.0) const;
+                          std::uint64_t fallback) const;
+    double gauge(const std::string &name) const;
+    double gauge(const std::string &name, double fallback) const;
     bool hasCounter(const std::string &name) const;
+    /// @}
+
+    bool operator==(const Snapshot &) const = default;
 
     /**
      * Deterministic JSON: three name-sorted sections. @p indent is

@@ -173,14 +173,7 @@ Session::buildSystem(const PipelineConfig &cfg, unsigned gen_threads,
                      bool use_relocated) const
 {
     const TaskTrace &image = use_relocated ? relocated : trace();
-    SystemBuilder builder(cfg, image);
-    if (gen_threads > 1) {
-        std::vector<unsigned> thread_of(image.size());
-        for (std::size_t t = 0; t < image.size(); ++t)
-            thread_of[t] = static_cast<unsigned>(t % gen_threads);
-        builder.threads(std::move(thread_of));
-    }
-    return builder.build();
+    return SystemBuilder(cfg, image).roundRobin(gen_threads).build();
 }
 
 RunResult
@@ -203,7 +196,6 @@ Session::simulateMonitored(const PipelineConfig &cfg,
     report.completed = report.liveness.completed;
     if (report.completed)
         report.result = sys->collectResult();
-    report.metricsJson = sys->metricsRegistry().snapshot().toJson();
     obs::Tracer *tracer = sys->tracer();
     if (tracer && tracer->mode() == obs::TraceMode::Full)
         report.traceJson = tracer->chromeJson();

@@ -50,20 +50,19 @@ namespace tss
 
 /**
  * Outcome of a monitored simulation: the liveness verdict plus, on
- * completion, the full RunResult — and the run's observability
- * artifacts (metrics snapshot, optional Chrome trace). A wedge does
- * not kill the process: `completed == false` with
- * `liveness.wedged == true` carries the diagnosis (occupancy, the
- * culprit operand, the flight-recorder tail) back to the caller —
- * tss-serve turns this into a job report instead of dying.
+ * completion, the full RunResult (its metrics snapshot included) and
+ * the optional Chrome trace. A wedge does not kill the process:
+ * `completed == false` with `liveness.wedged == true` carries the
+ * diagnosis (occupancy, the culprit operand, the flight-recorder
+ * tail) back to the caller — tss-serve turns this into a job report
+ * instead of dying.
  */
 struct SimReport
 {
     bool completed = false;
     LivenessReport liveness;
-    RunResult result;        ///< valid only when completed
-    std::string metricsJson; ///< registry snapshot (always filled)
-    std::string traceJson;   ///< Chrome JSON when tracing was Full
+    RunResult result;      ///< valid only when completed
+    std::string traceJson; ///< Chrome JSON when tracing was Full
 };
 
 /** One task-program submission lifecycle; see the file comment. */
@@ -160,10 +159,9 @@ class Session
 
     /**
      * Simulate like simulate(), but survive a wedge or event-limit
-     * end: the SimReport carries the liveness verdict, metrics
-     * snapshot and (when cfg.traceMode is Full) the Chrome trace
-     * instead of fatal()ing. Configured --trace-out/--metrics-out
-     * files are still written.
+     * end: the SimReport carries the liveness verdict and (when
+     * cfg.traceMode is Full) the Chrome trace instead of fatal()ing.
+     * Configured --trace-out/--metrics-out files are still written.
      * @param max_events Watchdog event budget.
      */
     SimReport simulateMonitored(

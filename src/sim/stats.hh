@@ -8,12 +8,10 @@
 #define TSS_SIM_STATS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "types.hh"
@@ -53,22 +51,6 @@ class Counter
     std::uint64_t _value = 0;
 };
 
-/** A tiny test-and-set spinlock (uncontended in practice). */
-class SpinLock
-{
-  public:
-    void
-    lock()
-    {
-        while (flag.test_and_set(std::memory_order_acquire)) {}
-    }
-
-    void unlock() { flag.clear(std::memory_order_release); }
-
-  private:
-    std::atomic_flag flag = ATOMIC_FLAG_INIT;
-};
-
 /**
  * An exact sampled distribution, stored as a sparse value -> count
  * histogram: memory grows with the number of *distinct* values
@@ -77,16 +59,16 @@ class SpinLock
  * addressing over the values' bit patterns, so no value gets a heap
  * node of its own.
  *
- * sample() is thread-safe: stations in different engine domains
- * share one distribution (FrontendStats), so it takes a spinlock.
- * Every query is a function of the multiset of samples alone and is
- * bit-identical to the same query over the sorted sample list,
- * however the engine's threads interleaved: percentile() and
+ * Like Counter, a Distribution has one writer at a time: stations of
+ * every engine domain share one (FrontendStats), but one thread
+ * drives a System, and tss-serve samples its tenant latencies under
+ * its state mutex. Every query is a function of the multiset of
+ * samples alone, bit-identical to the same query over the sorted
+ * sample list whatever order the samples came in: percentile() and
  * nearestRank() index the ascending order, min()/max() are its ends,
  * and sum() is the ascending-order floating-point sum (exact integer
  * arithmetic while every sample is an integer, a replay of the sorted
- * values otherwise). Queries are not safe against a concurrent
- * sample(); they run after the simulation or at a window barrier.
+ * values otherwise).
  */
 class Distribution
 {
@@ -94,7 +76,6 @@ class Distribution
     void
     sample(double v)
     {
-        std::lock_guard<SpinLock> guard(lock);
         if (used * 4 >= table.size() * 3)
             grow();
         auto bits = std::bit_cast<std::uint64_t>(v);
@@ -160,7 +141,6 @@ class Distribution
     void
     reset()
     {
-        std::lock_guard<SpinLock> guard(lock);
         table.clear();
         view.clear();
         used = 0;
@@ -226,8 +206,6 @@ class Distribution
     /** The sample at 0-indexed ascending rank @p i (i < count()). */
     double at(std::uint64_t i) const;
 
-    /// Serializes sample() (and reset()) over the fields below.
-    SpinLock lock;
     std::vector<Bucket> table; ///< size 0 or a power of two
     unsigned tableLog2 = 0;
     std::size_t used = 0;      ///< distinct values

@@ -89,7 +89,7 @@ TEST(Frontend, OrtCapacityStallsThenRecovers)
     RunResult result = pipe->run(500'000'000);
     EXPECT_EQ(result.numTasks, 2000u);
     EXPECT_GT(pipe->frontendStats().gatewayStallEvents.value(), 0u);
-    EXPECT_GT(result.gatewayStallCycles, 0u);
+    EXPECT_GT(result.metrics.counter("frontend.gateway_stall_cycles"), 0u);
 }
 
 TEST(Frontend, TrsCapacityBoundsWindow)
@@ -101,8 +101,8 @@ TEST(Frontend, TrsCapacityBoundsWindow)
     RunResult result = pipe->run(500'000'000);
     EXPECT_EQ(result.numTasks, 1000u);
     // The in-flight window can never exceed the block capacity.
-    EXPECT_LE(result.peakTasksInFlight, 128.0);
-    EXPECT_GT(result.allocWaitCycles, 0u);
+    EXPECT_LE(result.metrics.gauge("frontend.tasks_in_flight_peak"), 128.0);
+    EXPECT_GT(result.metrics.counter("frontend.alloc_wait_cycles"), 0u);
 }
 
 RunResult
@@ -135,8 +135,8 @@ TEST(Frontend, RenamingAblationSerializesWaw)
 
     EXPECT_GT(with.speedup, 8.0);
     EXPECT_LT(without.speedup, 1.5);
-    EXPECT_GT(with.versionsRenamed, 0u);
-    EXPECT_EQ(without.versionsRenamed, 0u);
+    EXPECT_GT(with.metrics.counter("frontend.versions_renamed"), 0u);
+    EXPECT_EQ(without.metrics.counter("frontend.versions_renamed"), 0u);
 }
 
 TEST(Frontend, ChainingAblationStillCorrect)
@@ -173,7 +173,7 @@ TEST(Frontend, ChainingForwardsReadyMessages)
     // 10 readers: reader k>0 chains on reader k-1 (9 forwards; the
     // first gets its ready from the producer's task-finish walk).
     EXPECT_GE(pipe->frontendStats().dataReadyForwards.value(), 9u);
-    EXPECT_GE(result.chainMax, 9.0);
+    EXPECT_GE(result.metrics.gauge("frontend.chain_consumers_max"), 9.0);
 }
 
 TEST(Frontend, TombstoneRegistrationAnswered)
@@ -214,7 +214,7 @@ TEST(Frontend, GatewayBufferThrottlesSource)
     auto pipe = SystemBuilder(cfg, trace).build();
     RunResult result = pipe->run(2'000'000'000);
     EXPECT_EQ(result.numTasks, 500u);
-    EXPECT_GT(result.sourceStallCycles, 0u);
+    EXPECT_GT(result.metrics.counter("frontend.source_stall_cycles"), 0u);
 }
 
 TEST(Frontend, ScalarOperandsBypassOrts)
@@ -232,7 +232,7 @@ TEST(Frontend, ScalarOperandsBypassOrts)
     RunResult result = pipe->run(100'000'000);
     EXPECT_EQ(result.numTasks, 50u);
     // No memory operands: no versions at all.
-    EXPECT_EQ(result.versionsCreated, 0u);
+    EXPECT_EQ(result.metrics.counter("frontend.versions_created"), 0u);
     // Scalar-only tasks are ready immediately: near-full parallelism.
     EXPECT_GT(result.speedup, 3.0);
 }
@@ -244,8 +244,8 @@ TEST(Frontend, DmaWritebackForRenamedFinals)
     PipelineConfig cfg = tinyConfig();
     auto pipe = SystemBuilder(cfg, trace).build();
     RunResult result = pipe->run(100'000'000);
-    EXPECT_EQ(result.versionsRenamed, 100u);
-    EXPECT_EQ(result.dmaWritebacks, 100u);
+    EXPECT_EQ(result.metrics.counter("frontend.versions_renamed"), 100u);
+    EXPECT_EQ(result.metrics.counter("frontend.dma_writebacks"), 100u);
 }
 
 TEST(Frontend, InoutNeedsTwoReadyMessages)
@@ -291,7 +291,7 @@ TEST(Frontend, MaxOperandTasksUseIndirectBlocks)
     RunResult result = pipe->run(100'000'000);
     EXPECT_EQ(result.numTasks, 20u);
     // 19 operands => 4 blocks => fragmentation is positive.
-    EXPECT_GT(result.avgFragmentation, 0.0);
+    EXPECT_GT(result.metrics.gauge("frontend.fragmentation_mean"), 0.0);
 }
 
 } // namespace

@@ -253,12 +253,7 @@ TEST(FuzzGraph, ShardedPipelinesStayExactUnderSharing)
                 cfg.slicePacketCredits = 2;
             }
 
-            std::vector<unsigned> thread_of(trace.size());
-            for (std::size_t t = 0; t < trace.size(); ++t)
-                thread_of[t] = static_cast<unsigned>(t % 3);
-            auto sys = SystemBuilder(cfg, trace)
-                           .threads(std::move(thread_of))
-                           .build();
+            auto sys = SystemBuilder(cfg, trace).roundRobin(3).build();
             RunResult decision = sys->run(4'000'000'000ULL);
 
             DepGraph renamed =
@@ -328,12 +323,7 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
                 "/" + toString(noc.placement) + "/seed " +
                 std::to_string(seed);
 
-            std::vector<unsigned> thread_of(trace.size());
-            for (std::size_t t = 0; t < trace.size(); ++t)
-                thread_of[t] = static_cast<unsigned>(t % 3);
-            auto sys = SystemBuilder(cfg, trace)
-                           .threads(std::move(thread_of))
-                           .build();
+            auto sys = SystemBuilder(cfg, trace).roundRobin(3).build();
             RunResult decision = sys->run(4'000'000'000ULL);
 
             // Identical completion set: every task, exactly once.
@@ -402,13 +392,6 @@ TEST(FuzzGraph, TinyOvtReserveEscapeStaysExact)
         FuzzProgram program(seed);
         TaskTrace trace = program.context().relocatedTrace();
         DepGraph renamed = DepGraph::build(trace, Semantics::Renamed);
-        auto makeThreads = [&trace] {
-            std::vector<unsigned> thread_of(trace.size());
-            for (std::size_t t = 0; t < trace.size(); ++t)
-                thread_of[t] = static_cast<unsigned>(t % 3);
-            return thread_of;
-        };
-
         for (const SqueezeConfig &squeeze : configs) {
             RunResult baseline;
             for (unsigned threads : {1u, 2u, 4u}) {
@@ -433,9 +416,8 @@ TEST(FuzzGraph, TinyOvtReserveEscapeStaysExact)
 
                 // Liveness first: the watchdog must report clean
                 // completion, not a wedge or an event-limit stop.
-                auto watched = SystemBuilder(cfg, trace)
-                                   .threads(makeThreads())
-                                   .build();
+                auto watched =
+                    SystemBuilder(cfg, trace).roundRobin(3).build();
                 LivenessReport rep =
                     watched->runWatchdog(1'000'000'000ULL);
                 ASSERT_TRUE(rep.completed)
@@ -445,9 +427,8 @@ TEST(FuzzGraph, TinyOvtReserveEscapeStaysExact)
                 ASSERT_FALSE(rep.wedged) << what;
 
                 // Then the decision itself, engine-width invariant.
-                auto sys = SystemBuilder(cfg, trace)
-                               .threads(makeThreads())
-                               .build();
+                auto sys =
+                    SystemBuilder(cfg, trace).roundRobin(3).build();
                 RunResult decision = sys->run(4'000'000'000ULL);
                 ASSERT_EQ(decision.startOrder.size(), trace.size())
                     << what;
@@ -592,23 +573,19 @@ TEST(FuzzGraph, RelocationIsBaseInvariantAndOracleExact)
         cfg.numOrt = 1;
         cfg.numPipelines = 2;
         auto simulate = [&cfg](const TaskTrace &t) {
-            std::vector<unsigned> thread_of(t.size());
-            for (std::size_t i = 0; i < thread_of.size(); ++i)
-                thread_of[i] = static_cast<unsigned>(i % 3);
-            auto sys = SystemBuilder(cfg, t)
-                           .threads(std::move(thread_of))
-                           .build();
-            return sys->run(4'000'000'000ULL);
+            return SystemBuilder(cfg, t).roundRobin(3).build()->run(
+                4'000'000'000ULL);
         };
         RunResult run_a = simulate(rel_a);
         RunResult run_b = simulate(rel_b);
         EXPECT_EQ(run_a.makespan, run_b.makespan) << "seed " << seed;
         EXPECT_EQ(run_a.startOrder, run_b.startOrder)
             << "seed " << seed;
-        EXPECT_EQ(run_a.messagesOnNoc, run_b.messagesOnNoc)
-            << "seed " << seed;
-        EXPECT_EQ(run_a.eventsExecuted, run_b.eventsExecuted)
-            << "seed " << seed;
+        for (const char *name : {"noc.messages", "engine.events_executed"}) {
+            EXPECT_EQ(run_a.metrics.counter(name),
+                      run_b.metrics.counter(name))
+                << name << ", seed " << seed;
+        }
 
         // Bit-identical oracle memory: the relocated decision runs on
         // the real pointers.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "same_run.hh"
 #include "sim/random.hh"
 #include "workload/builder.hh"
 #include "workload/workload.hh"
@@ -92,7 +93,6 @@ struct RunOutcome
 {
     RunResult result;
     std::string traceJson;
-    SimEngine::WindowStats windows;
 };
 
 /** The fuzzed machine: 2 pipelines, 32 cores, full tracing. */
@@ -115,31 +115,8 @@ runOnce(const TaskTrace &trace, const TopoCase &tc, unsigned sim_threads)
     auto sys = SystemBuilder(fuzzConfig(tc, sim_threads), trace).build();
     RunOutcome out;
     out.result = sys->run();
-    out.windows = sys->simEngine().windowStats();
     out.traceJson = sys->tracer()->chromeJson();
     return out;
-}
-
-/** Every simulated decision and statistic, not just the makespan. */
-void
-expectSameSimulation(const RunOutcome &ref, const RunOutcome &got)
-{
-    EXPECT_EQ(ref.result.makespan, got.result.makespan);
-    EXPECT_EQ(ref.result.eventsExecuted, got.result.eventsExecuted);
-    EXPECT_EQ(ref.result.messagesOnNoc, got.result.messagesOnNoc);
-    EXPECT_EQ(ref.result.decodeDeferrals, got.result.decodeDeferrals);
-    EXPECT_EQ(ref.result.versionsCreated, got.result.versionsCreated);
-    EXPECT_EQ(ref.result.versionsRenamed, got.result.versionsRenamed);
-    EXPECT_EQ(ref.result.dmaWritebacks, got.result.dmaWritebacks);
-    EXPECT_EQ(ref.result.startOrder, got.result.startOrder);
-    EXPECT_EQ(ref.result.coreOf, got.result.coreOf);
-    EXPECT_EQ(ref.traceJson, got.traceJson) << "trace bytes differ";
-    EXPECT_EQ(ref.windows.windows, got.windows.windows);
-    EXPECT_EQ(ref.windows.singleShard, got.windows.singleShard);
-    EXPECT_EQ(ref.windows.fusedWindows, got.windows.fusedWindows);
-    EXPECT_EQ(ref.windows.multiShard, got.windows.multiShard);
-    EXPECT_EQ(ref.windows.occupancySum, got.windows.occupancySum);
-    EXPECT_EQ(ref.windows.maxOccupancy, got.windows.maxOccupancy);
 }
 
 /**
@@ -155,7 +132,9 @@ TEST(FuzzLookahead, ThreadCountInvisible)
         for (unsigned threads : {2u, 4u}) {
             SCOPED_TRACE(std::string(tc.name) + " t" +
                          std::to_string(threads));
-            expectSameSimulation(ref, runOnce(trace, tc, threads));
+            RunOutcome got = runOnce(trace, tc, threads);
+            expectSameRun(ref.result, got.result, "");
+            EXPECT_EQ(ref.traceJson, got.traceJson) << "trace bytes differ";
         }
     }
 }
@@ -170,24 +149,29 @@ TEST(FuzzLookahead, GoldenWindowCounters)
     TaskTrace trace = randomTrace(1, 80, 10, 5);
     TopoCase tc{"ring/adjacent", TopologyKind::Ring,
                 PlacementKind::Adjacent};
-    RunOutcome out = runOnce(trace, tc, 2);
+    const obs::Snapshot m = runOnce(trace, tc, 2).result.metrics;
+    std::uint64_t windows = m.counter("engine.windows");
+    std::uint64_t single = m.counter("engine.single_shard_windows");
+    std::uint64_t fused = m.counter("engine.fused_windows");
+    std::uint64_t multi = m.counter("engine.multi_shard_windows");
+    std::uint64_t occupancy = m.counter("engine.window_occupancy_sum");
+    std::uint64_t max_occupancy = m.counter("engine.max_window_occupancy");
 
     // Every grid window starts at some shard's next event, so each
     // has at least one active shard.
-    EXPECT_EQ(out.windows.windows,
-              out.windows.singleShard + out.windows.multiShard);
-    EXPECT_GE(out.windows.singleShard, out.windows.fusedWindows);
-    EXPECT_GE(out.windows.occupancySum, out.windows.singleShard);
-    EXPECT_GE(out.windows.maxOccupancy, 1u);
-    EXPECT_LE(out.windows.maxOccupancy, 3u); // 2 pipelines + backend
+    EXPECT_EQ(windows, single + multi);
+    EXPECT_GE(single, fused);
+    EXPECT_GE(occupancy, single);
+    EXPECT_GE(max_occupancy, 1u);
+    EXPECT_LE(max_occupancy, 3u); // 2 pipelines + backend
 
     // Pinned goldens (ring/adjacent, 2 pipelines, 32 cores, seed 1).
-    EXPECT_EQ(out.windows.windows, 3148u);
-    EXPECT_EQ(out.windows.singleShard, 2883u);
-    EXPECT_EQ(out.windows.fusedWindows, 2653u);
-    EXPECT_EQ(out.windows.multiShard, 265u);
-    EXPECT_EQ(out.windows.occupancySum, 3415u);
-    EXPECT_EQ(out.windows.maxOccupancy, 3u);
+    EXPECT_EQ(windows, 3148u);
+    EXPECT_EQ(single, 2883u);
+    EXPECT_EQ(fused, 2653u);
+    EXPECT_EQ(multi, 265u);
+    EXPECT_EQ(occupancy, 3415u);
+    EXPECT_EQ(max_occupancy, 3u);
 }
 
 /**

@@ -28,15 +28,6 @@ namespace tss
 namespace
 {
 
-std::vector<unsigned>
-roundRobin(std::size_t tasks, unsigned threads)
-{
-    std::vector<unsigned> thread_of(tasks);
-    for (std::size_t t = 0; t < tasks; ++t)
-        thread_of[t] = static_cast<unsigned>(t % threads);
-    return thread_of;
-}
-
 /** Wide shared-object tasks: plenty of same-slice operands. */
 TaskTrace
 wideTrace(unsigned tasks, unsigned objects, std::uint64_t seed)
@@ -77,9 +68,7 @@ runShared(const PipelineConfig &cfg, const TaskTrace &trace,
           unsigned threads, System **out = nullptr,
           std::unique_ptr<System> *keep = nullptr)
 {
-    auto sys = SystemBuilder(cfg, trace)
-                   .threads(roundRobin(trace.size(), threads))
-                   .build();
+    auto sys = SystemBuilder(cfg, trace).roundRobin(threads).build();
     RunResult r = sys->run(4'000'000'000ULL);
     if (out)
         *out = sys.get();
@@ -111,18 +100,20 @@ TEST(OperandBatching, CoalescesAndCutsMessages)
     cfg.batchOperands = false;
     RunResult solo = runShared(cfg, trace, 4);
     expectTopological(trace, solo, "unbatched");
-    EXPECT_EQ(solo.operandBatches, 0u);
+    EXPECT_EQ(solo.metrics.counter("frontend.decode_batches"), 0u);
 
     cfg.batchOperands = true;
     RunResult batched = runShared(cfg, trace, 4);
     expectTopological(trace, batched, "batched");
 
     EXPECT_EQ(batched.numTasks, trace.size());
-    EXPECT_GT(batched.operandBatches, 0u);
+    EXPECT_GT(batched.metrics.counter("frontend.decode_batches"), 0u);
     // 12 operands over 4 slices: a healthy fraction must coalesce.
-    EXPECT_GT(batched.avgBatchFill, 1.2);
-    EXPECT_LE(batched.avgBatchFill, 3.0); // 64 B budget: <= 3 ops
-    EXPECT_LT(batched.messagesOnNoc, solo.messagesOnNoc)
+    double fill = batched.metrics.gauge("frontend.batch_fill_mean");
+    EXPECT_GT(fill, 1.2);
+    EXPECT_LE(fill, 3.0); // 64 B budget: <= 3 ops
+    EXPECT_LT(batched.metrics.counter("noc.messages"),
+              solo.metrics.counter("noc.messages"))
         << "batching must reduce NoC packets";
 }
 
@@ -151,7 +142,7 @@ TEST(OperandBatching, SurvivesOrtPressureParkAndResume)
     RunResult r = runShared(cfg, trace, 1, &sys, &keep);
     expectTopological(trace, r, "pressure");
     EXPECT_EQ(r.numTasks, trace.size());
-    EXPECT_GT(r.operandBatches, 0u);
+    EXPECT_GT(r.metrics.counter("frontend.decode_batches"), 0u);
     EXPECT_GT(sys->frontendStats().gatewayStallEvents.value(), 0u)
         << "the configuration was meant to stall the slice";
 }
@@ -179,7 +170,8 @@ TEST(CreditFlowControl, BoundsInFlightAndStaysLive)
     // Flow control answers every decode packet with a credit packet
     // (decode rate itself is emergent — interleavings may shift it
     // either way, so only the structural invariant is asserted).
-    EXPECT_GT(tight.messagesOnNoc, open.messagesOnNoc);
+    EXPECT_GT(tight.metrics.counter("noc.messages"),
+              open.metrics.counter("noc.messages"));
     EXPECT_EQ(open.numTasks, trace.size());
 }
 
@@ -248,8 +240,8 @@ TEST(IdealAdmission, StaysOrderedAndStillParksOperands)
     expectTopological(trace, real, "real admission");
     expectTopological(trace, ideal, "ideal admission");
     EXPECT_EQ(ideal.numTasks, trace.size());
-    EXPECT_GT(real.decodeDeferrals, 0u);
-    EXPECT_GT(ideal.decodeDeferrals, 0u);
+    EXPECT_GT(real.metrics.counter("frontend.decode_deferrals"), 0u);
+    EXPECT_GT(ideal.metrics.counter("frontend.decode_deferrals"), 0u);
 }
 
 /**
@@ -280,9 +272,7 @@ TEST(OvtCapacity, TinyOvtOrderedDecodeCompletesViaReserveEscape)
     // 16 version slots per slice (16 B per slot, 2 slices).
     cfg.ovtTotalBytes = Bytes(16) * 16 * cfg.totalOrt();
 
-    auto sys = SystemBuilder(cfg, trace)
-                   .threads(roundRobin(trace.size(), 3))
-                   .build();
+    auto sys = SystemBuilder(cfg, trace).roundRobin(3).build();
     ASSERT_TRUE(sys->sharedData());
     LivenessReport rep = sys->runWatchdog(200'000'000ULL);
     EXPECT_TRUE(rep.completed)
@@ -336,9 +326,7 @@ TEST(OvtCapacity, MinimumSafeOvtBoundForWideRepro)
     // One below the bound: a deterministic, fully diagnosed wedge.
     {
         PipelineConfig cfg = makeConfig(safeSlots - 1);
-        auto sys = SystemBuilder(cfg, trace)
-                       .threads(roundRobin(trace.size(), 3))
-                       .build();
+        auto sys = SystemBuilder(cfg, trace).roundRobin(3).build();
         LivenessReport rep = sys->runWatchdog(200'000'000ULL);
         ASSERT_TRUE(rep.wedged)
             << safeSlots - 1 << " slots/slice should still wedge";
@@ -367,9 +355,7 @@ TEST(OvtCapacity, MinimumSafeOvtBoundForWideRepro)
     for (unsigned threads : {1u, 2u, 4u}) {
         PipelineConfig cfg = makeConfig(safeSlots);
         cfg.simThreads = threads;
-        auto sys = SystemBuilder(cfg, trace)
-                       .threads(roundRobin(trace.size(), 3))
-                       .build();
+        auto sys = SystemBuilder(cfg, trace).roundRobin(3).build();
         RunResult r = sys->run(4'000'000'000ULL);
         EXPECT_EQ(r.numTasks, trace.size())
             << safeSlots << " slots/slice should complete";
@@ -383,7 +369,8 @@ TEST(OvtCapacity, MinimumSafeOvtBoundForWideRepro)
                 << threads << " sim threads";
             EXPECT_EQ(r.coreOf, baseline.coreOf)
                 << threads << " sim threads";
-            EXPECT_EQ(r.eventsExecuted, baseline.eventsExecuted)
+            EXPECT_EQ(r.metrics.counter("engine.events_executed"),
+                      baseline.metrics.counter("engine.events_executed"))
                 << threads << " sim threads";
         }
     }

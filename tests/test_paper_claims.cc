@@ -102,10 +102,11 @@ TEST(PaperClaims, StorageMicroProperties)
     // Section IV-B: ~20% TRS fragmentation; 1-cycle allocations.
     TaskTrace trace = makeWorkload("Cholesky", 0.1);
     RunResult r = runHardware(paperConfig(64), trace);
-    EXPECT_NEAR(r.avgFragmentation, 0.20, 0.08);
-    EXPECT_GT(r.sramHitRate, 0.95);
+    EXPECT_NEAR(r.metrics.gauge("frontend.fragmentation_mean"), 0.20,
+                0.08);
+    EXPECT_GT(r.metrics.gauge("frontend.sram_hit_rate"), 0.95);
     // Cholesky never renames (all writers are inout).
-    EXPECT_EQ(r.versionsRenamed, 0u);
+    EXPECT_EQ(r.metrics.counter("frontend.versions_renamed"), 0u);
 }
 
 TEST(PaperClaims, WindowScalesWithTrsCapacity)
@@ -119,8 +120,9 @@ TEST(PaperClaims, WindowScalesWithTrsCapacity)
     large.trsTotalBytes = 6 * 1024 * 1024;
     RunResult r_small = runHardware(small, trace);
     RunResult r_large = runHardware(large, trace);
-    EXPECT_GT(r_large.peakTasksInFlight,
-              2.0 * r_small.peakTasksInFlight);
+    const char *peak = "frontend.tasks_in_flight_peak";
+    EXPECT_GT(r_large.metrics.gauge(peak),
+              2.0 * r_small.metrics.gauge(peak));
     EXPECT_GT(r_large.speedup, r_small.speedup * 1.3);
 }
 

@@ -127,7 +127,7 @@ TEST_P(PipelineProperty, CompletesCorrectlyWithoutLeaks)
     }
 
     // (d) window bound: tasks in flight never exceed block capacity.
-    EXPECT_LE(result.peakTasksInFlight,
+    EXPECT_LE(result.metrics.gauge("frontend.tasks_in_flight_peak"),
               static_cast<double>(cfg.numTrs) * cfg.blocksPerTrs());
 }
 

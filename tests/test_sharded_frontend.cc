@@ -28,15 +28,6 @@ namespace tss
 namespace
 {
 
-std::vector<unsigned>
-roundRobin(std::size_t tasks, unsigned threads)
-{
-    std::vector<unsigned> thread_of(tasks);
-    for (std::size_t t = 0; t < tasks; ++t)
-        thread_of[t] = static_cast<unsigned>(t % threads);
-    return thread_of;
-}
-
 std::unique_ptr<starss::RealProgram>
 oracleCholesky(std::uint64_t seed)
 {
@@ -97,11 +88,16 @@ TEST(ShardedFrontend, SinglePipelineBitIdenticalToPreShard)
         cfg.numTrs = g.numTrs;
         RunResult r = runHardware(cfg, trace);
         EXPECT_EQ(r.makespan, g.makespan) << g.workload;
-        EXPECT_EQ(r.eventsExecuted, g.events) << g.workload;
-        EXPECT_EQ(r.messagesOnNoc, g.messages) << g.workload;
-        EXPECT_EQ(r.versionsCreated, g.versionsCreated) << g.workload;
-        EXPECT_EQ(r.versionsRenamed, g.versionsRenamed) << g.workload;
-        EXPECT_EQ(r.dmaWritebacks, g.dmaWritebacks) << g.workload;
+        const obs::Snapshot &m = r.metrics;
+        EXPECT_EQ(m.counter("engine.events_executed"), g.events)
+            << g.workload;
+        EXPECT_EQ(m.counter("noc.messages"), g.messages) << g.workload;
+        EXPECT_EQ(m.counter("frontend.versions_created"), g.versionsCreated)
+            << g.workload;
+        EXPECT_EQ(m.counter("frontend.versions_renamed"), g.versionsRenamed)
+            << g.workload;
+        EXPECT_EQ(m.counter("frontend.dma_writebacks"), g.dmaWritebacks)
+            << g.workload;
     }
 }
 
@@ -139,9 +135,12 @@ TEST(ShardedFrontend, RelocatedCholeskyGoldenStats)
         cfg.numPipelines = g.pipes;
         RunResult r = runHardwareThreads(cfg, trace, 8);
         EXPECT_EQ(r.makespan, g.makespan) << g.pipes << " pipelines";
-        EXPECT_EQ(r.eventsExecuted, g.events) << g.pipes << " pipelines";
-        EXPECT_EQ(r.messagesOnNoc, g.messages) << g.pipes << " pipelines";
-        EXPECT_EQ(r.versionsCreated, g.versionsCreated)
+        const obs::Snapshot &m = r.metrics;
+        EXPECT_EQ(m.counter("engine.events_executed"), g.events)
+            << g.pipes << " pipelines";
+        EXPECT_EQ(m.counter("noc.messages"), g.messages)
+            << g.pipes << " pipelines";
+        EXPECT_EQ(m.counter("frontend.versions_created"), g.versionsCreated)
             << g.pipes << " pipelines";
         EXPECT_NEAR(r.decodeRateCycles, g.decodeRateCycles, 1e-4)
             << g.pipes << " pipelines";
@@ -197,9 +196,7 @@ TEST(ShardedFrontend, GoldenEventDigests)
         PipelineConfig cfg = paperConfig(g.cores);
         cfg.numTrs = g.numTrs;
         cfg.numPipelines = g.pipes;
-        auto sys = SystemBuilder(cfg, trace)
-                       .threads(roundRobin(trace.size(), g.threads))
-                       .build();
+        auto sys = SystemBuilder(cfg, trace).roundRobin(g.threads).build();
         sys->run();
         obs::Snapshot snap = sys->metricsRegistry().snapshot();
         EXPECT_EQ(snap.counter("engine.event_digest"), g.eventDigest)
@@ -245,9 +242,7 @@ TEST(ShardedFrontend, SharedDataThreadsComplete)
         cfg.ovtTotalBytes = 64 * 1024;
         cfg.numPipelines = pipes;
 
-        auto sys = SystemBuilder(cfg, trace)
-                       .threads(roundRobin(trace.size(), 2))
-                       .build();
+        auto sys = SystemBuilder(cfg, trace).roundRobin(2).build();
         EXPECT_TRUE(sys->sharedData());
         RunResult r = sys->run(1'000'000'000);
         EXPECT_EQ(r.numTasks, trace.size());
@@ -286,9 +281,7 @@ TEST(ShardedFrontend, RoutingFollowsShardOf)
         ++placed;
     }
 
-    auto sys = SystemBuilder(cfg, trace)
-                   .threads(roundRobin(trace.size(), 2))
-                   .build();
+    auto sys = SystemBuilder(cfg, trace).roundRobin(2).build();
     RunResult r = sys->run(1'000'000'000);
     EXPECT_EQ(r.numTasks, trace.size());
 
@@ -366,7 +359,7 @@ TEST(ShardedFrontend, SharedWindowPressureDoesNotDeadlock)
     DepGraph graph = DepGraph::build(trace, Semantics::Renamed);
     EXPECT_TRUE(graph.isTopologicalOrder(r.startOrder));
     // The window really was the bottleneck.
-    EXPECT_GT(r.allocWaitCycles,
+    EXPECT_GT(r.metrics.counter("frontend.alloc_wait_cycles"),
               static_cast<Cycle>(0.5 * static_cast<double>(r.makespan)));
 }
 
@@ -400,9 +393,7 @@ TEST(ShardedFrontend, WatermarkAdvanceWakesOtherPipelines)
     cfg.ortTotalBytes = 64 * 1024;
     cfg.ovtTotalBytes = 64 * 1024;
 
-    auto sys = SystemBuilder(cfg, trace)
-                   .threads(roundRobin(trace.size(), 2))
-                   .build();
+    auto sys = SystemBuilder(cfg, trace).roundRobin(2).build();
     RunResult r = sys->run(1'000'000'000);
     EXPECT_EQ(r.numTasks, trace.size());
     DepGraph graph = DepGraph::build(trace, Semantics::Renamed);

@@ -13,7 +13,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -671,35 +670,6 @@ TEST(Stats, HistogramStorageBoundedByDistinctValues)
     // below the 8 MB a keep-every-sample list would hold.
     EXPECT_EQ(d.storageBytes(), warm);
     EXPECT_LE(warm, 100 * 128u);
-}
-
-TEST(Stats, HistogramConcurrentSamplersMatchSequential)
-{
-    constexpr int threads = 4;
-    constexpr int perThread = 50000;
-    Distribution shared;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&shared, t] {
-            Rng rng(100 + t);
-            for (int i = 0; i < perThread; ++i) {
-                shared.sample(i % 3 ? integerSample(rng)
-                                    : fractionSample(rng));
-            }
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-
-    SampleOracle o;
-    for (int t = 0; t < threads; ++t) {
-        Rng rng(100 + t);
-        for (int i = 0; i < perThread; ++i) {
-            o.samples.push_back(i % 3 ? integerSample(rng)
-                                      : fractionSample(rng));
-        }
-    }
-    expectSameBits(shared, o);
 }
 
 TEST(Stats, TimeWeightedAverage)

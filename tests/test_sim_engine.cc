@@ -18,6 +18,7 @@
 #include "core/system.hh"
 #include "driver/experiment.hh"
 #include "noc/network.hh"
+#include "same_run.hh"
 #include "sim/sim_engine.hh"
 
 namespace tss
@@ -159,29 +160,6 @@ TEST(SimEngine, CrossDomainPingPongMatchesSequential)
     EXPECT_GT(std::get<0>(sequential).size(), 16u);
 }
 
-/** Every deterministic field of two RunResults must agree exactly. */
-void
-expectIdentical(const RunResult &a, const RunResult &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.makespan, b.makespan) << what;
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted) << what;
-    EXPECT_EQ(a.messagesOnNoc, b.messagesOnNoc) << what;
-    EXPECT_EQ(a.versionsCreated, b.versionsCreated) << what;
-    EXPECT_EQ(a.versionsRenamed, b.versionsRenamed) << what;
-    EXPECT_EQ(a.dmaWritebacks, b.dmaWritebacks) << what;
-    EXPECT_EQ(a.gatewayStallCycles, b.gatewayStallCycles) << what;
-    EXPECT_EQ(a.sourceStallCycles, b.sourceStallCycles) << what;
-    EXPECT_EQ(a.allocWaitCycles, b.allocWaitCycles) << what;
-    EXPECT_EQ(a.decodeRateCycles, b.decodeRateCycles) << what;
-    EXPECT_EQ(a.avgTasksInFlight, b.avgTasksInFlight) << what;
-    EXPECT_EQ(a.linkTraversals, b.linkTraversals) << what;
-    EXPECT_EQ(a.linkWaitCycles, b.linkWaitCycles) << what;
-    EXPECT_EQ(a.maxLinkUtilization, b.maxLinkUtilization) << what;
-    EXPECT_EQ(a.startOrder, b.startOrder) << what;
-    EXPECT_EQ(a.coreOf, b.coreOf) << what;
-}
-
 TEST(SimEngine, SystemBitIdenticalAcrossSimThreads)
 {
     // The acceptance contract: a full multi-pipeline System produces
@@ -216,10 +194,10 @@ TEST(SimEngine, SystemBitIdenticalAcrossSimThreads)
         for (unsigned threads : {2u, 4u}) {
             cfg.simThreads = threads;
             RunResult parallel = runHardwareThreads(cfg, trace, 8);
-            expectIdentical(parallel, baseline,
-                            std::string(toString(p.topology)) + "/" +
-                                toString(p.placement) + "/" +
-                                std::to_string(threads) + " threads");
+            expectSameRun(parallel, baseline,
+                          std::string(toString(p.topology)) + "/" +
+                              toString(p.placement) + "/" +
+                              std::to_string(threads) + " threads");
         }
     }
 }
@@ -237,7 +215,7 @@ TEST(SimEngine, RelocatedRealKernelBitIdenticalAcrossSimThreads)
     RunResult baseline = runHardwareThreads(cfg, trace, 4);
     cfg.simThreads = 2;
     RunResult parallel = runHardwareThreads(cfg, trace, 4);
-    expectIdentical(parallel, baseline, "relocated Cholesky");
+    expectSameRun(parallel, baseline, "relocated Cholesky");
 }
 
 TEST(SimEngine, ConcurrentSystemsAreIndependent)
@@ -276,8 +254,8 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
         runner.join();
 
     for (unsigned i = 0; i < results.size(); ++i)
-        expectIdentical(results[i], baseline,
-                        "concurrent run " + std::to_string(i));
+        expectSameRun(results[i], baseline,
+                      "concurrent run " + std::to_string(i));
 }
 
 } // namespace
