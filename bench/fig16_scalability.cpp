@@ -116,8 +116,7 @@ shardSweep(bool csv, bool quick)
 
             tss::PipelineConfig cfg = tss::paperConfig(64);
             cfg.numPipelines = pipes;
-            tss::RunResult decision =
-                tss::runHardwareThreads(cfg, trace, genThreads);
+            tss::RunResult decision = tss::runHardware(cfg, trace, genThreads);
 
             tss::DepGraph renamed =
                 tss::DepGraph::build(trace, tss::Semantics::Renamed);

@@ -70,56 +70,12 @@
 #include "driver/experiment.hh"
 #include "driver/table.hh"
 #include "graph/dep_graph.hh"
-#include "sim/random.hh"
-#include "workload/address_space.hh"
-#include "workload/builder.hh"
 #include "workload/starss_programs.hh"
 
 #include "../tests/ovt_bound.hh"
 
 namespace
 {
-
-/**
- * Deterministic wide-task shared-data trace: every task reads 9 and
- * writes 3 of a 96-object pool. With 8 generating threads splitting
- * the stream round-robin, the objects are heavily shared across
- * threads (ordered decode) and each task has several operands per
- * directory slice (batchable).
- */
-tss::TaskTrace
-makeWideTrace(unsigned tasks, std::uint64_t seed)
-{
-    tss::TaskTrace trace;
-    trace.name = "wide";
-    trace.addKernel("wide");
-    tss::TaskBuilder b(trace);
-    tss::AddressSpace mem(0x40000000);
-    std::vector<std::uint64_t> objs;
-    for (unsigned i = 0; i < 96; ++i)
-        objs.push_back(mem.alloc(512));
-
-    tss::Rng rng(seed);
-    constexpr unsigned reads = 9, writes = 3;
-    for (unsigned t = 0; t < tasks; ++t) {
-        std::vector<unsigned> picks;
-        while (picks.size() < reads + writes) {
-            auto cand = static_cast<unsigned>(rng.range(objs.size()));
-            bool dup = false;
-            for (unsigned p : picks)
-                dup |= p == cand;
-            if (!dup)
-                picks.push_back(cand);
-        }
-        b.begin(0, static_cast<tss::Cycle>(rng.rangeInclusive(300, 600)));
-        for (unsigned i = 0; i < reads; ++i)
-            b.in(objs[picks[i]], 512);
-        for (unsigned i = 0; i < writes; ++i)
-            b.out(objs[picks[reads + i]], 512);
-        b.commit();
-    }
-    return trace;
-}
 
 struct SweepProg
 {
@@ -192,7 +148,7 @@ main(int argc, char **argv)
 
     std::vector<SweepProg> programs;
     programs.push_back(
-        {"wide", makeWideTrace(quick ? 600 : 2000, 1), true});
+        {"wide", tss::genWideShared(quick ? 600 : 2000, 1), true});
     programs.push_back(
         {"cholesky", chol->context().relocatedTrace(reloc), false});
     programs.push_back(
@@ -242,8 +198,7 @@ main(int argc, char **argv)
             cfg.nocTopology = pt.topology;
             cfg.nocPlacement = pt.placement;
             cfg.batchOperands = pt.batch;
-            tss::RunResult r =
-                tss::runHardwareThreads(cfg, prog.trace, gen_threads);
+            tss::RunResult r = tss::runHardware(cfg, prog.trace, gen_threads);
             checkTopological(prog.trace, r, prog.name, pointKey(pt));
             decode[pointKey(pt)] = r.decodeRateCycles;
             std::uint64_t messages = r.metrics.counter("noc.messages");
@@ -320,7 +275,7 @@ main(int argc, char **argv)
                 if (trace_mode)
                     cfg.traceMode = *trace_mode;
                 cfg.idealAdmission = oracle;
-                tss::RunResult r = tss::runHardwareThreads(
+                tss::RunResult r = tss::runHardware(
                     cfg, prog.trace, gen_threads);
                 if (!oracle) {
                     checkTopological(prog.trace, r, prog.name,
@@ -386,8 +341,7 @@ main(int argc, char **argv)
             cfg.simThreads = sim_threads;
             if (trace_mode)
                 cfg.traceMode = *trace_mode;
-            tss::RunResult r =
-                tss::runHardwareThreads(cfg, trace, gen_threads);
+            tss::RunResult r = tss::runHardware(cfg, trace, gen_threads);
             checkTopological(trace, r, prog.name,
                              "relocate-seed " + std::to_string(seed));
             std::uint64_t messages = r.metrics.counter("noc.messages");

@@ -42,48 +42,9 @@
 
 #include "driver/cli.hh"
 #include "driver/experiment.hh"
-#include "sim/random.hh"
-#include "workload/address_space.hh"
-#include "workload/builder.hh"
 
 namespace
 {
-
-/** The fig17 wide-task shared-data generator (see that bench). */
-tss::TaskTrace
-makeWideTrace(unsigned tasks, std::uint64_t seed)
-{
-    tss::TaskTrace trace;
-    trace.name = "wide";
-    trace.addKernel("wide");
-    tss::TaskBuilder b(trace);
-    tss::AddressSpace mem(0x40000000);
-    std::vector<std::uint64_t> objs;
-    for (unsigned i = 0; i < 96; ++i)
-        objs.push_back(mem.alloc(512));
-
-    tss::Rng rng(seed);
-    constexpr unsigned reads = 9, writes = 3;
-    for (unsigned t = 0; t < tasks; ++t) {
-        std::vector<unsigned> picks;
-        while (picks.size() < reads + writes) {
-            auto cand = static_cast<unsigned>(rng.range(objs.size()));
-            bool dup = false;
-            for (unsigned p : picks)
-                dup |= p == cand;
-            if (!dup)
-                picks.push_back(cand);
-        }
-        b.begin(0,
-                static_cast<tss::Cycle>(rng.rangeInclusive(300, 600)));
-        for (unsigned i = 0; i < reads; ++i)
-            b.in(objs[picks[i]], 512);
-        for (unsigned i = 0; i < writes; ++i)
-            b.out(objs[picks[reads + i]], 512);
-        b.commit();
-    }
-    return trace;
-}
 
 /** A digest as "0x" and 16 hex digits. */
 std::string
@@ -107,7 +68,7 @@ main(int argc, char **argv)
     unsigned gen_threads = opts.genThreads(8);
     auto reps = args.getUnsigned("reps", quick ? 1 : 3);
 
-    tss::TaskTrace trace = makeWideTrace(quick ? 1000 : 6000, 1);
+    tss::TaskTrace trace = tss::genWideShared(quick ? 1000 : 6000, 1);
 
     tss::PipelineConfig base = tss::paperConfig(256);
     base.numPipelines = pipes;

@@ -3,13 +3,19 @@
  * End-to-end demonstration of the programming model: a *real* blocked
  * Cholesky factorization written against the StarSs-like API. The
  * sequential-looking program spawns annotated tasks; the simulated
- * task superscalar pipeline picks an out-of-order schedule; the
- * functional executor then runs the actual kernels in that order with
- * true memory renaming — and the numerical result matches a plain
- * sequential factorization bit for bit. Finally the same schedule is
- * *replayed on real threads* (one per simulated core), and the
- * dataflow graph mode races the whole program on a work-stealing
- * pool, reporting wall-clock speedup next to the simulated speedup.
+ * task superscalar pipeline picks an out-of-order schedule; one core
+ * then runs the actual kernels in that order with true memory
+ * renaming — and the numerical result matches a plain sequential
+ * factorization bit for bit. Finally the same schedule is *replayed
+ * on real threads* (one per simulated core), and the dataflow graph
+ * mode races the whole program on a work-stealing pool, reporting
+ * wall-clock speedup next to the simulated speedup.
+ *
+ * Every schedule is simulated on the relocated trace (synthetic
+ * operand addresses, trace/relocate.hh), so every line but the
+ * wall-clock one prints the same on every run; execution always uses
+ * the real pointers. Exits non-zero when a result differs from
+ * sequential execution.
  */
 
 #include <cmath>
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "core/system.hh"
-#include "runtime/functional_exec.hh"
 #include "runtime/parallel_exec.hh"
 #include "runtime/starss.hh"
 
@@ -159,7 +164,7 @@ main()
         seq_ctx.runSequential();
     }
 
-    // Same program, captured and scheduled by the simulated pipeline->
+    // Same program, captured and scheduled by the simulated pipeline.
     std::vector<Block> ooo_blocks = makeSpdMatrix();
     tss::starss::TaskContext ctx;
     spawnCholesky(ctx, ooo_blocks);
@@ -168,18 +173,20 @@ main()
 
     tss::PipelineConfig cfg;
     cfg.numCores = 32;
-    auto pipeline = tss::SystemBuilder(cfg, ctx.trace()).build();
-    tss::RunResult result = pipeline->run();
+    const tss::TaskTrace relocated = ctx.relocatedTrace();
+    tss::RunResult result =
+        tss::SystemBuilder(cfg, relocated).build()->run();
     std::cout << "pipeline schedule: speedup " << result.speedup
               << "x on " << cfg.numCores << " cores, decode "
               << result.decodeRateNs << " ns/task\n";
 
     // Execute the real kernels in the pipeline's (out-of-order)
-    // start order, with true memory renaming.
-    tss::starss::FunctionalExecutor exec(ctx);
-    std::size_t versions = exec.execute(result.startOrder);
-    std::cout << "functional execution used " << versions
-              << " operand versions\n";
+    // start order on one core, with true memory renaming.
+    tss::starss::ParallelRunStats one_core =
+        tss::starss::ParallelExecutor(ctx).runReplay(
+            tss::starss::oneCoreSchedule(result.startOrder));
+    std::cout << "one-core replay of that order used "
+              << one_core.versions << " operand versions\n";
 
     // The out-of-order result must equal the sequential one exactly.
     auto matches_sequential = [&](const std::vector<Block> &blocks) {
@@ -199,17 +206,13 @@ main()
 
     // Replay the pipeline's decision on REAL threads: one thread per
     // simulated core, obeying the simulated dispatch order and core
-    // assignment (fresh data, fresh simulation of its own trace —
-    // operand addresses feed ORT bank selection, so every context
-    // gets its own scheduling decision).
+    // assignment, on fresh data (a decision on the relocated trace
+    // holds for every instance of the program).
     std::vector<Block> replay_blocks = makeSpdMatrix();
     tss::starss::TaskContext replay_ctx;
     spawnCholesky(replay_ctx, replay_blocks);
-    tss::RunResult replay_decision =
-        tss::SystemBuilder(cfg, replay_ctx.trace()).build()->run();
-    tss::starss::ParallelExecutor replay_exec(replay_ctx);
     tss::starss::ParallelRunStats replay_stats =
-        replay_exec.runReplay(replay_decision);
+        tss::starss::ParallelExecutor(replay_ctx).runReplay(result);
     if (!matches_sequential(replay_blocks))
         return 1;
     std::cout << "replayed the simulated schedule on "
@@ -229,7 +232,7 @@ main()
     tss::PipelineConfig small_cfg;
     small_cfg.numCores = par_stats.threads;
     double sim_speedup =
-        tss::SystemBuilder(small_cfg, par_ctx.trace()).build()->run().speedup;
+        tss::SystemBuilder(small_cfg, relocated).build()->run().speedup;
     std::cout << "graph mode on " << par_stats.threads << " threads: "
               << par_stats.wallSeconds * 1e3 << " ms wall, "
               << par_stats.steals << " steals — simulated speedup on "

@@ -50,29 +50,6 @@ struct PipelineConfig
     unsigned ortWays = 16;       ///< ORT set associativity
     Bytes ortEntryBytes = 16;    ///< per tracked object
     Bytes ovtEntryBytes = 16;    ///< per live version
-
-    /**
-     * Version-slot reserve per OVT slice (ordered mode). When a
-     * slice's free-slot pool is at or below this mark, only operands
-     * of the machine-wide oldest unfinished task
-     * (TaskRegistry::minUnfinishedIndex) may claim slots; every
-     * other operand is capacity-parked and re-arbitrated on a
-     * version death or watermark advance. Versions claimed from the
-     * reserve regime admit no younger readers (they park too), so
-     * reserve slots are only ever pinned by tasks at or before the
-     * then-oldest — which all finish — and the reserve always
-     * replenishes: the oldest task can always decode, execute and
-     * retire, and induction on the watermark gives liveness.
-     *
-     * The guarantee needs the reserve to cover the largest per-slice
-     * memory-operand count of any single task; the default is the
-     * TRS layout's hard operand ceiling, which covers every legal
-     * trace. Clamped to slotsPerOvt() at use. 0 disables the escape
-     * (debug only — tiny OVTs may then wedge). Ample-capacity runs
-     * never drain into the reserve, so their decode decisions (and
-     * the golden stats) are unchanged.
-     */
-    unsigned ovtReserveSlots = layout::maxOperands;
     /// @}
 
     /// @name Timing (Table II).
@@ -173,11 +150,6 @@ struct PipelineConfig
     }
     /// @}
 
-    /// @name OVT rename-buffer region.
-    /// @{
-    Bytes renameRegionBytes = Bytes(1) << 32; ///< OS-assigned space
-    /// @}
-
     /**
      * Host threads the simulation engine may use to drain a window's
      * event shards. The engine currently drains every window on the
@@ -245,12 +217,6 @@ struct PipelineConfig
     {
         return static_cast<unsigned>(mixAddress(addr) % totalOrt());
     }
-
-    /** Pipeline hosting global ORT/OVT slice @p shard. */
-    unsigned shardPipeline(unsigned shard) const { return shard / numOrt; }
-
-    /** Slice index of @p shard within its hosting pipeline. */
-    unsigned shardLocalIndex(unsigned shard) const { return shard % numOrt; }
     /// @}
 
     /** NoC tiles occupied by one frontend pipeline. */

@@ -27,7 +27,7 @@ Ort::Ort(std::string name, EventQueue &eq, Network &network, NodeId node,
     readersIssued.assign(slots, 0);
     slotEpoch.assign(slots, 0);
     slotReserved.assign(slots, 0);
-    reserveSlots = std::min<std::uint32_t>(cfg.ovtReserveSlots, slots);
+    reserveSlots = std::min<std::uint32_t>(layout::maxOperands, slots);
 }
 
 std::size_t

@@ -29,8 +29,8 @@
  * Versions claimed from the reserve regime are marked reserved and
  * admit no younger readers, so reserve slots are only ever pinned by
  * tasks at or before the then-oldest — which all finish — and the
- * escape can always run (see PipelineConfig::ovtReserveSlots for the
- * liveness argument). This is the squash-free skeleton a speculative
+ * escape can always run (see Ort::reserveSlots for the liveness
+ * argument). This is the squash-free skeleton a speculative
  * (epoch-tagged) admission mode extends.
  */
 
@@ -223,7 +223,26 @@ class Ort : public FrontendModule
     /// Slots whose live version was claimed from the reserve regime;
     /// younger readers may not join such a version (liveness).
     std::vector<char> slotReserved;
-    std::uint32_t reserveSlots = 0; ///< effective reserve (clamped)
+    /**
+     * Version-slot reserve (ordered mode). When the free-slot pool is
+     * at or below this mark, only operands of the machine-wide oldest
+     * unfinished task (TaskRegistry::minUnfinishedIndex) may claim
+     * slots; every other operand is capacity-parked and re-arbitrated
+     * on a version death or watermark advance. Versions claimed from
+     * the reserve regime admit no younger readers (they park too), so
+     * reserve slots are only ever pinned by tasks at or before the
+     * then-oldest — which all finish — and the reserve always
+     * replenishes: the oldest task can always decode, execute and
+     * retire, and induction on the watermark gives liveness.
+     *
+     * The guarantee needs the reserve to cover the largest per-slice
+     * memory-operand count of any single task: the TRS layout's hard
+     * operand ceiling, which covers every legal trace, clamped to the
+     * slice's capacity. Ample-capacity runs never drain into the
+     * reserve, so their decode decisions (and the golden stats) do
+     * not depend on it.
+     */
+    std::uint32_t reserveSlots = 0;
     bool starveSubscribed = false;  ///< SliceStarved sent to the TRSs
     Counter slotParks;
 

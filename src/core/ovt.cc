@@ -13,7 +13,7 @@ Ovt::Ovt(std::string name, EventQueue &eq, Network &network, NodeId node,
       edram(config.ovtTotalBytes / config.totalOrt(),
             config.edramLatency),
       buffers(0x4000'0000ULL + (std::uint64_t(ovt_index) << 36),
-              config.renameRegionBytes),
+              bufferRegionBytes),
       dma(dma_engine)
 {
     versions.assign(cfg.slotsPerOvt(), Version{});

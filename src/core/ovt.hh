@@ -99,6 +99,8 @@ class Ovt : public FrontendModule
     const PipelineConfig &cfg;
     FrontendStats &stats;
     Edram edram;
+    /// Each OVT's OS-assigned rename-buffer region.
+    static constexpr Bytes bufferRegionBytes = Bytes(1) << 32;
     BucketAllocator buffers;
     DmaEngine &dma;
 

@@ -97,11 +97,6 @@ SystemBuilder::build()
     if (ordered)
         sys->registry.computeObjectTickets();
 
-    // The parallel engine's id map must be the flat per-<TRS, SLOT>
-    // table: binds stay TRS-row-local and cross-domain lookups read
-    // fixed, barrier-ordered memory locations.
-    sys->registry.configureIdTable(cfg.totalTrs(), cfg.blocksPerTrs());
-
     // Event-queue shards: one NoC domain per pipeline plus a
     // dedicated backend domain. Pipeline p's frontend (gateway +
     // TRSs + ORT/OVT pairs) drains on shard p; the shared backend

@@ -220,7 +220,6 @@ class System
     Trs &trs(unsigned i) { return *trsModules.at(i); }
     Ort &ort(unsigned i) { return *ortModules.at(i); }
     Ovt &ovt(unsigned i) { return *ovtModules.at(i); }
-    std::size_t numSources() const { return sources.size(); }
     TaskSource &source(unsigned thread) { return *sources.at(thread); }
     /// @}
 
@@ -235,7 +234,7 @@ class System
           // One domain per pipeline plus the dedicated backend
           // domain (network / DMA / scheduler).
           engine(std::make_unique<SimEngine>(config.numPipelines + 1)),
-          registry(task_trace)
+          registry(task_trace, config.totalTrs(), config.blocksPerTrs())
     {}
 
     PipelineConfig cfg;

@@ -50,65 +50,39 @@ struct ObjectTicket
 class TaskRegistry
 {
   public:
-    explicit TaskRegistry(const TaskTrace &task_trace)
-        : trace(task_trace), records(task_trace.size()),
-          finishedFlags(task_trace.size(), 0)
-    {
-        byId.reserve(task_trace.size());
-    }
-
     /**
-     * Switch the id map to a flat per-<TRS, SLOT> table. Required
-     * under the parallel engine: each TRS binds/unbinds only its own
-     * rows (no shared hash-map mutation), and lookups from worker
-     * cores in other NoC domains read fixed memory locations whose
-     * writes are ordered by the engine's window barriers.
+     * Track @p task_trace's tasks on a machine of @p num_trs TRSs with
+     * @p slots_per_trs slots each. The id map is a flat
+     * per-<TRS, SLOT> table: each TRS binds and unbinds only its own
+     * rows, and worker cores in other NoC domains read fixed memory
+     * locations whose writes the engine's window barriers order.
      */
-    void
-    configureIdTable(unsigned num_trs, unsigned slots_per_trs)
-    {
-        slotsPerTrs = slots_per_trs;
-        idTable.assign(static_cast<std::size_t>(num_trs) *
-                           slots_per_trs,
-                       IdEntry{});
-    }
+    TaskRegistry(const TaskTrace &task_trace, unsigned num_trs,
+                 unsigned slots_per_trs)
+        : trace(task_trace), records(task_trace.size()),
+          idTable(static_cast<std::size_t>(num_trs) * slots_per_trs),
+          slotsPerTrs(slots_per_trs),
+          finishedFlags(task_trace.size(), 0)
+    {}
 
     /** Bind a hardware id to a trace task at allocation time. */
     void
     bind(TaskId id, std::uint32_t trace_index)
     {
-        if (!idTable.empty()) {
-            IdEntry &e = idTable[entryIndex(id)];
-            TSS_ASSERT(e.traceIndex == invalidIndex, "task id rebound");
-            e = IdEntry{id.generation, trace_index};
-            return;
-        }
-        auto [it, inserted] = byId.emplace(id, trace_index);
-        TSS_ASSERT(inserted, "task id rebound");
-        (void)it;
+        IdEntry &e = idTable[entryIndex(id)];
+        TSS_ASSERT(e.traceIndex == invalidIndex, "task id rebound");
+        e = IdEntry{id.generation, trace_index};
     }
 
     /** Trace index of an in-flight task. */
     std::uint32_t
     traceIndex(TaskId id) const
     {
-        if (!idTable.empty()) {
-            const IdEntry &e = idTable[entryIndex(id)];
-            TSS_ASSERT(e.traceIndex != invalidIndex &&
-                           e.generation == id.generation,
-                       "unknown task id %s", toString(id).c_str());
-            return e.traceIndex;
-        }
-        auto it = byId.find(id);
-        TSS_ASSERT(it != byId.end(), "unknown task id %s",
-                   toString(id).c_str());
-        return it->second;
-    }
-
-    const TraceTask &
-    traceTask(TaskId id) const
-    {
-        return trace.tasks[traceIndex(id)];
+        const IdEntry &e = idTable[entryIndex(id)];
+        TSS_ASSERT(e.traceIndex != invalidIndex &&
+                       e.generation == id.generation,
+                   "unknown task id %s", toString(id).c_str());
+        return e.traceIndex;
     }
 
     TaskRecord &record(std::uint32_t trace_index)
@@ -138,15 +112,11 @@ class TaskRegistry
     void
     unbind(TaskId id)
     {
-        if (!idTable.empty()) {
-            IdEntry &e = idTable[entryIndex(id)];
-            TSS_ASSERT(e.traceIndex != invalidIndex &&
-                           e.generation == id.generation,
-                       "unbinding unknown task id");
-            e.traceIndex = invalidIndex;
-            return;
-        }
-        byId.erase(id);
+        IdEntry &e = idTable[entryIndex(id)];
+        TSS_ASSERT(e.traceIndex != invalidIndex &&
+                       e.generation == id.generation,
+                   "unbinding unknown task id");
+        e.traceIndex = invalidIndex;
     }
 
     const TaskTrace &taskTrace() const { return trace; }
@@ -240,9 +210,8 @@ class TaskRegistry
 
     const TaskTrace &trace;
     std::vector<TaskRecord> records;
-    std::unordered_map<TaskId, std::uint32_t> byId;
     std::vector<IdEntry> idTable;
-    unsigned slotsPerTrs = 0;
+    unsigned slotsPerTrs;
 
     /// Per-task, per-operand object tickets (shared-data mode only).
     std::vector<std::vector<ObjectTicket>> tickets;

@@ -64,7 +64,6 @@ class TaskSource : public SimObject, public Endpoint
     }
 
     bool done() const { return submitted == indices.size(); }
-    std::size_t tasksSubmitted() const { return submitted; }
 
     void
     receive(MessagePtr msg) override

@@ -10,17 +10,10 @@ namespace tss
 {
 
 RunResult
-runHardware(const PipelineConfig &config, const TaskTrace &trace)
+runHardware(const PipelineConfig &config, const TaskTrace &trace,
+            unsigned num_threads)
 {
-    return SystemBuilder(config, trace).build()->run();
-}
-
-RunResult
-runHardwareThreads(const PipelineConfig &config, const TaskTrace &trace,
-                   unsigned num_threads)
-{
-    auto sys =
-        SystemBuilder(config, trace).roundRobin(num_threads).build();
+    auto sys = SystemBuilder(config, trace).roundRobin(num_threads).build();
     return sys->run();
 }
 
@@ -95,7 +88,10 @@ runParallelReal(const starss::RealProgramInfo &info, std::uint64_t seed,
     // placed the program's memory.
     PipelineConfig cfg;
     cfg.numCores = threads;
-    result.simSpeedup = par.simulate(cfg).speedup;
+    SimReport sim = par.simulate(cfg);
+    if (!sim.completed)
+        fatal("%s: simulation ended early", info.name.c_str());
+    result.simSpeedup = sim.result.speedup;
     return result;
 }
 

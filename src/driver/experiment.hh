@@ -23,19 +23,14 @@
 namespace tss
 {
 
-/** Run @p trace through a freshly built task superscalar system. */
-RunResult runHardware(const PipelineConfig &config,
-                      const TaskTrace &trace);
-
 /**
- * Run @p trace with @p num_threads task-generating threads assigned
- * round-robin (task t emitted by thread t % num_threads) — the
- * shared-data multi-pipeline configuration: threads need not own
- * disjoint objects, the sharded directory orders shared accesses.
+ * Run @p trace through a freshly built task superscalar system, with
+ * @p num_threads task-generating threads assigned round-robin (task t
+ * emitted by thread t % num_threads). Threads need not own disjoint
+ * objects: the sharded directory orders shared accesses.
  */
-RunResult runHardwareThreads(const PipelineConfig &config,
-                             const TaskTrace &trace,
-                             unsigned num_threads);
+RunResult runHardware(const PipelineConfig &config,
+                      const TaskTrace &trace, unsigned num_threads = 1);
 
 /** Run @p trace through the software-runtime baseline. */
 SwRunResult runSoftware(const SwRuntimeConfig &config,

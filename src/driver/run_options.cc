@@ -84,7 +84,7 @@ RunOptions::parse(const CliArgs &args)
 }
 
 void
-RunOptions::applyNoc(PipelineConfig &cfg) const
+RunOptions::apply(PipelineConfig &cfg) const
 {
     if (topology)
         cfg.nocTopology = *topology;
@@ -98,12 +98,6 @@ RunOptions::applyNoc(PipelineConfig &cfg) const
         cfg.idealAdmission = true;
     if (simThreads)
         cfg.simThreads = *simThreads;
-}
-
-void
-RunOptions::apply(PipelineConfig &cfg) const
-{
-    applyNoc(cfg);
     if (credits)
         cfg.slicePacketCredits = *credits;
     if (pipes)

@@ -69,13 +69,6 @@ class RunOptions
         apply(reloc);
     }
 
-    /**
-     * The NoC/engine subset of apply(PipelineConfig&): topology,
-     * placement, placement seed, batching, idealAdmission and
-     * simThreads only — no structural knobs.
-     */
-    void applyNoc(PipelineConfig &cfg) const;
-
     /** True when `--relocate` was given. */
     bool relocateRequested() const { return relocate; }
 

@@ -2,7 +2,7 @@
  * @file
  * Exact inter-task dependency analysis over a task trace. This is the
  * semantic reference for the whole repository: the hardware pipeline,
- * the software runtime and the functional executor are all validated
+ * the software runtime and the real executors are all validated
  * against the graphs built here.
  *
  * Two semantics are supported:

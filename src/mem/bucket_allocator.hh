@@ -57,9 +57,6 @@ class BucketAllocator
     /** Return a buffer obtained from allocate(). */
     void release(std::uint64_t address, Bytes bucket_size);
 
-    /** Bytes of the region not yet carved into buckets. */
-    Bytes regionRemaining() const { return regionBytes - regionUsed; }
-
     /** Live (allocated, unreleased) buffer count. */
     std::uint64_t liveBuffers() const { return live; }
 

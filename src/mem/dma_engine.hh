@@ -64,7 +64,6 @@ class DmaEngine : public SimObject
 
     std::uint64_t numTransfers() const { return transfers.value(); }
     std::uint64_t totalBytes() const { return bytesCopied.value(); }
-    Cycle busyUntil() const { return channelFreeAt; }
 
   private:
     void

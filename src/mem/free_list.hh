@@ -70,7 +70,6 @@ class BlockFreeList
     }
 
     std::uint32_t numBlocks() const { return totalBlocks; }
-    std::uint32_t numAllocated() const { return totalBlocks - numFree(); }
 
     /** Fraction of allocations satisfied in a single cycle. */
     double

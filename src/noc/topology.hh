@@ -77,9 +77,6 @@ struct NocParams
     std::uint64_t placementSeed = 1;
 };
 
-/** Historical name: the params struct predates the topology layer. */
-using RingParams = NocParams;
-
 /** Aggregated link contention counters (see TopologyNetwork). */
 struct LinkStats
 {

@@ -76,32 +76,31 @@ formatMetricValue(double v)
 }
 
 void
-Snapshot::writeJson(std::ostream &os, int indent) const
+Snapshot::writeJson(std::ostream &os) const
 {
-    std::string pad(static_cast<std::size_t>(indent), ' ');
-    os << pad << "{\n";
-    os << pad << "  \"counters\": {";
+    os << "{\n";
+    os << "  \"counters\": {";
     bool first = true;
     for (const auto &kv : counters) {
-        os << (first ? "\n" : ",\n") << pad << "    \"" << kv.first
+        os << (first ? "\n" : ",\n") << "    \"" << kv.first
            << "\": " << kv.second;
         first = false;
     }
-    os << (first ? "" : "\n" + pad + "  ") << "},\n";
+    os << (first ? "" : "\n  ") << "},\n";
 
-    os << pad << "  \"gauges\": {";
+    os << "  \"gauges\": {";
     first = true;
     for (const auto &kv : gauges) {
-        os << (first ? "\n" : ",\n") << pad << "    \"" << kv.first
+        os << (first ? "\n" : ",\n") << "    \"" << kv.first
            << "\": " << formatMetricValue(kv.second);
         first = false;
     }
-    os << (first ? "" : "\n" + pad + "  ") << "},\n";
+    os << (first ? "" : "\n  ") << "},\n";
 
-    os << pad << "  \"histograms\": {";
+    os << "  \"histograms\": {";
     first = true;
     for (const auto &kv : histograms) {
-        os << (first ? "\n" : ",\n") << pad << "    \"" << kv.first
+        os << (first ? "\n" : ",\n") << "    \"" << kv.first
            << "\": {\"lower_bounds\": [";
         const HistogramSnapshot &h = kv.second;
         for (std::size_t i = 0; i < h.lowerBounds.size(); ++i)
@@ -112,8 +111,8 @@ Snapshot::writeJson(std::ostream &os, int indent) const
         os << "]}";
         first = false;
     }
-    os << (first ? "" : "\n" + pad + "  ") << "}\n";
-    os << pad << "}";
+    os << (first ? "" : "\n  ") << "}\n";
+    os << "}";
 }
 
 std::string

@@ -73,12 +73,8 @@ struct Snapshot
 
     bool operator==(const Snapshot &) const = default;
 
-    /**
-     * Deterministic JSON: three name-sorted sections. @p indent is
-     * the number of leading spaces on every emitted line, so the
-     * object nests cleanly inside larger reports (tss-serve).
-     */
-    void writeJson(std::ostream &os, int indent = 0) const;
+    /** Deterministic JSON: three name-sorted sections. */
+    void writeJson(std::ostream &os) const;
     std::string toJson() const;
 };
 

@@ -37,9 +37,6 @@ categoryOf(TraceEvent type)
         return cat::noc;
       case TraceEvent::WindowBarrier:
         return cat::engine;
-      case TraceEvent::ServeEnqueue:
-      case TraceEvent::ServeDequeue:
-        return cat::serve;
     }
     return cat::all;
 }
@@ -65,8 +62,6 @@ traceEventName(TraceEvent type)
       case TraceEvent::NocDeliver: return "noc.deliver";
       case TraceEvent::NocLaneWait: return "noc.lanewait";
       case TraceEvent::WindowBarrier: return "engine.window";
-      case TraceEvent::ServeEnqueue: return "serve.enqueue";
-      case TraceEvent::ServeDequeue: return "serve.dequeue";
     }
     return "unknown";
 }
@@ -82,7 +77,6 @@ categoryName(TraceEvent type)
       case cat::version: return "version";
       case cat::noc: return "noc";
       case cat::engine: return "engine";
-      case cat::serve: return "serve";
     }
     return "other";
 }
@@ -239,33 +233,21 @@ Tracer::drainWindow()
     if (_mode == TraceMode::Tail)
         return; // rings self-retain; end-sorted once in tailJson()
 
-    std::vector<TraceRecord> window;
+    auto window_begin = static_cast<std::ptrdiff_t>(full.size());
     for (TraceBuf &buf : shardBufs) {
         std::vector<TraceRecord> recs = buf.take();
-        window.insert(window.end(), recs.begin(), recs.end());
+        full.insert(full.end(), recs.begin(), recs.end());
     }
     std::vector<TraceRecord> brecs = barrier.take();
-    window.insert(window.end(), brecs.begin(), brecs.end());
-    if (window.empty())
-        return;
-
-    std::stable_sort(window.begin(), window.end(), keyLess);
-
-    total += window.size();
-    for (const TraceRecord &r : window) {
-        tail.push_back(r);
-        if (tail.size() > tailCap)
-            tail.pop_front();
-    }
-    if (_mode == TraceMode::Full)
-        full.insert(full.end(), window.begin(), window.end());
+    full.insert(full.end(), brecs.begin(), brecs.end());
+    std::stable_sort(full.begin() + window_begin, full.end(), keyLess);
 }
 
 std::uint64_t
 Tracer::totalRecords() const
 {
     if (_mode != TraceMode::Tail)
-        return total;
+        return full.size();
     std::uint64_t n = barrier.emitted();
     for (const TraceBuf &buf : shardBufs)
         n += buf.emitted();
@@ -427,7 +409,9 @@ Tracer::tailJson() const
                           records.end() -
                               static_cast<std::ptrdiff_t>(tailCap));
     } else {
-        records.assign(tail.begin(), tail.end());
+        records.assign(full.end() - static_cast<std::ptrdiff_t>(
+                                        std::min(full.size(), tailCap)),
+                       full.end());
     }
     std::ostringstream os;
     writeChrome(os, records);

@@ -28,7 +28,6 @@
 #define TSS_OBS_TRACE_HH
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <limits>
 #include <string>
@@ -63,8 +62,6 @@ enum class TraceEvent : std::uint8_t
     NocDeliver,         ///< a = (src << 16) | dst, b = latency
     NocLaneWait,        ///< a = 0 (per-link, link anonymous), b = wait
     WindowBarrier,      ///< a = deferred ops applied, b = window end
-    ServeEnqueue,       ///< a = stage index, b = job id
-    ServeDequeue,       ///< a = stage index, b = job id
 };
 
 /** Filter-category bit of an event type. */
@@ -296,9 +293,7 @@ class Tracer
     std::vector<TraceBuf> shardBufs;
     TraceBuf barrier;
     std::vector<TraceRecord> full;   ///< Full mode retention
-    std::deque<TraceRecord> tail;    ///< bounded always-on tail
     std::size_t tailCap;
-    std::uint64_t total = 0;
     std::vector<TrackName> tracks;
 };
 

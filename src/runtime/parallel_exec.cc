@@ -33,6 +33,15 @@ seedCounters(std::vector<std::atomic<std::int64_t>> &remaining,
 
 } // namespace
 
+RunResult
+oneCoreSchedule(std::vector<std::uint32_t> order)
+{
+    RunResult schedule;
+    schedule.coreOf.assign(order.size(), 0);
+    schedule.startOrder = std::move(order);
+    return schedule;
+}
+
 ParallelExecutor::ParallelExecutor(TaskContext &context)
     : ctx(context),
       graph(DepGraph::build(context.trace(), Semantics::Renamed))

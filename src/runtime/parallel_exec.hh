@@ -1,10 +1,9 @@
 /**
  * @file
- * Real parallel execution of a captured task program. Where the
- * FunctionalExecutor replays kernels one at a time on the calling
- * thread, the ParallelExecutor runs them concurrently on a real
- * thread pool against the same RenameStore (per-version rename
- * buffers), in one of two drive modes:
+ * Real execution of a captured task program: the ParallelExecutor
+ * runs its kernels on real threads against a RenameStore
+ * (per-version rename buffers, the OVT's renaming in software), in
+ * one of two drive modes:
  *
  *  - **Graph mode** (`runGraph`): dataflow execution "as fast as the
  *    hardware allows". Atomic dependence counters over the renamed
@@ -20,7 +19,8 @@
  *    executes exactly the tasks the simulator dispatched to that
  *    core, in dispatch order, waiting on the same dependence
  *    counters. A pipeline decision can thus be validated bit-for-bit
- *    against sequential execution on real hardware parallelism.
+ *    against sequential execution on real hardware parallelism. With
+ *    oneCoreSchedule() it executes any order one task at a time.
  *
  * Both modes produce final program memory bit-identical to
  * `TaskContext::runSequential()`: the renamed graph orders every pair
@@ -52,6 +52,12 @@ struct ParallelRunStats
     std::uint64_t steals = 0;   ///< successful deque steals (graph mode)
     double wallSeconds = 0;     ///< execution wall-clock time
 };
+
+/**
+ * The schedule that runs @p order on one core: runReplay() of it
+ * executes the tasks one at a time, in @p order.
+ */
+RunResult oneCoreSchedule(std::vector<std::uint32_t> order);
 
 /** Executes a captured task program on a real thread pool. */
 class ParallelExecutor

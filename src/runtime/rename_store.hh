@@ -80,11 +80,6 @@ class RenameStore
     /// @name Version-assignment introspection (tests).
     /// @{
     std::int64_t
-    readVersion(std::uint32_t t, std::size_t operand) const
-    {
-        return readVersionOf[t][operand];
-    }
-    std::int64_t
     writeVersion(std::uint32_t t, std::size_t operand) const
     {
         return writeVersionOf[t][operand];

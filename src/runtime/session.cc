@@ -168,29 +168,12 @@ Session::relocationMap() const
     return map.get();
 }
 
-std::unique_ptr<System>
-Session::buildSystem(const PipelineConfig &cfg, unsigned gen_threads,
-                     bool use_relocated) const
-{
-    const TaskTrace &image = use_relocated ? relocated : trace();
-    return SystemBuilder(cfg, image).roundRobin(gen_threads).build();
-}
-
-RunResult
+SimReport
 Session::simulate(const PipelineConfig &cfg, unsigned gen_threads,
-                  bool use_relocated) const
+                  std::uint64_t max_events) const
 {
     requireSealed("simulate()");
-    return buildSystem(cfg, gen_threads, use_relocated)->run();
-}
-
-SimReport
-Session::simulateMonitored(const PipelineConfig &cfg,
-                           unsigned gen_threads, bool use_relocated,
-                           std::uint64_t max_events) const
-{
-    requireSealed("simulateMonitored()");
-    auto sys = buildSystem(cfg, gen_threads, use_relocated);
+    auto sys = SystemBuilder(cfg, relocated).roundRobin(gen_threads).build();
     SimReport report;
     report.liveness = sys->runWatchdog(max_events);
     report.completed = report.liveness.completed;

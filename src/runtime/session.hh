@@ -49,7 +49,7 @@ namespace tss
 {
 
 /**
- * Outcome of a monitored simulation: the liveness verdict plus, on
+ * Outcome of Session::simulate: the liveness verdict plus, on
  * completion, the full RunResult (its metrics snapshot included) and
  * the optional Chrome trace. A wedge does not kill the process:
  * `completed == false` with `liveness.wedged == true` carries the
@@ -147,27 +147,16 @@ class Session
     const RelocationMap *relocationMap() const;
 
     /**
-     * Simulate the sealed program on a task superscalar machine built
-     * from @p cfg, with @p gen_threads generating threads (round-robin
-     * task assignment). Simulates the *relocated* image by default so
-     * results are deterministic; pass @p use_relocated = false for the
-     * raw captured addresses.
+     * Simulate the sealed program's relocated image on a task
+     * superscalar machine built from @p cfg, with @p gen_threads
+     * generating threads (round-robin task assignment). A wedge or
+     * an exhausted @p max_events budget does not fatal(): the
+     * SimReport carries the liveness verdict, and (when
+     * cfg.traceMode is Full) the Chrome trace. Configured
+     * --trace-out/--metrics-out files are still written.
      */
-    RunResult simulate(const PipelineConfig &cfg,
-                       unsigned gen_threads = 1,
-                       bool use_relocated = true) const;
-
-    /**
-     * Simulate like simulate(), but survive a wedge or event-limit
-     * end: the SimReport carries the liveness verdict and (when
-     * cfg.traceMode is Full) the Chrome trace instead of fatal()ing.
-     * Configured --trace-out/--metrics-out files are still written.
-     * @param max_events Watchdog event budget.
-     */
-    SimReport simulateMonitored(
-        const PipelineConfig &cfg, unsigned gen_threads = 1,
-        bool use_relocated = true,
-        std::uint64_t max_events = ~std::uint64_t(0)) const;
+    SimReport simulate(const PipelineConfig &cfg, unsigned gen_threads = 1,
+                       std::uint64_t max_events = ~std::uint64_t(0)) const;
 
     /** Execute sequentially in program order (context-backed). */
     void runSequential();
@@ -187,9 +176,6 @@ class Session
     starss::TaskContext &context();
 
   private:
-    std::unique_ptr<System> buildSystem(const PipelineConfig &cfg,
-                                        unsigned gen_threads,
-                                        bool use_relocated) const;
     void requireOpen(const char *op) const;
     void requireSealed(const char *op) const;
     void requireContext(const char *op) const;

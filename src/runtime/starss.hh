@@ -5,7 +5,7 @@
  * directionality and spawn tasks from a sequential thread; the
  * runtime captures the task stream as a TaskTrace (for the simulated
  * pipeline) and can execute it for real — sequentially, or
- * out-of-order with true memory renaming via the FunctionalExecutor.
+ * out-of-order with true memory renaming via the ParallelExecutor.
  *
  * Example (blocked matrix multiply):
  * @code

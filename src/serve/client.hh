@@ -58,7 +58,6 @@ class ServeClient
     bool shutdown();
 
     void close();
-    bool connected() const { return fd >= 0; }
 
   private:
     int fd = -1;

@@ -6,8 +6,6 @@
 
 #include <unistd.h>
 
-#include "trace/trace_io.hh"
-
 namespace tss::serve
 {
 
@@ -50,22 +48,6 @@ writeFull(int fd, const void *buf, std::size_t len)
     return true;
 }
 
-bool
-parseDirText(const std::string &s, Dir &out)
-{
-    if (s == "in")
-        out = Dir::In;
-    else if (s == "out")
-        out = Dir::Out;
-    else if (s == "inout")
-        out = Dir::InOut;
-    else if (s == "scalar")
-        out = Dir::Scalar;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 bool
@@ -99,55 +81,6 @@ writeFrame(int fd, const Frame &frame)
     return writeFull(fd, header, sizeof(header)) &&
         (len == 0 ||
          writeFull(fd, frame.payload.data(), frame.payload.size()));
-}
-
-bool
-parseTraceText(const std::string &text, TaskTrace &out)
-{
-    TaskTrace trace;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "trace") {
-            ls >> trace.name;
-        } else if (tag == "kernel") {
-            std::size_t id = 0;
-            std::string kname;
-            if (!(ls >> id >> kname) ||
-                id != trace.kernelNames.size())
-                return false;
-            trace.kernelNames.push_back(kname);
-        } else if (tag == "task") {
-            TraceTask task;
-            std::size_t nops = 0;
-            if (!(ls >> task.kernel >> task.runtime >> nops) ||
-                task.kernel >= trace.kernelNames.size())
-                return false;
-            task.operands.reserve(nops);
-            for (std::size_t i = 0; i < nops; ++i) {
-                if (!std::getline(is, line))
-                    return false;
-                std::istringstream ops(line);
-                std::string optag, dir;
-                TraceOperand op;
-                if (!(ops >> optag >> dir >> std::hex >> op.addr >>
-                      std::dec >> op.bytes) ||
-                    optag != "op" || !parseDirText(dir, op.dir))
-                    return false;
-                task.operands.push_back(op);
-            }
-            trace.tasks.push_back(std::move(task));
-        } else {
-            return false;
-        }
-    }
-    out = std::move(trace);
-    return true;
 }
 
 std::string

@@ -28,8 +28,8 @@
  *            recently completed job, with wall-clock serve-stage
  *            slices spliced in (answer to Trace)
  *
- * Submissions are parsed with the *non-fatal* parser below: a
- * malformed payload turns into an Error response, never into
+ * Submissions are parsed with trace_io's non-fatal parseTraceText:
+ * a malformed payload turns into an Error response, never into
  * fatal() — a misbehaving tenant must not take the daemon down.
  */
 
@@ -40,6 +40,7 @@
 #include <string>
 
 #include "trace/task_trace.hh"
+#include "trace/trace_io.hh"
 
 namespace tss::serve
 {
@@ -80,11 +81,11 @@ bool readFrame(int fd, Frame &frame,
 bool writeFrame(int fd, const Frame &frame);
 
 /**
- * Parse a Submit payload in the trace text format. Unlike
- * tss::readTrace this returns false on malformed input instead of
- * calling fatal(): servers reject, they do not die.
+ * Parse a Submit payload: trace_io's parser, which returns false on
+ * malformed input instead of calling fatal() — servers reject, they
+ * do not die.
  */
-bool parseTraceText(const std::string &text, TaskTrace &out);
+using tss::parseTraceText;
 
 /** Serialize @p trace to the Submit payload text. */
 std::string formatTraceText(const TaskTrace &trace);

@@ -196,13 +196,13 @@ TraceService::executeWorker()
         std::int64_t t0 = uptimeUs();
         // Each job simulates on its own machine copy; a full flight
         // recorder rides along when job traces are requested. The
-        // monitored path survives a wedge — a deadlocked tenant
-        // program must never take the daemon down.
+        // simulation survives a wedge — a deadlocked tenant program
+        // must never take the daemon down.
         PipelineConfig machine = cfg.machine;
         if (cfg.recordJobTraces)
             machine.traceMode = obs::TraceMode::Full;
-        SimReport sim = job->session->simulateMonitored(
-            machine, cfg.genThreads, true, cfg.maxEventsPerJob);
+        SimReport sim = job->session->simulate(machine, cfg.genThreads,
+                                               cfg.maxEventsPerJob);
         if (sim.completed) {
             job->simMakespan = sim.result.makespan;
             job->simTasks = sim.result.numTasks;

@@ -34,8 +34,6 @@ class Clock
   public:
     explicit constexpr Clock(double freq_ghz = 3.2) : _freqGHz(freq_ghz) {}
 
-    constexpr double freqGHz() const { return _freqGHz; }
-
     /** Convert nanoseconds to (rounded) cycles. */
     constexpr Cycle
     nsToCycles(double ns) const

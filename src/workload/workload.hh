@@ -79,6 +79,15 @@ TaskTrace genMatMulBlocked(unsigned n, Bytes block_bytes = 16 * 1024,
 TaskTrace genH264Grid(unsigned width, unsigned height, unsigned frames,
                       std::uint64_t seed = 1);
 
+/**
+ * Deterministic wide-task shared-data program: every task reads 9 and
+ * writes 3 of a 96-object pool (512 B each, 300-600 cycles). With
+ * several generating threads splitting the stream round-robin, the
+ * objects are heavily shared across threads (ordered decode) and each
+ * task has several operands per directory slice (batchable).
+ */
+TaskTrace genWideShared(unsigned tasks, std::uint64_t seed = 1);
+
 /// @}
 
 } // namespace tss

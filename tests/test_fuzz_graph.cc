@@ -7,9 +7,9 @@
  *
  *  - the simulated pipeline's start order is a topological order of
  *    the renamed dependency graph (the paper's correctness claim);
- *  - sequential execution, functional out-of-order replay of the
- *    simulated order, graph-mode parallel execution and replay-mode
- *    parallel execution all produce bit-identical final memory;
+ *  - sequential execution, one-core replay of the simulated order,
+ *    graph-mode parallel execution and replay-mode parallel
+ *    execution all produce bit-identical final memory;
  *  - the ParallelExecutor terminates (no deadlock) on every such
  *    program — backstopped by the ctest TIMEOUT property.
  */
@@ -23,7 +23,6 @@
 #include "core/system.hh"
 #include "graph/dep_graph.hh"
 #include "ovt_bound.hh"
-#include "runtime/functional_exec.hh"
 #include "runtime/parallel_exec.hh"
 #include "runtime/starss.hh"
 #include "sim/random.hh"
@@ -36,7 +35,6 @@ namespace
 {
 
 using starss::Buffers;
-using starss::FunctionalExecutor;
 using starss::ParallelExecutor;
 using starss::Param;
 using starss::TaskContext;
@@ -186,11 +184,11 @@ TEST(FuzzGraph, PipelineOrdersAreTopologicalAndExecutionIsExact)
             << "seed " << seed << ": simulated start order violates "
             << "the renamed dependency graph";
 
-        // Functional replay of the simulated order.
-        FunctionalExecutor fexec(simulated.context());
-        fexec.execute(decision.startOrder);
+        // One-core replay of the simulated order.
+        ParallelExecutor one_core(simulated.context());
+        one_core.runReplay(starss::oneCoreSchedule(decision.startOrder));
         EXPECT_EQ(simulated.snapshot(), expected)
-            << "seed " << seed << ": functional replay diverged";
+            << "seed " << seed << ": one-core replay diverged";
 
         // Replay the simulated decision on real threads.
         FuzzProgram replayed(seed);
@@ -218,7 +216,7 @@ TEST(FuzzGraph, PipelineOrdersAreTopologicalAndExecutionIsExact)
  * programs, split round-robin over generating threads (heavy
  * cross-thread sharing by construction — the configuration the
  * pre-shard SystemBuilder rejected), decoded by 1/2/4-pipeline
- * machines. Start orders must stay topological and functional replay
+ * machines. Start orders must stay topological and one-core replay
  * of every decision must be bit-identical to sequential execution,
  * independent of the shard count.
  */
@@ -263,11 +261,11 @@ TEST(FuzzGraph, ShardedPipelinesStayExactUnderSharing)
                 << " pipelines: start order violates the renamed "
                 << "dependency graph";
 
-            FunctionalExecutor fexec(simulated.context());
-            fexec.execute(decision.startOrder);
+            ParallelExecutor one_core(simulated.context());
+            one_core.runReplay(starss::oneCoreSchedule(decision.startOrder));
             EXPECT_EQ(simulated.snapshot(), expected)
                 << "seed " << seed << ", " << pipes
-                << " pipelines: functional replay diverged";
+                << " pipelines: one-core replay diverged";
         }
     }
 }
@@ -278,7 +276,7 @@ TEST(FuzzGraph, ShardedPipelinesStayExactUnderSharing)
  * placement policy (plus batching and credit flow control in the
  * mix). The interconnect may change *when* things happen, never
  * *what* happens: every decision must start exactly the full task
- * set in a topological order of the renamed graph, and functional
+ * set in a topological order of the renamed graph, and one-core
  * replay of each decision must be bit-identical to sequential
  * execution.
  */
@@ -340,10 +338,10 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
             EXPECT_TRUE(renamed.isTopologicalOrder(decision.startOrder))
                 << what << ": start order violates the renamed graph";
 
-            FunctionalExecutor fexec(simulated.context());
-            fexec.execute(decision.startOrder);
+            ParallelExecutor one_core(simulated.context());
+            one_core.runReplay(starss::oneCoreSchedule(decision.startOrder));
             EXPECT_EQ(simulated.snapshot(), expected)
-                << what << ": functional replay diverged";
+                << what << ": one-core replay diverged";
         }
     }
 }
@@ -357,7 +355,7 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
  * operands, below the bound of 10, so every configuration must
  * complete (asserted through the liveness watchdog, not a hang into
  * the ctest TIMEOUT), the decision must be bit-identical across
- * --sim-threads {1, 2, 4}, and functional replay of each decision
+ * --sim-threads {1, 2, 4}, and one-core replay of each decision
  * must match sequential execution bit for bit.
  *
  * Timing comparisons run on the *relocated* trace (synthetic
@@ -449,15 +447,15 @@ TEST(FuzzGraph, TinyOvtReserveEscapeStaysExact)
                     << "dependency graph";
             }
 
-            // Final memory: functional replay of the squeezed-OVT
+            // Final memory: one-core replay of the squeezed-OVT
             // decision on a fresh program instance must reproduce
             // sequential execution bit for bit.
             FuzzProgram replayed(seed);
-            FunctionalExecutor fexec(replayed.context());
-            fexec.execute(baseline.startOrder);
+            ParallelExecutor one_core(replayed.context());
+            one_core.runReplay(starss::oneCoreSchedule(baseline.startOrder));
             EXPECT_EQ(replayed.snapshot(), expected)
                 << "seed " << seed << ", " << squeeze.slots
-                << " slots/slice: functional replay diverged";
+                << " slots/slice: one-core replay diverged";
         }
     }
 }

@@ -46,10 +46,10 @@ class Sink : public Endpoint
     std::vector<NodeId> sources;
 };
 
-RingParams
+NocParams
 smallRing()
 {
-    RingParams p;
+    NocParams p;
     p.numCores = 32;
     p.coresPerRing = 8;
     p.numL2Banks = 8;
@@ -196,7 +196,7 @@ TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
     // approaches 1.0, which must land in the closed top bucket
     // [90%, 100%] while idle links stay in [0%, 10%).
     EventQueue eq;
-    RingParams p = smallRing();
+    NocParams p = smallRing();
     p.lanesPerSegment = 1;
     RingNetwork net("noc", eq, p);
     Sink sink(eq);
@@ -372,7 +372,7 @@ TEST(TopologyNetworkDeathTest, NonPositiveBytesPerCycleAborts)
 TEST(RingNetwork, ManyCoreConfigurationWorks)
 {
     EventQueue eq;
-    RingParams p;
+    NocParams p;
     p.numCores = 257; // 256 workers + master
     p.numFrontendTiles = 16;
     RingNetwork net("noc", eq, p);

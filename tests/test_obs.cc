@@ -362,6 +362,26 @@ TEST(ObsTrace, TailIsBounded)
     EXPECT_LE(slices, 64u); // 32 records, each at most 2 slices
 }
 
+/** Full mode: the tail is the drained log's suffix, the total its size. */
+TEST(ObsTrace, FullModeTailIsTheLogSuffix)
+{
+    TaskTrace trace = chainProgram(25);
+    for (std::size_t cap : {std::size_t(32), std::size_t(1) << 20}) {
+        PipelineConfig cfg = tinyConfig();
+        cfg.traceMode = obs::TraceMode::Full;
+        cfg.traceTailRecords = cap;
+        auto sys = SystemBuilder(cfg, trace).build();
+        sys->run();
+        const obs::Tracer &tracer = *sys->tracer();
+        ASSERT_GT(tracer.log().size(), 32u);
+        EXPECT_EQ(tracer.totalRecords(), tracer.log().size());
+        if (cap >= tracer.log().size())
+            EXPECT_EQ(tracer.tailJson(), tracer.chromeJson());
+        else
+            EXPECT_LT(tracer.tailJson().size(), tracer.chromeJson().size());
+    }
+}
+
 TEST(ObsLiveness, ReportToJson)
 {
     LivenessReport report;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/system.hh"
-#include "runtime/functional_exec.hh"
 #include "runtime/parallel_exec.hh"
 #include "workload/starss_programs.hh"
 
@@ -97,24 +96,26 @@ TEST_P(RealWorkloads, ReplayModeMatchesSequentialBitForBit)
     }
 }
 
-TEST_P(RealWorkloads, GraphAndFunctionalAgreeOnVersionCount)
+TEST_P(RealWorkloads, GraphAndOneCoreReplayAgreeOnVersionCount)
 {
     auto parallel = info().make(3);
-    auto functional = info().make(3);
+    auto one_core = info().make(3);
 
     ParallelExecutor pexec(parallel->context());
     std::size_t parallel_versions = pexec.runGraph(4).versions;
 
-    // The functional executor replays in program order (trivially a
-    // topological order of the renamed graph).
+    // One core replays program order (trivially a topological order
+    // of the renamed graph).
     std::vector<std::uint32_t> program_order(
-        functional->context().numTasks());
+        one_core->context().numTasks());
     std::iota(program_order.begin(), program_order.end(), 0);
-    starss::FunctionalExecutor fexec(functional->context());
-    std::size_t functional_versions = fexec.execute(program_order);
+    ParallelExecutor rexec(one_core->context());
+    starss::ParallelRunStats one_core_stats =
+        rexec.runReplay(starss::oneCoreSchedule(program_order));
 
-    EXPECT_EQ(parallel_versions, functional_versions);
-    EXPECT_EQ(parallel->snapshot(), functional->snapshot());
+    EXPECT_EQ(one_core_stats.threads, 1u);
+    EXPECT_EQ(parallel_versions, one_core_stats.versions);
+    EXPECT_EQ(parallel->snapshot(), one_core->snapshot());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the StarSs-like programming model and the functional
- * out-of-order executor: trace capture fidelity, sequential
- * execution, and — the headline property — out-of-order execution
- * with memory renaming producing results identical to sequential
- * execution for every legal schedule.
+ * Tests for the StarSs-like programming model and one-core replay
+ * (ParallelExecutor::runReplay of a oneCoreSchedule): trace capture
+ * fidelity, sequential execution, and — the headline property —
+ * out-of-order execution with memory renaming producing results
+ * identical to sequential execution for every legal schedule.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 
 #include "core/system.hh"
 #include "graph/dep_graph.hh"
-#include "runtime/functional_exec.hh"
+#include "runtime/parallel_exec.hh"
 #include "runtime/starss.hh"
 #include "sim/random.hh"
 
@@ -24,7 +24,7 @@ namespace
 {
 
 using starss::Buffers;
-using starss::FunctionalExecutor;
+using starss::ParallelExecutor;
 using starss::TaskContext;
 
 TEST(StarssApi, CapturesTraceWithDirections)
@@ -86,7 +86,7 @@ buildAccumulation(TaskContext &ctx, std::vector<double> &cells)
                      starss::inout(&cells[3], d)});
 }
 
-TEST(FunctionalExecutor, ProgramOrderMatchesSequential)
+TEST(OneCoreReplay, ProgramOrderMatchesSequential)
 {
     std::vector<double> seq{0, 1, 2, 3};
     {
@@ -100,12 +100,11 @@ TEST(FunctionalExecutor, ProgramOrderMatchesSequential)
     buildAccumulation(ctx, ooo);
     std::vector<std::uint32_t> order(ctx.numTasks());
     std::iota(order.begin(), order.end(), 0);
-    FunctionalExecutor exec(ctx);
-    exec.execute(order);
+    ParallelExecutor(ctx).runReplay(starss::oneCoreSchedule(order));
     EXPECT_EQ(ooo, seq);
 }
 
-TEST(FunctionalExecutor, EveryLegalOrderMatchesSequential)
+TEST(OneCoreReplay, EveryLegalOrderMatchesSequential)
 {
     std::vector<double> seq{0, 1, 2, 3};
     {
@@ -146,13 +145,12 @@ TEST(FunctionalExecutor, EveryLegalOrderMatchesSequential)
         }
         ASSERT_EQ(order.size(), n);
 
-        FunctionalExecutor exec(ctx);
-        exec.execute(order);
+        ParallelExecutor(ctx).runReplay(starss::oneCoreSchedule(order));
         ASSERT_EQ(ooo, seq) << "round " << round;
     }
 }
 
-TEST(FunctionalExecutor, PipelineScheduleMatchesSequential)
+TEST(OneCoreReplay, PipelineScheduleMatchesSequential)
 {
     // Blocked vector-scaling pipeline: writers renamed, readers of
     // old versions, inout accumulators — scheduled by the simulated
@@ -205,13 +203,13 @@ TEST(FunctionalExecutor, PipelineScheduleMatchesSequential)
     auto pipe = SystemBuilder(cfg, ctx.trace()).build();
     RunResult result = pipe->run(500'000'000);
 
-    FunctionalExecutor exec(ctx);
-    std::size_t versions = exec.execute(result.startOrder);
-    EXPECT_GT(versions, 0u);
+    starss::ParallelRunStats stats = ParallelExecutor(ctx).runReplay(
+        starss::oneCoreSchedule(result.startOrder));
+    EXPECT_GT(stats.versions, 0u);
     EXPECT_EQ(ooo, seq);
 }
 
-TEST(FunctionalExecutor, CountsOneVersionPerWrite)
+TEST(OneCoreReplay, CountsOneVersionPerWrite)
 {
     TaskContext ctx;
     double x = 0;
@@ -222,8 +220,24 @@ TEST(FunctionalExecutor, CountsOneVersionPerWrite)
         ctx.spawn(w, {starss::out(&x, sizeof(double))});
     std::vector<std::uint32_t> order(7);
     std::iota(order.begin(), order.end(), 0);
-    FunctionalExecutor exec(ctx);
-    EXPECT_EQ(exec.execute(order), 7u);
+    starss::ParallelRunStats stats =
+        ParallelExecutor(ctx).runReplay(starss::oneCoreSchedule(order));
+    EXPECT_EQ(stats.versions, 7u);
+}
+
+TEST(OneCoreReplayDeathTest, RejectsAnOrderAgainstTheRenamedGraph)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TaskContext ctx;
+    double x = 0;
+    auto add = ctx.addKernel("add", [](Buffers &b) {
+        *b.as<double>(0) += 1.0;
+    });
+    ctx.spawn(add, {starss::inout(&x, sizeof(double))});
+    ctx.spawn(add, {starss::inout(&x, sizeof(double))});
+    EXPECT_EXIT(
+        ParallelExecutor(ctx).runReplay(starss::oneCoreSchedule({1, 0})),
+        testing::ExitedWithCode(1), "violates the renamed");
 }
 
 } // namespace

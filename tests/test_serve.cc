@@ -358,6 +358,9 @@ TEST(Serve, TraceTextRoundTrips)
     TaskTrace bad;
     EXPECT_FALSE(parseTraceText("bogus 1 2 3\n", bad));
     EXPECT_FALSE(parseTraceText("task 0 100 1\n", bad)); // no kernel
+    // A huge operand count once aborted the daemon in reserve().
+    EXPECT_FALSE(parseTraceText(
+        "kernel 0 k\ntask 0 1 18446744073709551615\n", bad));
 }
 
 TEST(Serve, SocketEndToEnd)

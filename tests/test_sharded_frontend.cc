@@ -133,7 +133,7 @@ TEST(ShardedFrontend, RelocatedCholeskyGoldenStats)
         TaskTrace trace = relocatedCholesky();
         PipelineConfig cfg = paperConfig(64);
         cfg.numPipelines = g.pipes;
-        RunResult r = runHardwareThreads(cfg, trace, 8);
+        RunResult r = runHardware(cfg, trace, 8);
         EXPECT_EQ(r.makespan, g.makespan) << g.pipes << " pipelines";
         const obs::Snapshot &m = r.metrics;
         EXPECT_EQ(m.counter("engine.events_executed"), g.events)
@@ -409,7 +409,7 @@ TEST(ShardedFrontend, DecodeScalesWithPipelines)
     for (unsigned pipes : {1u, 4u}) {
         PipelineConfig cfg = paperConfig(64);
         cfg.numPipelines = pipes;
-        RunResult r = runHardwareThreads(cfg, trace, 8);
+        RunResult r = runHardware(cfg, trace, 8);
         (pipes == 1 ? decode1 : decode4) = r.decodeRateCycles;
     }
     EXPECT_GT(decode1, 0.0);
@@ -443,7 +443,7 @@ TEST(ShardedFrontend, OracleBitIdenticalAcrossShardCounts)
             auto program = prog.make(3);
             PipelineConfig cfg = paperConfig(32);
             cfg.numPipelines = pipes;
-            RunResult decision = runHardwareThreads(
+            RunResult decision = runHardware(
                 cfg, program->context().trace(), 4);
 
             starss::ParallelExecutor exec(program->context());

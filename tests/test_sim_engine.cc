@@ -190,10 +190,10 @@ TEST(SimEngine, SystemBitIdenticalAcrossSimThreads)
         cfg.slicePacketCredits = p.credits;
 
         cfg.simThreads = 1;
-        RunResult baseline = runHardwareThreads(cfg, trace, 8);
+        RunResult baseline = runHardware(cfg, trace, 8);
         for (unsigned threads : {2u, 4u}) {
             cfg.simThreads = threads;
-            RunResult parallel = runHardwareThreads(cfg, trace, 8);
+            RunResult parallel = runHardware(cfg, trace, 8);
             expectSameRun(parallel, baseline,
                           std::string(toString(p.topology)) + "/" +
                               toString(p.placement) + "/" +
@@ -212,9 +212,9 @@ TEST(SimEngine, RelocatedRealKernelBitIdenticalAcrossSimThreads)
     cfg.numPipelines = 2;
 
     cfg.simThreads = 1;
-    RunResult baseline = runHardwareThreads(cfg, trace, 4);
+    RunResult baseline = runHardware(cfg, trace, 4);
     cfg.simThreads = 2;
-    RunResult parallel = runHardwareThreads(cfg, trace, 4);
+    RunResult parallel = runHardware(cfg, trace, 4);
     expectSameRun(parallel, baseline, "relocated Cholesky");
 }
 
@@ -233,7 +233,7 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
     cfg.numPipelines = 2;
 
     cfg.simThreads = 1;
-    RunResult baseline = runHardwareThreads(cfg, trace, 4);
+    RunResult baseline = runHardware(cfg, trace, 4);
 
     constexpr unsigned kThreads = 6;
     constexpr unsigned kRunsPerThread = 3;
@@ -246,8 +246,7 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
             PipelineConfig mine = cfg;
             mine.simThreads = (t % 2) ? 2 : 1;
             for (unsigned r = 0; r < kRunsPerThread; ++r)
-                results[t * kRunsPerThread + r] =
-                    runHardwareThreads(mine, trace, 4);
+                results[t * kRunsPerThread + r] = runHardware(mine, trace, 4);
         });
     }
     for (auto &runner : runners)

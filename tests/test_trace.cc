@@ -124,6 +124,67 @@ TEST(TraceIo, SkipsCommentsAndBlankLines)
     EXPECT_EQ(trace.tasks[0].operands[0].dir, Dir::InOut);
 }
 
+/** readTrace over @p text. */
+TaskTrace
+readText(const std::string &text)
+{
+    std::istringstream is(text);
+    return readTrace(is);
+}
+
+TEST(TraceIoDeathTest, RejectsATaskOfAnUndeclaredKernel)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(readText("kernel 0 k\ntask 3 100 0\n"),
+                testing::ExitedWithCode(1),
+                "line 2: task names undeclared kernel 3");
+}
+
+TEST(TraceIoDeathTest, RejectsANonHexAddress)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(readText("kernel 0 k\ntask 0 100 1\nop in zz 64\n"),
+                testing::ExitedWithCode(1), "line 3: expected 'op ");
+}
+
+TEST(TraceIoDeathTest, RejectsANonNumericSize)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(readText("kernel 0 k\ntask 0 100 1\nop in 40 sixty\n"),
+                testing::ExitedWithCode(1), "line 3: expected 'op ");
+}
+
+TEST(TraceIo, ParseErrorsNameTheLine)
+{
+    struct Case
+    {
+        const char *text;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"kernel 0 k\ntask 0 1 2\nop in 40 64\n",
+         "line 2: trace ends 1 op line(s) short of this task"},
+        {"kernel 0 k\ntask 0 1 2\nop in 40 64\ntask 0 1 0\n",
+         "line 4: expected 1 more op line(s) for the task at line 2"},
+        {"kernel 0 k\ntask 0 1 18446744073709551615\n",
+         "line 2: trace ends 18446744073709551615 op line(s) short"},
+        {"kernel 1 k\n", "line 1: kernel id 1 out of sequence"},
+        {"kernel 0 k\ntask 0 -1 0\n", "line 2: expected 'task "},
+        {"kernel 0 k\ntask 0 1 1\nop in 40 64 extra\n",
+         "line 3: expected 'op "},
+        {"op in 40 64\n", "line 1: op line outside a task"},
+        {"trace a b\n", "line 1: expected 'trace [<name>]'"},
+        {"bogus 1 2 3\n", "line 1: unknown tag 'bogus'"},
+    };
+    for (const Case &c : cases) {
+        TaskTrace trace;
+        std::string error;
+        EXPECT_FALSE(parseTraceText(c.text, trace, &error)) << c.text;
+        EXPECT_EQ(error.rfind(c.error, 0), 0u)
+            << c.text << " -> " << error;
+    }
+}
+
 TEST(TraceStats, EmptyTraceIsSafe)
 {
     TaskTrace trace;

@@ -259,8 +259,7 @@ TEST(TraceRelocate, OracleBitIdenticalAcrossThreadsAndModes)
                     program->context().relocatedTrace();
                 PipelineConfig cfg = paperConfig(threads);
                 cfg.numTrs = 2;
-                RunResult decision =
-                    runHardwareThreads(cfg, relocated, 2);
+                RunResult decision = runHardware(cfg, relocated, 2);
                 DepGraph renamed =
                     DepGraph::build(relocated, Semantics::Renamed);
                 EXPECT_TRUE(

@@ -71,10 +71,10 @@ struct TrsFixture : ::testing::Test
                 t.operands.push_back({Dir::In, 0x1000u + i, 64});
             trace.tasks.push_back(t);
         }
-        registry = std::make_unique<TaskRegistry>(trace);
-
         cfg.numTrs = 2;
         cfg.trsTotalBytes = 64 * 1024; // 256 blocks per TRS
+        registry = std::make_unique<TaskRegistry>(
+            trace, cfg.totalTrs(), cfg.blocksPerTrs());
         net = std::make_unique<SimpleNetwork>("net", eq, 1, 16.0);
         trs = std::make_unique<Trs>("trs0", eq, *net, trsNode, 0, cfg,
                                     *registry, stats);
