@@ -7,6 +7,9 @@
  * link traversal, and a full end-to-end pipeline simulation rate.
  */
 
+#include <cstdlib>
+#include <new>
+
 #include <benchmark/benchmark.h>
 
 #include "core/system.hh"
@@ -17,6 +20,40 @@
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "workload/workload.hh"
+
+namespace
+{
+
+/**
+ * Global operator new calls made on this thread, counted by the
+ * replacement below (array and nothrow new forward to it).
+ */
+thread_local std::uint64_t globalNews = 0;
+
+} // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    ++globalNews;
+    if (void *p = std::malloc(bytes ? bytes : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -101,7 +138,10 @@ BENCHMARK(BM_EventQueuePaperMixShape);
  * events were recycled. Steady state must be all reuse:
  * `msg_fresh_per_kmsg` counts fresh chunks per 1000 NoC messages and
  * approaches zero as the pool warms (the seed allocated every message
- * and large event closure from the heap individually).
+ * and large event closure from the heap individually). The pools are
+ * not the only allocators on that path, so `new_per_kmsg` counts
+ * every global operator new call inside run() (building the System
+ * excluded) per 1000 messages. Advisory: nothing gates it.
  */
 void
 BM_PipelineAllocationCounts(benchmark::State &state)
@@ -113,11 +153,14 @@ BM_PipelineAllocationCounts(benchmark::State &state)
     std::uint64_t msg_fresh0 = msg_pool.stats().fresh;
     std::uint64_t msg_reuse0 = msg_pool.stats().reused;
     std::uint64_t ev_fresh0 = ev_pool.stats().fresh;
+    std::uint64_t run_news = 0;
     for (auto _ : state) {
         tss::PipelineConfig cfg;
         cfg.numCores = 32;
         auto pipe = tss::SystemBuilder(cfg, trace).build();
+        const std::uint64_t news0 = globalNews;
         tss::RunResult result = pipe->run();
+        run_news += globalNews - news0;
         messages += result.metrics.counter("noc.messages");
         events += result.metrics.counter("engine.events_executed");
     }
@@ -136,6 +179,10 @@ BM_PipelineAllocationCounts(benchmark::State &state)
             : 1000.0 *
                 static_cast<double>(msg_pool.stats().fresh - msg_fresh0) /
                 static_cast<double>(messages));
+    state.counters["new_per_kmsg"] = benchmark::Counter(
+        messages == 0 ? 0
+                      : 1000.0 * static_cast<double>(run_news) /
+                            static_cast<double>(messages));
 }
 BENCHMARK(BM_PipelineAllocationCounts)->Unit(benchmark::kMillisecond);
 

@@ -5,6 +5,8 @@
  * input, and servicing a packet occupies the module's controller for
  * `16 cycles x operands involved` plus any eDRAM accesses — the
  * occupancy model behind the decode-rate scaling of Figures 12/13.
+ * The replies a service queues leave when it ends: one completion
+ * event injects them, in send order, and then frees the server.
  */
 
 #ifndef TSS_CORE_MODULE_HH
@@ -116,7 +118,15 @@ class FrontendModule : public SimObject, public Endpoint
     void
     flushOutboxNow()
     {
-        outboxFlushAt(curCycle());
+        if (outbox.empty())
+            return;
+        // Its own station-stamped event, so its deferred sends key on
+        // this module, not on whichever object's event called here.
+        scheduleAt(curCycle(), [this, batch = std::move(outbox)]() mutable {
+            for (auto &m : batch)
+                net.send(MessagePtr(m.release()));
+        });
+        outbox.clear();
     }
 
   private:
@@ -144,43 +154,32 @@ class FrontendModule : public SimObject, public Endpoint
 
         if (svc.parked) {
             headParked = true;
-            outboxFlushAt(curCycle() + svc.cost);
-            scheduleIn(svc.cost, [this, cost = svc.cost] {
-                busy = false;
-                totalBusy += cost;
-                startNext();
-            });
-            return;
+        } else {
+            if (from_control)
+                controlq.pop_front();
+            else
+                inq.pop_front();
+            occupancy.update(curCycle(),
+                             static_cast<double>(inq.size() +
+                                                 controlq.size()));
+            ++processed;
         }
-
-        if (from_control)
-            controlq.pop_front();
-        else
-            inq.pop_front();
-        occupancy.update(curCycle(),
-                         static_cast<double>(inq.size() +
-                                             controlq.size()));
-        ++processed;
-        outboxFlushAt(curCycle() + svc.cost);
-        scheduleIn(svc.cost, [this, cost = svc.cost] {
-            busy = false;
-            totalBusy += cost;
-            startNext();
-        });
+        // The server is idle between completions, so inflight is
+        // empty here; swapping keeps both vectors' capacity.
+        outbox.swap(inflight);
+        scheduleIn(svc.cost, [this, cost = svc.cost] { complete(cost); });
     }
 
+    /** End of a service: inject its replies, then free the server. */
     void
-    outboxFlushAt(Cycle when)
+    complete(Cycle cost)
     {
-        if (outbox.empty())
-            return;
-        // Station-stamped (scheduleAt) so the flush event's ordering
-        // key — and thus its deferred sends — is unique per module.
-        scheduleAt(when, [this, batch = std::move(outbox)]() mutable {
-            for (auto &m : batch)
-                net.send(MessagePtr(m.release()));
-        });
-        outbox.clear();
+        for (auto &m : inflight)
+            net.send(MessagePtr(m.release()));
+        inflight.clear();
+        busy = false;
+        totalBusy += cost;
+        startNext();
     }
 
     Network &net;
@@ -189,6 +188,8 @@ class FrontendModule : public SimObject, public Endpoint
     std::deque<std::unique_ptr<ProtoMsg>> inq;
     std::deque<std::unique_ptr<ProtoMsg>> controlq;
     std::vector<std::unique_ptr<ProtoMsg>> outbox;
+    /// The replies of the service in progress, sent by complete().
+    std::vector<std::unique_ptr<ProtoMsg>> inflight;
 
     bool busy = false;
     bool headParked = false;

@@ -15,9 +15,9 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq,
     height = (stops + width - 1) / width;
 
     if (width > 1)
-        horizontal.assign(std::size_t(width - 1) * height, makeLink());
+        horizontal.resize(std::size_t(width - 1) * height);
     if (height > 1)
-        vertical.assign(std::size_t(width) * (height - 1), makeLink());
+        vertical.resize(std::size_t(width) * (height - 1));
 }
 
 TopologyNetwork::Link &

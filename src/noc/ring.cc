@@ -7,7 +7,7 @@ RingNetwork::RingNetwork(std::string name, EventQueue &eq,
                          NocParams params)
     : TopologyNetwork(std::move(name), eq, params)
 {
-    globalSegments.assign(place.globalStops, makeLink());
+    globalSegments.resize(place.globalStops);
 }
 
 Cycle

@@ -54,6 +54,9 @@ TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
     // reserveLane reads lane 0 of every link, and serializationCycles
     // converts bytes / bytesPerCycle to an integer cycle count.
     TSS_ASSERT(_params.lanesPerSegment > 0, "lanesPerSegment must be > 0");
+    TSS_ASSERT(_params.lanesPerSegment <= maxLanes,
+               "lanesPerSegment must be <= %u, not %u", maxLanes,
+               _params.lanesPerSegment);
     TSS_ASSERT(std::isfinite(_params.bytesPerCycle) &&
                    _params.bytesPerCycle > 0,
                "bytesPerCycle must be positive and finite, not %g",
@@ -67,15 +70,7 @@ TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
 
     localSegments.resize(numRings);
     for (auto &segments : localSegments)
-        segments.assign(_params.coresPerRing + 1, makeLink());
-}
-
-TopologyNetwork::Link
-TopologyNetwork::makeLink() const
-{
-    Link link;
-    link.lanes.assign(_params.lanesPerSegment, 0);
-    return link;
+        segments.resize(_params.coresPerRing + 1);
 }
 
 NodeId
@@ -258,7 +253,7 @@ TopologyNetwork::linkStats(Cycle now) const
         if (now > 0) {
             double util = static_cast<double>(link.busyCycles) /
                 (static_cast<double>(now) *
-                 static_cast<double>(link.lanes.size()));
+                 static_cast<double>(_params.lanesPerSegment));
             stats.maxUtilization = std::max(stats.maxUtilization, util);
         }
     };
@@ -275,7 +270,7 @@ TopologyNetwork::linkUtilizations(Cycle now) const
     std::vector<double> utils;
     auto visit = [&](const Link &link) {
         double capacity = static_cast<double>(now) *
-            static_cast<double>(link.lanes.size());
+            static_cast<double>(_params.lanesPerSegment);
         utils.push_back(capacity > 0
                             ? static_cast<double>(link.busyCycles) /
                                   capacity

@@ -28,9 +28,14 @@
  *            recently completed job, with wall-clock serve-stage
  *            slices spliced in (answer to Trace)
  *
- * Submissions are parsed with trace_io's non-fatal parseTraceText:
- * a malformed payload turns into an Error response, never into
- * fatal() — a misbehaving tenant must not take the daemon down.
+ * A Submit is answered Accepted before it is parsed: the service's
+ * parse stage runs trace_io's non-fatal parseTraceText later, and a
+ * malformed program is rejected there, never by fatal() — a
+ * misbehaving tenant must not take the daemon down. The rejection
+ * counts in the tenant's `rejected_parse`, and the Report carries
+ * the parser's line-numbered reason as `last_parse_error`. Error
+ * answers only frames the server cannot act on (bad frame, bad
+ * tenant).
  */
 
 #ifndef TSS_SERVE_PROTOCOL_HH

@@ -1,5 +1,6 @@
 #include "service.hh"
 
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -135,7 +136,8 @@ TraceService::parseWorker()
     while (auto job = parseQueue.pop()) {
         std::int64_t t0 = uptimeUs();
         if (!job->parsed) {
-            if (!parseTraceText(job->text, job->trace)) {
+            if (!parseTraceText(job->text, job->trace,
+                                &job->parseError)) {
                 job->outcome = Job::Outcome::ParseError;
                 reportQueue.push(std::move(*job));
                 continue;
@@ -232,8 +234,10 @@ TraceService::finishJob(Job job)
                       std::chrono::steady_clock::now() - job.admitTime)
                       .count();
     // Splice the wall-clock serve-stage slices (pid 2) into the job's
-    // simulation trace so one Perfetto view shows both time bases.
-    if (!job.traceJson.empty() && !job.stageSlices.empty()) {
+    // simulation trace so one Perfetto view shows both time bases,
+    // when the machine's trace filter selects the serve category.
+    if (!job.traceJson.empty() && !job.stageSlices.empty() &&
+        (cfg.machine.traceFilter & obs::cat::serve)) {
         std::string events;
         for (std::size_t i = 0; i < job.stageSlices.size(); ++i) {
             if (i)
@@ -254,6 +258,7 @@ TraceService::finishJob(Job job)
             break;
         case Job::Outcome::ParseError:
             ++tenant.rejectedParse;
+            tenant.lastParseError = std::move(job.parseError);
             break;
         case Job::Outcome::CarveOverflow:
             ++tenant.rejectedCarve;
@@ -333,6 +338,7 @@ TraceService::report() const
         tr.completed = tenant->completed;
         tr.wedged = tenant->wedged;
         tr.lastWedgeJson = tenant->lastWedgeJson;
+        tr.lastParseError = tenant->lastParseError;
         tr.rejectedParse = tenant->rejectedParse;
         tr.rejectedCarve = tenant->rejectedCarve;
         tr.busyRejections = tenant->busyRejections;
@@ -379,6 +385,26 @@ TraceService::carveEndOf(TenantId tenant) const
 namespace
 {
 
+/** @p s as a JSON string literal: quoted, with escapes. */
+std::string
+jsonString(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char hex[7];
+            std::snprintf(hex, sizeof hex, "\\u%04x", c);
+            out += hex;
+        } else {
+            out += c;
+        }
+    }
+    return out + '"';
+}
+
 void
 jsonSummary(std::ostream &os, const char *key,
             const PercentileSummary &s)
@@ -406,7 +432,7 @@ toJson(const ServiceReport &report)
     for (std::size_t i = 0; i < report.tenants.size(); ++i) {
         const TenantReport &t = report.tenants[i];
         os << (i ? ",\n" : "") << "    {\"id\": " << t.id
-           << ", \"name\": \"" << t.name << "\""
+           << ", \"name\": " << jsonString(t.name)
            << ", \"carve_base\": " << t.carveBase
            << ", \"carve_end\": " << t.carveEnd
            << ", \"admitted\": " << t.admitted
@@ -422,6 +448,9 @@ toJson(const ServiceReport &report)
         os << ",\n     \"tasks_per_sec\": " << t.tasksPerSec;
         if (!t.lastWedgeJson.empty())
             os << ",\n     \"last_wedge\": " << t.lastWedgeJson;
+        if (!t.lastParseError.empty())
+            os << ",\n     \"last_parse_error\": "
+               << jsonString(t.lastParseError);
         os << "}";
     }
     os << "\n  ],\n  \"metrics\": "

@@ -72,8 +72,9 @@ struct ServeConfig
     /**
      * Record a full flight-recorder trace of every job's simulation
      * and keep each tenant's most recent one for the Trace wire
-     * message (with wall-clock serve-stage slices spliced in). Off by
-     * default: full traces of large programs are big.
+     * message, with wall-clock serve-stage slices spliced in when
+     * machine.traceFilter includes obs::cat::serve. Off by default:
+     * full traces of large programs are big.
      */
     bool recordJobTraces = false;
 
@@ -136,6 +137,12 @@ struct TenantReport
      * no job of this tenant ever wedged.
      */
     std::string lastWedgeJson;
+
+    /**
+     * The parser's reason for the tenant's most recent malformed
+     * submission ("line 2: ..."); empty when none was malformed.
+     */
+    std::string lastParseError;
 
     std::uint64_t simulatedTasks = 0; ///< total trace tasks completed
 
@@ -246,6 +253,8 @@ class TraceService
         std::string traceJson;
         /// LivenessReport JSON when the simulation wedged.
         std::string wedgeJson;
+        /// The parser's reason when the submission was malformed.
+        std::string parseError;
         /// Pre-formatted wall-clock serve-stage slices (pid 2),
         /// spliced into traceJson at finish.
         std::vector<std::string> stageSlices;
@@ -268,8 +277,9 @@ class TraceService
         Distribution simMakespan;
         Distribution wallLatency;
 
-        std::string lastWedgeJson; ///< most recent wedge diagnosis
-        std::string lastTraceJson; ///< most recent job trace
+        std::string lastWedgeJson;  ///< most recent wedge diagnosis
+        std::string lastParseError; ///< most recent parse failure
+        std::string lastTraceJson;  ///< most recent job trace
     };
 
     SubmitResult admit(Job job);

@@ -179,7 +179,9 @@ TEST(FuzzLookahead, GoldenWindowCounters)
  * window barriers only, so a window may overshoot it; tss-serve's
  * --max-events-per-job and the LivenessReport it returns depend on
  * exactly where. Pinned per budget on two topologies, with the
- * event-stream digests of the partial run.
+ * event-stream digests of the partial run. Every budget stops both
+ * runs early (a whole run takes 4,514 events), the largest after 67
+ * of the 80 tasks retired.
  */
 TEST(FuzzLookahead, EventBudgetStopPoint)
 {
@@ -195,18 +197,18 @@ TEST(FuzzLookahead, EventBudgetStopPoint)
         std::uint64_t applyDigest;
     };
     const Golden goldens[] = {
-        {topoCases[0], 500, 500, 0, 1821, 318,
-         0xae91fe037b4efe60ULL, 0x9aa0f9828404c27dULL},
-        {topoCases[0], 2000, 2001, 2, 6268, 1241,
-         0xe2b5ba6fcc10fcf1ULL, 0x91d37e3ecdf5150aULL},
-        {topoCases[0], 5000, 5000, 67, 226325, 3233,
-         0x598a6524724bc21eULL, 0xe34fccbb6549b455ULL},
-        {topoCases[1], 500, 500, 0, 1821, 316,
-         0x829d47939298d46dULL, 0x3574c014801cca7bULL},
-        {topoCases[1], 2000, 2001, 2, 6244, 1252,
-         0xf4d132a0a15f0f40ULL, 0x74fe1d4b941ee9e1ULL},
-        {topoCases[1], 5000, 5000, 67, 225460, 3200,
-         0x0e655b481d24c1d5ULL, 0xe0cebf086ef6d7bbULL},
+        {topoCases[0], 500, 500, 0, 2095, 377,
+         0xb56e7e7ffa33570dULL, 0x463a89ddb1f28293ULL},
+        {topoCases[0], 2000, 2000, 2, 7341, 1473,
+         0xb2499a63a5c9fc03ULL, 0xb29631184db79cb3ULL},
+        {topoCases[0], 4200, 4200, 67, 226369, 3236,
+         0xb6e2ed6414fd17a7ULL, 0xc27792697ed5f331ULL},
+        {topoCases[1], 500, 501, 0, 2090, 372,
+         0xb70fd1aa5b981b2fULL, 0x7db8f96cdc141bb5ULL},
+        {topoCases[1], 2000, 2000, 2, 7319, 1467,
+         0x64b4edf7a8221067ULL, 0x2650a35fe80f8cc4ULL},
+        {topoCases[1], 4200, 4201, 67, 225514, 3203,
+         0x385fe7b30f8926d2ULL, 0xdf08be7cbe3f4f3bULL},
     };
 
     TaskTrace trace = randomTrace(7, 80, 10, 5);

@@ -2,7 +2,8 @@
  * @file
  * Tests for the frontend-module framework itself, using a mock
  * module: single-server serialization, control-queue bypass of a
- * parked head packet, unpark resumption, and outbox flush timing.
+ * parked head packet, unpark resumption, and outbox flush timing
+ * (replies leave, in order, in the one event that ends a service).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +28,11 @@ struct ProbeMsg : ProtoMsg
     int id;
 };
 
-/** Mock module: fixed service cost; parks while `blockHead` is set. */
+/**
+ * Mock module: fixed service cost; parks while `blockHead` is set;
+ * each serviced probe sends `repliesPerService` replies to node
+ * `replyTo`, numbered id * 10 + k in send order.
+ */
 class MockModule : public FrontendModule
 {
   public:
@@ -36,6 +41,8 @@ class MockModule : public FrontendModule
     {}
 
     bool blockHead = false;
+    unsigned repliesPerService = 0;
+    NodeId replyTo = 2;
     std::vector<std::pair<int, Cycle>> serviced;
 
   protected:
@@ -53,6 +60,9 @@ class MockModule : public FrontendModule
         if (blockHead)
             return {5, true}; // park
         serviced.emplace_back(probe.id, curCycle());
+        for (unsigned k = 0; k < repliesPerService; ++k)
+            sendMsg(replyTo, std::make_unique<ProbeMsg>(
+                                 probe.id * 10 + static_cast<int>(k)));
         return {10, false};
     }
 
@@ -63,11 +73,28 @@ class MockModule : public FrontendModule
     }
 };
 
+/** Endpoint that records each delivered probe's id and cycle. */
+struct Recorder : Endpoint
+{
+    explicit Recorder(EventQueue &queue) : eq(queue) {}
+
+    void
+    receive(MessagePtr msg) override
+    {
+        arrivals.emplace_back(static_cast<ProbeMsg &>(*msg).id, eq.now());
+    }
+
+    EventQueue &eq;
+    std::vector<std::pair<int, Cycle>> arrivals;
+};
+
 struct ModuleFixture : ::testing::Test
 {
     ModuleFixture()
-        : net("net", eq, 0, 1.0), module(eq, net, 1)
-    {}
+        : net("net", eq, 0, 1.0), module(eq, net, 1), replies(eq)
+    {
+        net.attach(module.replyTo, replies);
+    }
 
     void
     inject(int id, bool control = false, Cycle when = 0)
@@ -83,6 +110,7 @@ struct ModuleFixture : ::testing::Test
     EventQueue eq;
     SimpleNetwork net;
     MockModule module;
+    Recorder replies;
 };
 
 TEST_F(ModuleFixture, ServicesSerially)
@@ -129,6 +157,44 @@ TEST_F(ModuleFixture, ControlBypassesQueueEvenUnparked)
     EXPECT_EQ(module.serviced[0].first, 1);
     EXPECT_EQ(module.serviced[1].first, 100);
     EXPECT_EQ(module.serviced[2].first, 2);
+}
+
+/**
+ * The service contract: a service's replies leave when it ends, in
+ * send order, and ending a service is one event — N serviced packets
+ * execute N events besides the deliveries.
+ */
+TEST_F(ModuleFixture, RepliesLeaveInOrderWhenServiceEnds)
+{
+    constexpr int packets = 5;
+    constexpr Cycle cost = 10;
+    // SimpleNetwork(latency 0, 1 byte/cycle): an 8-byte probe takes
+    // 8 cycles of serialization.
+    constexpr Cycle delay = 8;
+    module.repliesPerService = 2;
+    for (int id = 1; id <= packets; ++id) {
+        auto msg = std::make_unique<ProbeMsg>(id);
+        msg->src = 0;
+        msg->dst = 1;
+        net.send(MessagePtr(msg.release()));
+    }
+    eq.run();
+
+    ASSERT_EQ(module.serviced.size(), std::size_t(packets));
+    ASSERT_EQ(replies.arrivals.size(), std::size_t(2 * packets));
+    for (int i = 0; i < packets; ++i) {
+        const auto &[id, start] = module.serviced[i];
+        const auto &first = replies.arrivals[2 * i];
+        const auto &second = replies.arrivals[2 * i + 1];
+        EXPECT_EQ(first.first, id * 10);
+        EXPECT_EQ(second.first, id * 10 + 1);
+        EXPECT_EQ(first.second, start + cost + delay) << "probe " << id;
+        EXPECT_EQ(second.second, start + cost + delay) << "probe " << id;
+    }
+
+    const std::uint64_t deliveries =
+        module.packetsProcessed() + replies.arrivals.size();
+    EXPECT_EQ(eq.executed() - deliveries, std::uint64_t(packets));
 }
 
 TEST_F(ModuleFixture, QueueLengthStatTracksOccupancy)

@@ -356,6 +356,18 @@ TEST(TopologyNetworkDeathTest, ZeroLanesPerSegmentAborts)
     }
 }
 
+TEST(TopologyNetworkDeathTest, MoreLanesThanALinkHoldsAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    NocParams p = smallRing();
+    p.lanesPerSegment = TopologyNetwork::maxLanes + 1;
+    for (TopologyKind kind : {TopologyKind::Ring, TopologyKind::Mesh}) {
+        EventQueue eq;
+        EXPECT_DEATH(makeTopology(kind, "noc", eq, p),
+                     "lanesPerSegment must be <= 4, not 5");
+    }
+}
+
 TEST(TopologyNetworkDeathTest, NonPositiveBytesPerCycleAborts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

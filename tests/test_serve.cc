@@ -5,7 +5,9 @@
  * admitted job (the ctest TIMEOUT is the watchdog — a drain that
  * hangs fails the suite), the framed socket protocol end-to-end,
  * wedged-job survival with a liveness diagnosis in the report, the
- * job-trace round trip under --job-traces, the socket server reaping
+ * parser's reason for a malformed submission in the report, the
+ * job-trace round trip under --job-traces and the trace filter's say
+ * over its serve-stage slices, the socket server reaping
  * finished connection handlers, and the Session lifecycle contract.
  */
 
@@ -212,6 +214,38 @@ TEST(Serve, MalformedSubmissionRejectedNotFatal)
     EXPECT_EQ(tenantOf(report, tenant).completed, 0u);
 }
 
+TEST(Serve, ParseErrorReasonReachesTheReport)
+{
+    TraceService service(tinyServeConfig());
+    TenantId tenant = service.openTenant("say \"hi\"\n");
+    ASSERT_EQ(service.submitText(tenant, "kernel 0 k\ntask 3 100 0\n")
+                  .status,
+              SubmitStatus::Accepted);
+    service.waitIdle();
+    ServiceReport first = service.report();
+    EXPECT_EQ(tenantOf(first, tenant).lastParseError,
+              "line 2: task names undeclared kernel 3: 'task 3 100 0'");
+
+    // The latest reason replaces the earlier one, and the Report
+    // escapes it and the tenant name into JSON strings.
+    ASSERT_EQ(service.submitText(tenant, "kernel 0 k\nbad \"x\"\t\\\n")
+                  .status,
+              SubmitStatus::Accepted);
+    service.waitIdle();
+    ServiceReport report = service.report();
+    EXPECT_EQ(tenantOf(report, tenant).rejectedParse, 2u);
+    EXPECT_EQ(tenantOf(report, tenant).lastParseError,
+              "line 2: unknown tag 'bad': 'bad \"x\"\t\\'");
+    std::string json = toJson(report);
+    EXPECT_NE(json.find("\"name\": \"say \\\"hi\\\"\\u000a\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"last_parse_error\": \"line 2: unknown tag "
+                        "'bad': 'bad \\\"x\\\"\\u0009\\\\'\""),
+              std::string::npos)
+        << json;
+}
+
 TEST(Serve, CarveOverflowRejected)
 {
     ServeConfig cfg = tinyServeConfig();
@@ -300,6 +334,29 @@ TEST(Serve, JobTraceRoundTripsOverSocket)
     ASSERT_TRUE(client.shutdown());
     server.waitShutdown();
     server.stop();
+}
+
+TEST(Serve, JobTracesCarryServeSlicesOnlyUnderTheServeFilter)
+{
+    for (const char *filter : {"task", "serve"}) {
+        SCOPED_TRACE(filter);
+        ServeConfig cfg = tinyServeConfig();
+        cfg.recordJobTraces = true;
+        cfg.machine.traceFilter = obs::parseTraceFilter(filter);
+        TraceService service(cfg);
+        TenantId tenant = service.openTenant("filtered");
+        ASSERT_EQ(service.submit(tenant, chainProgram(12, 0x5000'0000))
+                      .status,
+                  SubmitStatus::Accepted);
+        service.waitIdle();
+        std::string json = service.lastTraceJson(tenant);
+        ASSERT_FALSE(json.empty());
+        const bool serve = std::string(filter) == "serve";
+        EXPECT_EQ(json.find("task.retire") != std::string::npos, !serve);
+        EXPECT_EQ(json.find("serve.parse") != std::string::npos, serve);
+        EXPECT_EQ(json.find("serve.execute") != std::string::npos,
+                  serve);
+    }
 }
 
 TEST(Serve, SimMakespanIsDeterministicAcrossServices)

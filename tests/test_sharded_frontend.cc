@@ -75,11 +75,11 @@ TEST(ShardedFrontend, SinglePipelineBitIdenticalToPreShard)
     };
     const Golden goldens[] = {
         {"Cholesky", 0.05, 1, 64, 8,
-         4477966, 124363, 48587, 1771, 0, 0},
+         4477966, 103919, 48587, 1771, 0, 0},
         {"H264", 0.05, 1, 32, 4,
-         76398097, 560893, 211754, 4002, 4002, 4002},
+         76398097, 466991, 211754, 4002, 4002, 4002},
         {"MatMul", 0.1, 7, 16, 8,
-         6186164, 101399, 39083, 1573, 0, 0},
+         6186164, 83612, 39083, 1573, 0, 0},
     };
 
     for (const Golden &g : goldens) {
@@ -125,8 +125,8 @@ TEST(ShardedFrontend, RelocatedCholeskyGoldenStats)
         double decodeRateCycles;
     };
     const Golden goldens[] = {
-        {1u, 1492618, 11126, 4344, 165, 115.170732},
-        {4u, 1494760, 11473, 4526, 165, 60.987805},
+        {1u, 1492618, 9317, 4344, 165, 115.170732},
+        {4u, 1494760, 9668, 4526, 165, 60.987805},
     };
 
     for (const Golden &g : goldens) {
@@ -174,15 +174,15 @@ TEST(ShardedFrontend, GoldenEventDigests)
     };
     const Golden goldens[] = {
         {"Cholesky", 0.05, 1, 64, 8, 1, 1,
-         0x4fa1d63cdf5f9ac3ULL, 0xb3b76c5161fd55a6ULL, 3042},
+         0xb5549631a37e3452ULL, 0xdaeb7571ca99a39cULL, 3042},
         {"H264", 0.05, 1, 32, 4, 1, 1,
-         0xae079cc8563df2a5ULL, 0x4991660ec671e38eULL, 13242},
+         0x2f44f31cbe55e229ULL, 0x0232d186e31b6277ULL, 13242},
         {"MatMul", 0.1, 7, 16, 8, 1, 1,
-         0xc66ffb6ad5a86ccfULL, 0xc4b58c6084a32c3aULL, 2787},
+         0xb594a332bb845493ULL, 0x54b781dd1f9d0290ULL, 2787},
         {nullptr, 0, 0, 64, 8, 1, 8,
-         0x6f5d05a7f0cc0ed3ULL, 0x1b64ecdb731cb564ULL, 202},
+         0xc9f0b66cf32a0d49ULL, 0x51717f347675cc1cULL, 202},
         {nullptr, 0, 0, 64, 8, 4, 8,
-         0x47d7a9855bc29147ULL, 0x89435d9019311e8cULL, 356},
+         0xc295622c659f2c19ULL, 0xc28ebff47e21d894ULL, 356},
     };
 
     for (const Golden &g : goldens) {
