@@ -25,10 +25,12 @@ namespace
 {
 
 /**
- * Global operator new calls made on this thread, counted by the
- * replacement below (array and nothrow new forward to it).
+ * Global operator new calls made on this thread, and the bytes they
+ * asked for, counted by the replacement below (array and nothrow new
+ * forward to it).
  */
 thread_local std::uint64_t globalNews = 0;
+thread_local std::uint64_t globalNewBytes = 0;
 
 } // namespace
 
@@ -38,6 +40,7 @@ thread_local std::uint64_t globalNews = 0;
 operator new(std::size_t bytes)
 {
     ++globalNews;
+    globalNewBytes += bytes;
     if (void *p = std::malloc(bytes ? bytes : 1))
         return p;
     throw std::bad_alloc();
@@ -141,7 +144,9 @@ BENCHMARK(BM_EventQueuePaperMixShape);
  * and large event closure from the heap individually). The pools are
  * not the only allocators on that path, so `new_per_kmsg` counts
  * every global operator new call inside run() (building the System
- * excluded) per 1000 messages. Advisory: nothing gates it.
+ * excluded) per 1000 messages, and `build_kb` the bytes operator new
+ * hands out inside SystemBuilder::build() — the 32-core machine
+ * tss-serve builds per job. Advisory: nothing gates them.
  */
 void
 BM_PipelineAllocationCounts(benchmark::State &state)
@@ -153,11 +158,13 @@ BM_PipelineAllocationCounts(benchmark::State &state)
     std::uint64_t msg_fresh0 = msg_pool.stats().fresh;
     std::uint64_t msg_reuse0 = msg_pool.stats().reused;
     std::uint64_t ev_fresh0 = ev_pool.stats().fresh;
-    std::uint64_t run_news = 0;
+    std::uint64_t run_news = 0, build_bytes = 0;
     for (auto _ : state) {
         tss::PipelineConfig cfg;
         cfg.numCores = 32;
+        const std::uint64_t bytes0 = globalNewBytes;
         auto pipe = tss::SystemBuilder(cfg, trace).build();
+        build_bytes += globalNewBytes - bytes0;
         const std::uint64_t news0 = globalNews;
         tss::RunResult result = pipe->run();
         run_news += globalNews - news0;
@@ -183,6 +190,9 @@ BM_PipelineAllocationCounts(benchmark::State &state)
         messages == 0 ? 0
                       : 1000.0 * static_cast<double>(run_news) /
                             static_cast<double>(messages));
+    state.counters["build_kb"] = benchmark::Counter(
+        static_cast<double>(build_bytes) / 1024.0 /
+        static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_PipelineAllocationCounts)->Unit(benchmark::kMillisecond);
 

@@ -3,7 +3,8 @@
  * Configuration of the task superscalar pipeline: module counts,
  * storage capacities, and the latency constants of the paper's
  * simulated platform (Table II), plus behaviour switches used by the
- * ablation benches.
+ * ablation benches. Table II values no caller varies are named
+ * constants (static constexpr), still read as `cfg.x`.
  */
 
 #ifndef TSS_CORE_CONFIG_HH
@@ -43,13 +44,13 @@ struct PipelineConfig
     Bytes ovtTotalBytes = 512 * 1024;       ///< "similar capacity"
     /// @}
 
-    /// @name Module geometry. Entry sizes follow the paper's tag
-    /// layout (two 64 B tag blocks per 16-way set: 8 B of tag per
-    /// way, plus packed operand-id/version meta-data).
+    /// @name Module geometry (constants). Entry sizes follow the
+    /// paper's tag layout (two 64 B tag blocks per 16-way set: 8 B of
+    /// tag per way, plus packed operand-id/version meta-data).
     /// @{
-    unsigned ortWays = 16;       ///< ORT set associativity
-    Bytes ortEntryBytes = 16;    ///< per tracked object
-    Bytes ovtEntryBytes = 16;    ///< per live version
+    static constexpr unsigned ortWays = 16;    ///< ORT associativity
+    static constexpr Bytes ortEntryBytes = 16; ///< per tracked object
+    static constexpr Bytes ovtEntryBytes = 16; ///< per live version
     /// @}
 
     /// @name Timing (Table II).
@@ -61,15 +62,16 @@ struct PipelineConfig
     /// @name Gateway / task-generating thread.
     /// @{
     unsigned gatewayBufferTasks = 20; ///< 1 KB buffer, >20 tasks
-    Cycle taskGenBaseCycles = 96;     ///< thread-side cost per task
-    Cycle taskGenPerOperandCycles = 8;
+    static constexpr Cycle taskGenBaseCycles = 96; ///< per task
+    static constexpr Cycle taskGenPerOperandCycles = 8;
     /// @}
 
     /// @name Backend.
     /// @{
     unsigned numCores = 256;
     unsigned corePrefetch = 1;   ///< Carbon-like per-core queue depth
-    Cycle dispatchOverhead = 16; ///< scheduler packet processing
+    /// Scheduler packet processing (constant).
+    static constexpr Cycle dispatchOverhead = 16;
 
     /// Heterogeneous CMP support (the paper's future-work direction:
     /// "managing heterogeneous CMPs at a higher level of
@@ -117,13 +119,13 @@ struct PipelineConfig
     /**
      * Gateway-side packet batching: coalesce same-destination-slice
      * memory operands of one task into a single DecodeBatchMsg of at
-     * most batchPacketBytes (the paper's Table II 64 B packet),
-     * flushed at the packet budget or the task boundary. Off by
-     * default — the single-pipeline golden stats pin the unbatched
-     * frontend.
+     * most batchPacketBytes (the paper's Table II 64 B packet, a
+     * constant), flushed at the packet budget or the task boundary.
+     * Off by default — the single-pipeline golden stats pin the
+     * unbatched frontend.
      */
     bool batchOperands = false;
-    Bytes batchPacketBytes = 64;
+    static constexpr Bytes batchPacketBytes = 64;
 
     /**
      * Gateway -> slice flow control: each directory slice grants
@@ -138,15 +140,12 @@ struct PipelineConfig
      */
     unsigned slicePacketCredits = 0;
 
-    /** Operand descriptors that fit one batch packet. */
-    unsigned
-    maxBatchOperands() const
+    /** Operand descriptors (16 B) that fit one batch packet after
+     *  its 8 B header. */
+    static constexpr unsigned
+    maxBatchOperands()
     {
-        constexpr Bytes header = 8, descriptor = 16;
-        if (batchPacketBytes <= header + descriptor)
-            return 1;
-        return static_cast<unsigned>(
-            (batchPacketBytes - header) / descriptor);
+        return static_cast<unsigned>((batchPacketBytes - 8) / 16);
     }
     /// @}
 

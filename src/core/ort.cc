@@ -228,7 +228,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
     bool needs_version = !hit || !entry || !entry->hasCurVersion ||
         writesObject(msg.dir);
     bool blocked = !entry ||
-        (needs_version && freeSlots.empty() && !livenessProtocol());
+        (needs_version && freeSlots.empty() && !orderedAdmission);
     if (blocked) {
         // Full set (or no version credits without the reserve
         // escape): stall every gateway that feeds this directory
@@ -245,7 +245,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
         return {cost, true};
     }
 
-    if (livenessProtocol()) {
+    if (orderedAdmission) {
         if (needs_version) {
             // Reserve rule: with the pool at the reserve mark, only
             // the machine-oldest task claims; everyone else parks
@@ -368,8 +368,7 @@ Ort::isOldestTask(const DecodeOperandMsg &msg) const
     // A decoding task cannot have finished (readiness needs all its
     // operand info), so its index is never below the watermark;
     // equality means it *is* the machine-wide oldest unfinished task.
-    return registry &&
-        msg.traceIndex == registry->minUnfinishedIndex();
+    return msg.traceIndex == registry->minUnfinishedIndex();
 }
 
 bool
@@ -390,7 +389,7 @@ Ort::claimSlot()
     // reserve is only ever pinned by tasks the watermark has already
     // passed or is at — all of which finish and return it.
     bool from_reserve =
-        livenessProtocol() && freeSlots.size() <= reserveSlots;
+        orderedAdmission && freeSlots.size() <= reserveSlots;
     std::uint32_t slot = freeSlots.back();
     freeSlots.pop_back();
     slotReserved[slot] = from_reserve ? 1 : 0;
@@ -440,8 +439,7 @@ Ort::wakeSlotWaiters()
     // over-waking just re-parks, and under-waking never strands: the
     // next death or advance rescans).
     std::size_t budget = freeSlots.size();
-    std::uint32_t oldest =
-        registry ? registry->minUnfinishedIndex() : 0;
+    std::uint32_t oldest = registry->minUnfinishedIndex();
     std::size_t n = 0;
     for (; n < slotWaiters.size() && budget > 0; ++n) {
         bool is_oldest = slotWaiters[n].traceIndex == oldest;

@@ -60,11 +60,11 @@ class Ort : public FrontendModule
     /**
      * Wire the slice to its peers. @p gateways lists every gateway
      * whose operands this slice may serve (all pipelines — stall flow
-     * control is broadcast); @p ordered_admission enables the
-     * shared-data ticket protocol. @p task_registry (ordered mode)
-     * supplies the oldest-unfinished watermark the version-slot
-     * reserve escape reads; without it a slot-exhausted slice falls
-     * back to the historical head-park + gateway stall.
+     * control is broadcast). @p ordered_admission enables ordered
+     * mode: the shared-data ticket protocol plus the version-slot
+     * reserve escape, which reads the oldest-unfinished watermark of
+     * @p task_registry, so ordered mode requires one. Unordered, a
+     * slot-exhausted slice head-parks and stalls the gateways.
      */
     void
     setPeers(std::vector<NodeId> gateways,
@@ -72,20 +72,13 @@ class Ort : public FrontendModule
              bool ordered_admission = false,
              const TaskRegistry *task_registry = nullptr)
     {
+        TSS_ASSERT(!ordered_admission || task_registry,
+                   "ordered admission needs the task registry");
         gatewayNodes = std::move(gateways);
         trsNodes = std::move(trs_nodes);
         ovtNode = paired_ovt;
         orderedAdmission = ordered_admission;
         registry = task_registry;
-    }
-
-    /** Single-gateway convenience wiring (protocol unit tests). */
-    void
-    setPeers(NodeId gateway, std::vector<NodeId> trs_nodes,
-             NodeId paired_ovt)
-    {
-        setPeers(std::vector<NodeId>{gateway}, std::move(trs_nodes),
-                 paired_ovt);
     }
 
     /** One parked operand, as reported to the liveness watchdog. */
@@ -165,13 +158,6 @@ class Ort : public FrontendModule
     /// @name Version-slot reserve escape (ordered-mode liveness).
     /// @{
 
-    /** True when the reserve/escape protocol is active. */
-    bool
-    livenessProtocol() const
-    {
-        return orderedAdmission && registry != nullptr;
-    }
-
     /** Is @p msg an operand of the machine-oldest unfinished task? */
     bool isOldestTask(const DecodeOperandMsg &msg) const;
 
@@ -211,7 +197,7 @@ class Ort : public FrontendModule
     std::vector<NodeId> trsNodes;
 
     bool orderedAdmission = false;
-    const TaskRegistry *registry = nullptr;
+    const TaskRegistry *registry = nullptr; ///< set in ordered mode
     std::unordered_map<std::uint64_t, AdmitState> admitState;
     /// Out-of-turn operands parked per object until their ticket.
     std::unordered_map<std::uint64_t, std::vector<DecodeOperandMsg>>

@@ -631,7 +631,9 @@ System::writeObsOutputs()
 void
 System::dumpStats(std::ostream &os) const
 {
-    Cycle now = engine->now();
+    // The makespan, not engine->now(): eager DMA write-backs may run
+    // the engine past the last task (see the registry's run averages).
+    Cycle now = registry.lastFinish();
     auto line = [&](const std::string &name, const FrontendModule &m) {
         double busy = now == 0
             ? 0 : 100.0 * static_cast<double>(m.busyCycles()) /

@@ -167,7 +167,8 @@ class System
     /**
      * Write a per-module utilization report (packets serviced, busy
      * fraction, queue depths, NoC traffic) to @p os. Call after
-     * run().
+     * run(). Every rate divides by the makespan
+     * (TaskRegistry::lastFinish), the registry's run-average window.
      */
     void dumpStats(std::ostream &os) const;
 

@@ -371,19 +371,14 @@ Trs::handleTaskFinished(TaskFinishedMsg &msg)
             std::make_unique<TrsSpaceMsg>(trsIndex, freed));
 
     // The registry watermark is machine-wide state: advance it (and
-    // broadcast the advance) at the window barrier under the parallel
-    // engine, stamped with this packet's full service time so the
-    // wakeup is not observable before the retirement completed.
+    // broadcast the advance) at the window barrier, stamped with this
+    // packet's full service time so the wakeup is not observable
+    // before the retirement completed.
     Cycle flush_at = curCycle() + cost;
-    if (execCtx.sink) {
-        execCtx.sink->record(
-            execCtx.nextKey(),
-            [this, trace_index = slot->traceIndex, flush_at] {
-                applyFinish(trace_index, flush_at);
-            });
-    } else {
-        applyFinish(slot->traceIndex, flush_at);
-    }
+    deferToBarrier("Trs::handleTaskFinished",
+                   [this, trace_index = slot->traceIndex, flush_at] {
+                       applyFinish(trace_index, flush_at);
+                   });
 
     registry.unbind(msg.id);
     slot->live = false;
@@ -428,13 +423,9 @@ void
 Trs::addTasksInFlight(double delta)
 {
     Cycle now = curCycle();
-    if (execCtx.sink) {
-        execCtx.sink->record(execCtx.nextKey(), [this, now, delta] {
-            stats.tasksInFlight.add(now, delta);
-        });
-    } else {
+    deferToBarrier("Trs::addTasksInFlight", [this, now, delta] {
         stats.tasksInFlight.add(now, delta);
-    }
+    });
 }
 
 } // namespace tss

@@ -147,11 +147,11 @@ class Trs : public FrontendModule
     /**
      * Retirement side of handleTaskFinished that touches machine-wide
      * state (registry watermark + gateway broadcast). Runs deferred
-     * at the window barrier under the parallel engine.
+     * at the window barrier.
      */
     void applyFinish(std::uint32_t trace_index, Cycle flush_at);
 
-    /** Bump the global in-flight gauge (deferred under the engine). */
+    /** Bump the global in-flight gauge (deferred to the barrier). */
     void addTasksInFlight(double delta);
 
     unsigned trsIndex;

@@ -2,7 +2,9 @@
  * @file
  * The external DMA engine that copies renamed operand buffers back to
  * their original object addresses when a final renamed version dies
- * (paper section IV, OVT description).
+ * (paper section IV, OVT description). Its one channel is shared by
+ * every OVT, so a transfer is a cross-tile operation: requested from
+ * an engine event, reserved at the window barrier.
  */
 
 #ifndef TSS_MEM_DMA_ENGINE_HH
@@ -11,6 +13,7 @@
 #include <deque>
 #include <functional>
 
+#include "sim/exec_context.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -38,28 +41,23 @@ class DmaEngine : public SimObject
     {}
 
     /**
-     * Enqueue a copy of @p bytes; @p done fires at completion. The
-     * channel is shared global state, so under the parallel engine
-     * the reservation is deferred to the window barrier (like
-     * Network::send); the completion callback is scheduled back onto
-     * the requesting station's own queue shard.
+     * Enqueue a copy of @p bytes from the executing engine event;
+     * @p done fires at completion. The channel is shared global
+     * state, so the reservation is deferred to the window barrier
+     * (like Network::send), and the completion callback is scheduled
+     * back onto the requesting station's own queue shard. Outside an
+     * engine event this panics.
      */
     void
     transfer(Bytes bytes, Callback done = nullptr)
     {
-        if (execCtx.sink) {
-            execCtx.sink->record(
-                execCtx.nextKey(),
-                [this, bytes, req = execCtx.when, q = execCtx.queue,
-                 station = execCtx.station,
-                 cb = std::move(done)]() mutable {
-                    applyTransfer(bytes, std::move(cb), req, *q,
-                                  station);
-                });
-        } else {
-            applyTransfer(bytes, std::move(done), curCycle(),
-                          eventQueue(), EventQueue::noStation);
-        }
+        deferToBarrier("DmaEngine::transfer",
+                       [this, bytes, req = execCtx.when,
+                        q = execCtx.queue, station = execCtx.station,
+                        cb = std::move(done)]() mutable {
+                           applyTransfer(bytes, std::move(cb), req, *q,
+                                         station);
+                       });
     }
 
     std::uint64_t numTransfers() const { return transfers.value(); }

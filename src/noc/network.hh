@@ -1,7 +1,8 @@
 /**
  * @file
- * Abstract network interface plus a simple fixed-latency
- * implementation used by unit tests and fast functional runs.
+ * The abstract network interface: endpoints, per-node delivery
+ * queues, and the deferred send every module uses. The fabrics that
+ * route messages are TopologyNetworks (noc/topology.hh).
  */
 
 #ifndef TSS_NOC_NETWORK_HH
@@ -22,13 +23,12 @@ namespace tss
  * A network delivers messages between attached endpoints after some
  * modeled delay, preserving per source->destination FIFO order.
  *
- * Under the parallel engine (sim/sim_engine.hh) the network is shared
- * global state: routing mutates lane reservations and the FIFO clamp.
- * send() therefore defers — it records the injection into the calling
- * event's DeferSink, and the actual routing (sendAt) runs at the
- * window barrier, single-threaded, in deterministic key order. With
- * no engine attached (execCtx.sink == nullptr) send() routes
- * immediately, the historical behavior.
+ * The network is shared global state: routing mutates lane
+ * reservations and the FIFO clamp. send() therefore defers — it
+ * records the injection into the calling engine event's DeferSink
+ * (deferToBarrier, sim/exec_context.hh), and the actual routing
+ * (sendAt) runs at the window barrier, single-threaded, in
+ * deterministic key order. send() outside an engine event panics.
  */
 class Network : public SimObject
 {
@@ -54,27 +54,23 @@ class Network : public SimObject
     }
 
     /**
-     * Inject @p msg; ownership passes to the network. Routes now, or
-     * defers to the window barrier under the parallel engine.
+     * Inject @p msg from the executing engine event; ownership passes
+     * to the network. The routing is deferred to the window barrier.
      */
     void
     send(MessagePtr msg)
     {
-        if (execCtx.sink) {
-            execCtx.sink->record(
-                execCtx.nextKey(),
-                [this, inject = execCtx.when,
-                 m = std::move(msg)]() mutable {
-                    sendAt(inject, std::move(m));
-                });
-        } else {
-            sendAt(curCycle(), std::move(msg));
-        }
+        deferToBarrier("Network::send",
+                       [this, inject = execCtx.when,
+                        m = std::move(msg)]() mutable {
+                           sendAt(inject, std::move(m));
+                       });
     }
 
     /**
      * Route @p msg as if injected at cycle @p inject. Only the window
-     * barrier (deferred ops) and engine-less callers may invoke this
+     * barrier (deferred ops) and code outside any event, such as a
+     * test injecting a packet before the engine runs, may invoke this
      * directly: it touches shared routing state.
      */
     virtual void sendAt(Cycle inject, MessagePtr msg) = 0;
@@ -163,36 +159,6 @@ class Network : public SimObject
     std::vector<Station> stations;
     Counter numMessages;
     Distribution latencies;
-};
-
-/**
- * Fixed per-hopless latency network: every message arrives
- * `latency + ceil(bytes/bandwidth)` cycles after injection. Useful
- * for unit tests and as an idealized-interconnect ablation.
- */
-class SimpleNetwork : public Network
-{
-  public:
-    SimpleNetwork(std::string name, EventQueue &eq, Cycle latency = 8,
-                  double bytes_per_cycle = 16.0)
-        : Network(std::move(name), eq), _latency(latency),
-          bandwidth(bytes_per_cycle)
-    {}
-
-    void
-    sendAt(Cycle inject, MessagePtr msg) override
-    {
-        msg->sentAt = inject;
-        Cycle ser = static_cast<Cycle>(
-            (static_cast<double>(msg->bytes) + bandwidth - 1) / bandwidth);
-        deliverAt(inject + _latency + ser, std::move(msg));
-    }
-
-    Cycle minDeliveryDelay() const override { return _latency + 1; }
-
-  private:
-    Cycle _latency;
-    double bandwidth;
 };
 
 } // namespace tss

@@ -280,10 +280,11 @@ class TopologyNetwork : public Network
 
 /**
  * The degenerate topology: every message arrives
- * `fixedLatency + ceil(bytes/bytesPerCycle)` cycles after injection,
- * independent of placement — the idealized-interconnect bound of the
- * topology sweeps. (SimpleNetwork in noc/network.hh is the same model
- * without station mapping, kept for protocol unit tests.)
+ * `fixedLatency + ceil(bytes/bytesPerCycle)` cycles after injection
+ * (serialization at least one cycle), independent of placement — the
+ * idealized-interconnect bound of the topology sweeps. It maps no
+ * station to a stop, so any node id routes: the protocol unit tests
+ * drive their mock endpoints over it.
  */
 class FixedNetwork : public TopologyNetwork
 {

@@ -3,6 +3,6 @@
 namespace tss
 {
 
-thread_local ExecContext execCtx;
+constinit thread_local ExecContext execCtx;
 
 } // namespace tss

@@ -1,23 +1,27 @@
 /**
  * @file
- * Execution context of the parallel simulation engine. While a shard
- * of the sharded event queue drains a lookahead window, every event
- * runs with a thread-local ExecContext describing *which* event is
+ * Execution context of the simulation engine. While a shard of the
+ * sharded event queue drains a lookahead window, every event runs
+ * with a thread-local ExecContext describing *which* event is
  * executing — (station, per-station sequence, cycle) — and carrying a
  * DeferSink. Operations that touch state outside the event's own NoC
  * domain (network sends, DMA transfers, registry retirement, global
- * gauges) are not applied in place: they are recorded into the sink
- * under a totally ordered SortKey and applied by the engine at the
- * window barrier, on one thread, in sorted order.
+ * gauges) are never applied in place: deferToBarrier() records them
+ * into the sink under a totally ordered DeferKey, and the engine
+ * applies them at the window barrier, on one thread, in key order.
  *
- * Because the sort key is a pure function of simulated state — never
- * of host thread interleaving — the apply order is identical whether
- * the window drained on one thread or eight. That is the mechanism
- * behind the engine's bit-identical determinism guarantee.
+ * Because the key is a pure function of simulated state — never of
+ * host thread interleaving — the apply order is identical however a
+ * window drained. That is the mechanism behind the engine's
+ * bit-identical determinism guarantee.
  *
- * When no engine is driving (a bare EventQueue in a unit test, the
- * software-runtime model), the context's sink is null and every
- * operation applies immediately — the historical behavior.
+ * There is one execution mode. A cross-tile operation outside an
+ * engine event has no key to order it by, so deferToBarrier() panics
+ * naming the operation. Bare EventQueues (the software-runtime model,
+ * the queue's own tests) run no cross-tile operation; a unit test
+ * that drives modules runs them on a one-domain SimEngine and injects
+ * from outside an event through Network::sendAt, the routing
+ * primitive the barrier itself calls.
  */
 
 #ifndef TSS_SIM_EXEC_CONTEXT_HH
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "event.hh"
+#include "logging.hh"
 #include "types.hh"
 
 namespace tss
@@ -103,8 +108,8 @@ class DeferSink
 /**
  * The thread-local context of the currently executing event. Set by
  * EventQueue::step() when (and only when) a DeferSink is wired to the
- * queue; cleared after the event returns. `sink == nullptr` means "no
- * engine: apply operations immediately".
+ * queue, that is for a SimEngine shard; cleared after the event
+ * returns. `sink == nullptr` means no engine event is executing.
  */
 struct ExecContext
 {
@@ -123,7 +128,28 @@ struct ExecContext
     }
 };
 
-extern thread_local ExecContext execCtx;
+/**
+ * The executing event's context. constinit: every access reads the
+ * thread-local slot directly, with no lazy-initialization wrapper
+ * call (GCC 12 under -fsanitize=undefined miscompiled that wrapper's
+ * null check into a false "member access within null pointer").
+ */
+extern constinit thread_local ExecContext execCtx;
+
+/**
+ * Record @p apply, a cross-tile operation, under the executing
+ * event's next DeferKey; the window barrier applies it in key order.
+ * This is the one way a cross-tile operation is applied. Outside an
+ * engine event it panics, naming @p caller.
+ */
+template <typename Apply>
+void
+deferToBarrier(const char *caller, Apply &&apply)
+{
+    if (!execCtx.sink) [[unlikely]]
+        panic("%s called outside an engine event", caller);
+    execCtx.sink->record(execCtx.nextKey(), std::forward<Apply>(apply));
+}
 
 } // namespace tss
 

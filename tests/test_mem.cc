@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the storage substrates: the inode-style block
  * layout, the SRAM-buffered free list, the power-of-2 bucket
- * allocator, the eDRAM model, and the DMA engine.
+ * allocator, the eDRAM model, and the DMA engine (driven through a
+ * one-domain SimEngine, since a transfer defers to the barrier).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include "mem/dma_engine.hh"
 #include "mem/edram.hh"
 #include "mem/free_list.hh"
-#include "sim/event_queue.hh"
+#include "sim/sim_engine.hh"
 
 namespace tss
 {
@@ -200,16 +201,30 @@ TEST(Edram, ChargesLatencyAndCounts)
 
 TEST(DmaEngine, TransfersSerializeOnOneChannel)
 {
-    EventQueue eq;
+    // Transfers are requested from an engine event and reserved at
+    // its window barrier.
+    SimEngine engine(1);
+    EventQueue &eq = engine.shard(0);
     DmaEngine dma("dma", eq, 16.0, 100);
     Cycle first = 0, second = 0;
-    dma.transfer(1600, [&] { first = eq.now(); });  // 100 + 100
-    dma.transfer(1600, [&] { second = eq.now(); }); // queued behind
-    eq.run();
+    eq.schedule(0, [&] {
+        dma.transfer(1600, [&] { first = eq.now(); });  // 100 + 100
+        dma.transfer(1600, [&] { second = eq.now(); }); // queued behind
+    });
+    engine.run();
     EXPECT_EQ(first, 200u);
     EXPECT_EQ(second, 400u);
     EXPECT_EQ(dma.numTransfers(), 2u);
     EXPECT_EQ(dma.totalBytes(), 3200u);
+}
+
+TEST(DmaEngineDeathTest, TransferOutsideAnEngineEventAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SimEngine engine(1);
+    DmaEngine dma("dma", engine.shard(0), 16.0, 100);
+    EXPECT_DEATH(dma.transfer(1600),
+                 "DmaEngine::transfer called outside an engine event");
 }
 
 } // namespace

@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the frontend-module framework itself, using a mock
- * module: single-server serialization, control-queue bypass of a
- * parked head packet, unpark resumption, and outbox flush timing
- * (replies leave, in order, in the one event that ends a service).
+ * module on a one-domain engine: single-server serialization,
+ * control-queue bypass of a parked head packet, unpark resumption,
+ * and outbox flush timing (replies leave, in order, in the one event
+ * that ends a service).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/module.hh"
-#include "noc/network.hh"
+#include "module_harness.hh"
 
 namespace tss
 {
@@ -88,10 +89,9 @@ struct Recorder : Endpoint
     std::vector<std::pair<int, Cycle>> arrivals;
 };
 
-struct ModuleFixture : ::testing::Test
+struct ModuleFixture : ::testing::Test, OneDomain
 {
-    ModuleFixture()
-        : net("net", eq, 0, 1.0), module(eq, net, 1), replies(eq)
+    ModuleFixture() : OneDomain(0, 1.0), module(eq, net, 1), replies(eq)
     {
         net.attach(module.replyTo, replies);
     }
@@ -107,8 +107,6 @@ struct ModuleFixture : ::testing::Test
         });
     }
 
-    EventQueue eq;
-    SimpleNetwork net;
     MockModule module;
     Recorder replies;
 };
@@ -118,7 +116,7 @@ TEST_F(ModuleFixture, ServicesSerially)
     inject(1);
     inject(2);
     inject(3);
-    eq.run();
+    engine.run();
     ASSERT_EQ(module.serviced.size(), 3u);
     // Service start times are >= 10 cycles apart (single server).
     EXPECT_GE(module.serviced[1].second,
@@ -135,7 +133,7 @@ TEST_F(ModuleFixture, ParkedHeadWaitsForControl)
     inject(1);
     inject(2);
     inject(100, /*control=*/true, /*when=*/500);
-    eq.run();
+    engine.run();
     ASSERT_EQ(module.serviced.size(), 3u);
     // The control packet is serviced first (head was parked)...
     EXPECT_EQ(module.serviced[0].first, 100);
@@ -152,7 +150,7 @@ TEST_F(ModuleFixture, ControlBypassesQueueEvenUnparked)
     inject(1);
     inject(2, false, 1);
     inject(100, true, 2);
-    eq.run();
+    engine.run();
     ASSERT_EQ(module.serviced.size(), 3u);
     EXPECT_EQ(module.serviced[0].first, 1);
     EXPECT_EQ(module.serviced[1].first, 100);
@@ -168,7 +166,7 @@ TEST_F(ModuleFixture, RepliesLeaveInOrderWhenServiceEnds)
 {
     constexpr int packets = 5;
     constexpr Cycle cost = 10;
-    // SimpleNetwork(latency 0, 1 byte/cycle): an 8-byte probe takes
+    // Fixed fabric (latency 0, 1 byte/cycle): an 8-byte probe takes
     // 8 cycles of serialization.
     constexpr Cycle delay = 8;
     module.repliesPerService = 2;
@@ -176,9 +174,9 @@ TEST_F(ModuleFixture, RepliesLeaveInOrderWhenServiceEnds)
         auto msg = std::make_unique<ProbeMsg>(id);
         msg->src = 0;
         msg->dst = 1;
-        net.send(MessagePtr(msg.release()));
+        net.sendAt(0, MessagePtr(msg.release()));
     }
-    eq.run();
+    engine.run();
 
     ASSERT_EQ(module.serviced.size(), std::size_t(packets));
     ASSERT_EQ(replies.arrivals.size(), std::size_t(2 * packets));
@@ -201,7 +199,7 @@ TEST_F(ModuleFixture, QueueLengthStatTracksOccupancy)
 {
     for (int i = 0; i < 10; ++i)
         inject(i);
-    eq.run();
+    engine.run();
     EXPECT_GT(module.avgQueueLength(eq.now()), 0.0);
 }
 

@@ -3,7 +3,8 @@
  * Unit tests for the NoC topology layer: node lookup, hop counting,
  * delivery, per-pair FIFO ordering and contention on the two-level
  * ring, the 2D mesh, and the fixed-latency degenerate topology, plus
- * the station placement policies.
+ * the station placement policies. Test bodies inject with sendAt;
+ * send() runs only inside an engine event.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,7 @@
 #include "noc/placement.hh"
 #include "noc/ring.hh"
 #include "noc/topology.hh"
-#include "sim/event_queue.hh"
+#include "module_harness.hh"
 #include "sim/random.hh"
 
 namespace tss
@@ -103,7 +104,7 @@ TEST(RingNetwork, DeliversWithLatency)
 
     auto msg = std::make_unique<Message>(net.coreNode(3),
                                          net.frontendNode(0), 16);
-    net.send(std::move(msg));
+    net.sendAt(0, std::move(msg));
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), 1u);
     EXPECT_GT(sink.arrivals[0], 0u);
@@ -112,8 +113,12 @@ TEST(RingNetwork, DeliversWithLatency)
 
 TEST(RingNetwork, PerPairFifo)
 {
-    EventQueue eq;
+    // Each message is sent from an engine event, so its routing
+    // defers to the window barrier with the event's cycle.
+    SimEngine engine(1);
+    EventQueue &eq = engine.shard(0);
     RingNetwork net("noc", eq, smallRing());
+    engine.setLookahead(net.minDeliveryDelay());
     Sink sink(eq);
     net.attach(net.frontendNode(1), sink);
 
@@ -129,7 +134,7 @@ TEST(RingNetwork, PerPairFifo)
             net.send(std::move(msg));
         });
     }
-    eq.run();
+    engine.run();
     ASSERT_EQ(sink.arrivals.size(), 20u);
     for (std::size_t i = 1; i < sink.arrivals.size(); ++i)
         EXPECT_GE(sink.arrivals[i], sink.arrivals[i - 1]);
@@ -150,11 +155,8 @@ TEST(RingNetwork, TwoHopPatternChargesExactlyTwoLinks)
 
     constexpr unsigned sends = 5;
     for (unsigned i = 0; i < sends; ++i) {
-        eq.schedule(i * 10, [&net] {
-            auto msg = std::make_unique<Message>(net.coreNode(0),
-                                                 net.coreNode(2), 16);
-            net.send(std::move(msg));
-        });
+        net.sendAt(i * 10, std::make_unique<Message>(net.coreNode(0),
+                                                     net.coreNode(2), 16));
     }
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), sends);
@@ -206,7 +208,7 @@ TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
     for (unsigned i = 0; i < sends; ++i) {
         auto msg = std::make_unique<Message>(net.coreNode(0),
                                              net.coreNode(1), 256);
-        net.send(std::move(msg));
+        net.sendAt(0, std::move(msg));
     }
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), sends);
@@ -230,7 +232,7 @@ TEST(RingNetwork, ContentionDelaysTraffic)
     // Single probe.
     auto probe = std::make_unique<Message>(net.coreNode(0),
                                            net.l2Node(0), 64);
-    net.send(std::move(probe));
+    net.sendAt(0, std::move(probe));
     eq.run();
     Cycle uncontended = sink.arrivals[0];
 
@@ -244,11 +246,11 @@ TEST(RingNetwork, ContentionDelaysTraffic)
     for (int i = 0; i < 64; ++i) {
         auto noise = std::make_unique<Message>(net2.coreNode(1),
                                                net2.l2Node(1), 1024);
-        net2.send(std::move(noise));
+        net2.sendAt(0, std::move(noise));
     }
     auto probe2 = std::make_unique<Message>(net2.coreNode(0),
                                             net2.l2Node(0), 64);
-    net2.send(std::move(probe2));
+    net2.sendAt(0, std::move(probe2));
     eq2.run();
     EXPECT_GT(sink2.arrivals[0], uncontended);
 }
@@ -262,7 +264,7 @@ TEST(RingNetwork, LargeMessagesTakeLonger)
 
     auto small = std::make_unique<Message>(net.coreNode(0),
                                            net.memCtrlNode(0), 16);
-    net.send(std::move(small));
+    net.sendAt(0, std::move(small));
     eq.run();
     Cycle small_t = sink.arrivals[0];
 
@@ -272,30 +274,30 @@ TEST(RingNetwork, LargeMessagesTakeLonger)
     net2.attach(net2.memCtrlNode(0), sink2);
     auto big = std::make_unique<Message>(net2.coreNode(0),
                                          net2.memCtrlNode(0), 4096);
-    net2.send(std::move(big));
+    net2.sendAt(0, std::move(big));
     eq2.run();
     EXPECT_GT(sink2.arrivals[0], small_t);
 }
 
-TEST(SimpleNetwork, ExactLatency)
+TEST(FixedNetwork, ExactLatency)
 {
     EventQueue eq;
-    SimpleNetwork net("simple", eq, 10, 16.0);
+    FixedNetwork net("fixed", eq, fixedFabric(10, 16.0));
     Sink sink(eq);
     net.attach(42, sink);
     auto msg = std::make_unique<Message>(7, 42, 32);
-    net.send(std::move(msg));
+    net.sendAt(0, std::move(msg));
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), 1u);
     EXPECT_EQ(sink.arrivals[0], 12u); // 10 + ceil(32/16)
 }
 
-TEST(SimpleNetwork, SparseHighNodeIdsKeepPerPairFifo)
+TEST(FixedNetwork, SparseHighNodeIdsKeepPerPairFifo)
 {
     // Delivery state is a table indexed by node id; ids far apart
     // (and a source that never attached) must still route and clamp.
     EventQueue eq;
-    SimpleNetwork net("simple", eq, 10, 16.0);
+    FixedNetwork net("fixed", eq, fixedFabric(10, 16.0));
     Sink low(eq);
     Sink high(eq);
     net.attach(3, low);
@@ -304,15 +306,11 @@ TEST(SimpleNetwork, SparseHighNodeIdsKeepPerPairFifo)
     // 1000 -> 3: a 512 B message (arrives 0 + 10 + 32 = 42), then an
     // 8 B one injected a cycle later that would arrive at 12 — the
     // per-pair clamp holds it behind the first.
-    eq.schedule(0, [&net] {
-        net.send(std::make_unique<Message>(1000, 3, 512));
-    });
-    eq.schedule(1, [&net] {
-        net.send(std::make_unique<Message>(1000, 3, 8));
-        // Other pairs are not clamped by 1000 -> 3 traffic.
-        net.send(std::make_unique<Message>(3, 1000, 8));
-        net.send(std::make_unique<Message>(2000, 3, 8));
-    });
+    net.sendAt(0, std::make_unique<Message>(1000, 3, 512));
+    net.sendAt(1, std::make_unique<Message>(1000, 3, 8));
+    // Other pairs are not clamped by 1000 -> 3 traffic.
+    net.sendAt(1, std::make_unique<Message>(3, 1000, 8));
+    net.sendAt(1, std::make_unique<Message>(2000, 3, 8));
     eq.run();
 
     EXPECT_EQ(low.arrivals, (std::vector<Cycle>{12, 42, 42}));
@@ -321,27 +319,28 @@ TEST(SimpleNetwork, SparseHighNodeIdsKeepPerPairFifo)
     EXPECT_EQ(net.messagesSent(), 4u);
 }
 
-TEST(SimpleNetworkDeathTest, SendToUnattachedNodeAborts)
+TEST(FixedNetworkDeathTest, SendToUnattachedNodeAborts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EventQueue eq;
-    SimpleNetwork net("simple", eq, 10, 16.0);
+    FixedNetwork net("fixed", eq, fixedFabric(10, 16.0));
     Sink sink(eq);
     net.attach(5, sink);
-    EXPECT_DEATH(
-        {
-            // Inside the table's range but never attached, then past
-            // its end.
-            net.send(std::make_unique<Message>(5, 2, 8));
-            eq.run();
-        },
-        "message to unattached node 2");
-    EXPECT_DEATH(
-        {
-            net.send(std::make_unique<Message>(5, 77, 8));
-            eq.run();
-        },
-        "message to unattached node 77");
+    // Inside the table's range but never attached, then past its end.
+    EXPECT_DEATH(net.sendAt(0, std::make_unique<Message>(5, 2, 8)),
+                 "message to unattached node 2");
+    EXPECT_DEATH(net.sendAt(0, std::make_unique<Message>(5, 77, 8)),
+                 "message to unattached node 77");
+}
+
+TEST(NetworkDeathTest, SendOutsideAnEngineEventAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    OneDomain one(10, 16.0);
+    Sink sink(one.eq);
+    one.net.attach(5, sink);
+    EXPECT_DEATH(one.net.send(std::make_unique<Message>(2, 5, 8)),
+                 "Network::send called outside an engine event");
 }
 
 TEST(TopologyNetworkDeathTest, ZeroLanesPerSegmentAborts)
@@ -392,7 +391,7 @@ TEST(RingNetwork, ManyCoreConfigurationWorks)
     net.attach(net.frontendNode(15), sink);
     auto msg = std::make_unique<Message>(net.coreNode(256),
                                          net.frontendNode(15), 64);
-    net.send(std::move(msg));
+    net.sendAt(0, std::move(msg));
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 1u);
 }
@@ -515,7 +514,7 @@ TEST(MeshNetwork, DeliversAndRecordsContention)
     for (int i = 0; i < 64; ++i) {
         auto msg = std::make_unique<Message>(net.coreNode(1),
                                              net.l2Node(0), 1024);
-        net.send(std::move(msg));
+        net.sendAt(0, std::move(msg));
     }
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 64u);
@@ -539,8 +538,8 @@ TEST(FixedNetwork, DistanceFreeDelivery)
                                        net.frontendNode(0), 32);
     auto b = std::make_unique<Message>(net.coreNode(0),
                                        net.memCtrlNode(1), 32);
-    net.send(std::move(a));
-    net.send(std::move(b));
+    net.sendAt(0, std::move(a));
+    net.sendAt(0, std::move(b));
     eq.run();
     ASSERT_EQ(near.arrivals.size(), 1u);
     ASSERT_EQ(far.arrivals.size(), 1u);
@@ -619,19 +618,14 @@ TEST(TopologyNetwork, PerPairFifoUnderRandomTrafficAllTopologies)
             Cycle when = burst * 3;
             unsigned count =
                 static_cast<unsigned>(rng.rangeInclusive(1, 6));
-            std::vector<std::unique_ptr<Probe>> batch;
             for (unsigned i = 0; i < count; ++i) {
                 NodeId src = nodes[rng.range(nodes.size())];
                 NodeId dst = nodes[rng.range(nodes.size())];
                 auto bytes = static_cast<Bytes>(
                     8u << rng.range(7)); // 8..512 B
-                batch.push_back(
-                    std::make_unique<Probe>(src, dst, bytes, seq++));
+                net->sendAt(when,
+                            std::make_unique<Probe>(src, dst, bytes, seq++));
             }
-            eq.schedule(when, [&net, moved = std::move(batch)]() mutable {
-                for (auto &m : moved)
-                    net->send(std::move(m));
-            });
         }
         eq.run();
         EXPECT_FALSE(sink.lastSeq.empty());

@@ -8,6 +8,7 @@
  * the Chrome document splicing helpers tss-serve uses.
  */
 
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -265,7 +266,8 @@ TEST(ObsMetrics, SnapshotMatchesFrontendStats)
 /**
  * Run averages divide by the latest task finish, the makespan, not by
  * the engine's last event: eager DMA write-backs of renamed outputs
- * keep the engine running after the last task finished.
+ * keep the engine running after the last task finished. The text
+ * report (System::dumpStats) uses the same window.
  */
 TEST(ObsMetrics, RunAveragesUseTheMakespan)
 {
@@ -292,6 +294,18 @@ TEST(ObsMetrics, RunAveragesUseTheMakespan)
               net.linkStats(makespan).maxUtilization);
     EXPECT_TRUE(snap.histograms.at("noc.link_utilization_pct") ==
                 net.utilizationHistogram(makespan));
+
+    std::ostringstream text;
+    sys->dumpStats(text);
+    std::string window = "module utilization (over " +
+        std::to_string(makespan) + " cycles)";
+    EXPECT_NE(text.str().find(window), std::string::npos) << text.str();
+    std::ostringstream busiest;
+    busiest << "busiest link " << std::fixed << std::setprecision(1)
+            << snap.gauge("noc.max_link_utilization") * 100.0
+            << "% busy";
+    EXPECT_NE(text.str().find(busiest.str()), std::string::npos)
+        << text.str();
 }
 
 /** The text NoC report prints the histogram's explicit bounds. */

@@ -1,75 +1,40 @@
 /**
  * @file
- * Protocol-level unit tests for the ORT, driven directly with mock
- * gateway/OVT/TRS endpoints: miss/hit flows for every directionality,
- * version-slot credits, set-full stalls with control-message bypass,
- * and the retirement-hint grant/deny logic.
+ * Protocol-level unit tests for the ORT, driven on a one-domain
+ * engine with mock gateway/OVT/TRS endpoints: miss/hit flows for
+ * every directionality, version-slot credits, set-full stalls with
+ * control-message bypass, and the retirement-hint grant/deny logic.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/ort.hh"
-#include "noc/network.hh"
+#include "module_harness.hh"
 
 namespace tss
 {
 namespace
 {
 
-class Probe : public Endpoint
-{
-  public:
-    void
-    receive(MessagePtr msg) override
-    {
-        msgs.emplace_back(static_cast<ProtoMsg *>(msg.release()));
-    }
-
-    template <typename T>
-    std::vector<const T *>
-    of(MsgType type) const
-    {
-        std::vector<const T *> out;
-        for (const auto &m : msgs)
-            if (m->type == type)
-                out.push_back(static_cast<const T *>(m.get()));
-        return out;
-    }
-
-    std::size_t
-    count(MsgType type) const
-    {
-        std::size_t n = 0;
-        for (const auto &m : msgs)
-            n += m->type == type ? 1 : 0;
-        return n;
-    }
-
-    std::vector<std::unique_ptr<ProtoMsg>> msgs;
-};
-
-struct OrtFixture : ::testing::Test
+struct OrtFixture : ::testing::Test, OneDomain
 {
     static constexpr NodeId ortNode = 1;
     static constexpr NodeId gwNode = 2;
     static constexpr NodeId trsNode = 3;
     static constexpr NodeId ovtNode = 4;
 
-    OrtFixture()
+    OrtFixture() : OneDomain(1, 16.0)
     {
         // A deliberately tiny ORT: 2 sets x 16 ways, few slots.
         cfg.numOrt = 1;
         cfg.ortTotalBytes = 32 * 16; // 32 entries
         cfg.ovtTotalBytes = 40 * 16; // 40 version slots
-        cfg.ortEntryBytes = 16;
-        cfg.ovtEntryBytes = 16;
-        net = std::make_unique<SimpleNetwork>("net", eq, 1, 16.0);
-        ort = std::make_unique<Ort>("ort0", eq, *net, ortNode, 0,
-                                    cfg, stats);
-        ort->setPeers(gwNode, {trsNode}, ovtNode);
-        net->attach(gwNode, gwProbe);
-        net->attach(trsNode, trsProbe);
-        net->attach(ovtNode, ovtProbe);
+        ort = std::make_unique<Ort>("ort0", eq, net, ortNode, 0, cfg,
+                                    stats);
+        ort->setPeers({gwNode}, {trsNode}, ovtNode);
+        net.attach(gwNode, gwProbe);
+        net.attach(trsNode, trsProbe);
+        net.attach(ovtNode, ovtProbe);
     }
 
     template <typename T, typename... Args>
@@ -79,8 +44,8 @@ struct OrtFixture : ::testing::Test
         auto msg = std::make_unique<T>(std::forward<Args>(args)...);
         msg->src = gwNode;
         msg->dst = ortNode;
-        net->send(MessagePtr(msg.release()));
-        eq.run();
+        net.sendAt(eq.now(), MessagePtr(msg.release()));
+        engine.run();
     }
 
     OperandId
@@ -96,9 +61,7 @@ struct OrtFixture : ::testing::Test
 
     PipelineConfig cfg;
     FrontendStats stats;
-    EventQueue eq;
-    std::unique_ptr<SimpleNetwork> net;
-    Probe gwProbe, trsProbe, ovtProbe;
+    ProtoProbe gwProbe, trsProbe, ovtProbe;
     std::unique_ptr<Ort> ort;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Protocol-level unit tests for the OVT, driven directly through a
- * network with mock ORT/TRS endpoints: version lifecycle, renaming,
+ * Protocol-level unit tests for the OVT, driven on a one-domain
+ * engine with mock ORT/TRS endpoints: version lifecycle, renaming,
  * inout buffer inheritance and in-order unblocking, the two-phase
  * retirement handshake (including stale grants), and the no-chaining
  * waiter path.
@@ -13,47 +13,21 @@
 
 #include "core/ovt.hh"
 #include "mem/dma_engine.hh"
-#include "noc/network.hh"
+#include "module_harness.hh"
 
 namespace tss
 {
 namespace
 {
 
-/** Records every protocol message delivered to a node. */
-class Probe : public Endpoint
-{
-  public:
-    void
-    receive(MessagePtr msg) override
-    {
-        msgs.emplace_back(
-            static_cast<ProtoMsg *>(msg.release()));
-    }
-
-    /** Messages of a given type, in arrival order. */
-    template <typename T>
-    std::vector<const T *>
-    of(MsgType type) const
-    {
-        std::vector<const T *> out;
-        for (const auto &m : msgs)
-            if (m->type == type)
-                out.push_back(static_cast<const T *>(m.get()));
-        return out;
-    }
-
-    std::vector<std::unique_ptr<ProtoMsg>> msgs;
-};
-
-struct OvtFixture : ::testing::Test
+struct OvtFixture : ::testing::Test, OneDomain
 {
     static constexpr NodeId ovtNode = 1;
     static constexpr NodeId ortNode = 2;
     static constexpr NodeId trsNode = 3;
 
     OvtFixture()
-        : net("net", eq, 1, 16.0), dma("dma", eq, 16.0, 10),
+        : OneDomain(1, 16.0), dma("dma", eq, 16.0, 10),
           ovt("ovt0", eq, net, ovtNode, 0, cfg, stats, dma)
     {
         ovt.setPeers(ortNode, {trsNode});
@@ -68,8 +42,8 @@ struct OvtFixture : ::testing::Test
         auto msg = std::make_unique<T>(std::forward<Args>(args)...);
         msg->src = ortNode;
         msg->dst = ovtNode;
-        net.send(MessagePtr(msg.release()));
-        eq.run();
+        net.sendAt(eq.now(), MessagePtr(msg.release()));
+        engine.run();
     }
 
     OperandId
@@ -85,11 +59,9 @@ struct OvtFixture : ::testing::Test
 
     PipelineConfig cfg;
     FrontendStats stats;
-    EventQueue eq;
-    SimpleNetwork net;
     DmaEngine dma;
-    Probe ortProbe;
-    Probe trsProbe;
+    ProtoProbe ortProbe;
+    ProtoProbe trsProbe;
     Ovt ovt;
 };
 
@@ -189,7 +161,7 @@ TEST_F(OvtFixture, RenamedFinalVersionWritesBackViaDma)
                            true, false, 0u, 2u);
     send<ProducerDoneMsg>(6u);
     send<RetireVersionMsg>(6u, 0u);
-    eq.run();
+    engine.run();
     EXPECT_EQ(stats.dmaWritebacks.value(), 1u);
     EXPECT_EQ(ovt.liveVersions(), 0u);
     EXPECT_EQ(ovt.liveRenameBuffers(), 0u);

@@ -17,9 +17,9 @@
 
 #include "core/system.hh"
 #include "driver/experiment.hh"
-#include "noc/network.hh"
+#include "noc/ring.hh"
+#include "module_harness.hh"
 #include "same_run.hh"
-#include "sim/sim_engine.hh"
 
 namespace tss
 {
@@ -46,16 +46,15 @@ class Recorder : public Endpoint
  * One cross-domain send through a fresh two-domain engine: an event
  * at cycle @p inject on domain 0 (station 0) injects a @p bytes
  * message to station 1 (domain 1). Returns the delivery cycle.
- * SimpleNetwork's delay is latency + ceil(bytes/16), so bytes picks
- * the delivery relative to the lookahead L = latency + 1:
- * 0 bytes = L - 1 (below the window), 16 = exactly L, 17 = L + 1.
+ * The fixed fabric's delay is latency + ceil(bytes/16), so bytes
+ * picks the delivery relative to the lookahead L = latency + 1:
+ * 16 = exactly L, 17 = L + 1.
  */
 Cycle
 deliverOnce(Cycle inject, Bytes bytes)
 {
-    constexpr Cycle latency = 4;
     SimEngine engine(2);
-    SimpleNetwork net("net", engine.shard(0), latency);
+    FixedNetwork net("net", engine.shard(0), fixedFabric(4, 16.0));
     engine.setLookahead(net.minDeliveryDelay());
 
     Recorder sink(engine.shard(1));
@@ -89,11 +88,25 @@ TEST(SimEngine, DeliveryOneCyclePastBoundaryIsExact)
 
 TEST(SimEngine, BelowWindowDeliveryIsFlooredAtWindowEnd)
 {
-    // A zero-byte message serializes in 0 cycles and would arrive one
-    // cycle *inside* the window that already drained. The engine's
+    // A same-station self-message crosses no link: it serializes in
+    // one cycle and would arrive at 11, *inside* the window [10, 14]
+    // (L = hop latency 4 + 1) that already drained. The engine's
     // conservative floor lifts it to the window end — a cycle fixed
     // by the window grid, so determinism survives the clamp.
-    EXPECT_EQ(deliverOnce(10, 0), 15u);
+    NocParams p;
+    p.numCores = 8;
+    p.hopLatency = 4;
+    SimEngine engine(1);
+    RingNetwork net("net", engine.shard(0), p);
+    engine.setLookahead(net.minDeliveryDelay());
+    Recorder sink(engine.shard(0));
+    net.attach(0, sink);
+    engine.shard(0).scheduleStation(10, 0, [&net] {
+        net.send(std::make_unique<Message>(0, 0, 16));
+    });
+    engine.run();
+    ASSERT_EQ(sink.log.size(), 1u);
+    EXPECT_EQ(sink.log[0].first, 15u);
 }
 
 TEST(SimEngine, CrossDomainPingPongMatchesSequential)
@@ -104,9 +117,8 @@ TEST(SimEngine, CrossDomainPingPongMatchesSequential)
     // to the same two stations sharing one shard: splitting stations
     // across domains must not move a delivery.
     auto play = [](unsigned domains) {
-        constexpr Cycle latency = 3;
         SimEngine engine(domains);
-        SimpleNetwork net("net", engine.shard(0), latency);
+        FixedNetwork net("net", engine.shard(0), fixedFabric(3, 16.0));
         engine.setLookahead(net.minDeliveryDelay());
 
         struct Bouncer : Endpoint

@@ -1,7 +1,7 @@
 /**
  * @file
- * Protocol-level unit tests for the TRS, driven directly with mock
- * gateway/scheduler/OVT/peer-TRS endpoints: allocation and storage
+ * Protocol-level unit tests for the TRS, driven on a one-domain
+ * engine with mock gateway/scheduler/OVT/peer-TRS endpoints: allocation and storage
  * accounting, operand readiness rules per directionality, consumer
  * chain relay (readers forward on receipt, writers at finish), the
  * tombstone rule, and retirement messaging.
@@ -10,46 +10,14 @@
 #include <gtest/gtest.h>
 
 #include "core/trs.hh"
-#include "noc/network.hh"
+#include "module_harness.hh"
 
 namespace tss
 {
 namespace
 {
 
-class Probe : public Endpoint
-{
-  public:
-    void
-    receive(MessagePtr msg) override
-    {
-        msgs.emplace_back(static_cast<ProtoMsg *>(msg.release()));
-    }
-
-    template <typename T>
-    std::vector<const T *>
-    of(MsgType type) const
-    {
-        std::vector<const T *> out;
-        for (const auto &m : msgs)
-            if (m->type == type)
-                out.push_back(static_cast<const T *>(m.get()));
-        return out;
-    }
-
-    std::size_t
-    count(MsgType type) const
-    {
-        std::size_t n = 0;
-        for (const auto &m : msgs)
-            n += m->type == type ? 1 : 0;
-        return n;
-    }
-
-    std::vector<std::unique_ptr<ProtoMsg>> msgs;
-};
-
-struct TrsFixture : ::testing::Test
+struct TrsFixture : ::testing::Test, OneDomain
 {
     static constexpr NodeId trsNode = 1;
     static constexpr NodeId gwNode = 2;
@@ -57,7 +25,7 @@ struct TrsFixture : ::testing::Test
     static constexpr NodeId peerTrsNode = 4;
     static constexpr NodeId ovtNode = 5;
 
-    TrsFixture()
+    TrsFixture() : OneDomain(1, 16.0)
     {
         // A small trace backing the registry: three tasks with 2, 1
         // and 3 operands.
@@ -75,15 +43,14 @@ struct TrsFixture : ::testing::Test
         cfg.trsTotalBytes = 64 * 1024; // 256 blocks per TRS
         registry = std::make_unique<TaskRegistry>(
             trace, cfg.totalTrs(), cfg.blocksPerTrs());
-        net = std::make_unique<SimpleNetwork>("net", eq, 1, 16.0);
-        trs = std::make_unique<Trs>("trs0", eq, *net, trsNode, 0, cfg,
+        trs = std::make_unique<Trs>("trs0", eq, net, trsNode, 0, cfg,
                                     *registry, stats);
         trs->setPeers(gwNode, schedNode, {trsNode, peerTrsNode},
                       {ovtNode});
-        net->attach(gwNode, gwProbe);
-        net->attach(schedNode, schedProbe);
-        net->attach(peerTrsNode, peerProbe);
-        net->attach(ovtNode, ovtProbe);
+        net.attach(gwNode, gwProbe);
+        net.attach(schedNode, schedProbe);
+        net.attach(peerTrsNode, peerProbe);
+        net.attach(ovtNode, ovtProbe);
     }
 
     template <typename T, typename... Args>
@@ -93,8 +60,8 @@ struct TrsFixture : ::testing::Test
         auto msg = std::make_unique<T>(std::forward<Args>(args)...);
         msg->src = gwNode;
         msg->dst = trsNode;
-        net->send(MessagePtr(msg.release()));
-        eq.run();
+        net.sendAt(eq.now(), MessagePtr(msg.release()));
+        engine.run();
     }
 
     /** Allocate task @p trace_index and return its hardware id. */
@@ -119,9 +86,7 @@ struct TrsFixture : ::testing::Test
     std::unique_ptr<TaskRegistry> registry;
     PipelineConfig cfg;
     FrontendStats stats;
-    EventQueue eq;
-    std::unique_ptr<SimpleNetwork> net;
-    Probe gwProbe, schedProbe, peerProbe, ovtProbe;
+    ProtoProbe gwProbe, schedProbe, peerProbe, ovtProbe;
     std::unique_ptr<Trs> trs;
 };
 
