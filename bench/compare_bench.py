@@ -12,7 +12,7 @@ row of a list, pairing the two files' rows by ``field``. The rules:
 
   exact             equal: simulated quantities are pure functions of
                     (program, config), so any drift changed semantics
-  lower / higher    within 15% of the baseline
+  lower             at most 15% above the baseline
   ~lower / ~higher  advisory (wall-clock numbers depend on the machine
                     and its load): printed, never fails, skipped when
                     absent
@@ -188,10 +188,13 @@ RULES = {
         ("fig12_quick_decode_rates/*/*", "lower"),
         ("fig12_quick_wall_seconds", "~lower"),
     ],
+    # sim_speedup is simulated from relocated traces, so it and the
+    # version count are bit-deterministic.
     "parallel": [
-        ("graph_mode[threads]/sim_speedup", "higher?"),
+        ("graph_mode[threads]/sim_speedup", "exact?"),
+        ("graph_mode[threads]/versions", "exact?"),
         ("graph_mode[threads]/wall_speedup", "~higher"),
-        ("replay_mode/sim_speedup", "higher"),
+        ("replay_mode/sim_speedup", "exact"),
     ],
     "noc": [
         ("fig17_quick/sweep/*/decode_cy", "lower"),
@@ -471,10 +474,14 @@ SELFTEST = [
      ("fig12_quick_decode_rates", "Cholesky", "1x1"), times(1.2), False),
     ("grid cell missing from fresh fails", "kernel",
      ("fig12_quick_decode_rates", "H264", "1x1"), DROP, False),
-    ("lower-is-worse flagged", "parallel",
-     ("graph_mode", 1, "sim_speedup"), times(0.8), False),
-    ("within-tolerance passes (higher is better)", "parallel",
-     ("graph_mode", 1, "sim_speedup"), times(0.9), True),
+    ("real-kernel sim_speedup drift fails", "parallel",
+     ("graph_mode", 1, "sim_speedup"), times(0.99), False),
+    ("real-kernel sim_speedup gain fails too", "parallel",
+     ("graph_mode", 1, "sim_speedup"), times(1.01), False),
+    ("real-kernel version-count drift fails", "parallel",
+     ("graph_mode", 1, "versions"), times(2), False),
+    ("replay sim_speedup drift fails", "parallel",
+     ("replay_mode", "sim_speedup"), times(0.99), False),
     ("advisory never fails", "parallel",
      ("graph_mode", 1, "wall_speedup"), times(0.1), True),
     ("quick run may omit baseline rows", "parallel", ("graph_mode", 3),

@@ -76,7 +76,7 @@ class Scheduler : public FrontendModule
      * wins, where the scan starts at the core after the previous
      * winner (round-robin pointer nextCoreRr) — strictly-less
      * comparison, so later equally-loaded cores never displace an
-     * earlier match. Combined with the deterministic (priority,
+     * earlier match. Combined with the deterministic (station,
      * insertion)-ordered EventQueue this makes dispatch order and
      * core assignment a pure function of (trace, config).
      */

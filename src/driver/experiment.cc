@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "runtime/parallel_exec.hh"
-#include "runtime/session.hh"
 #include "sim/logging.hh"
 
 namespace tss
@@ -56,24 +55,19 @@ runParallelReal(const starss::RealProgramInfo &info, std::uint64_t seed,
     RealExecResult result;
     result.threads = threads;
 
-    // Fresh program instances per execution, each driven through the
-    // Session lifecycle: the programs were captured at make() time,
-    // so seal() freezes them immediately and every consumer below
-    // sees the same immutable stream + relocated image.
+    // Fresh program instances per execution: running the captured
+    // tasks mutates the memory each program owns.
     auto sequential = info.make(seed);
-    Session seq(sequential->context(), info.name + "/seq");
-    seq.seal();
     auto begin = std::chrono::steady_clock::now();
-    seq.runSequential();
+    sequential->context().runSequential();
     auto end = std::chrono::steady_clock::now();
     result.seqSeconds = seq_seconds_baseline > 0
         ? seq_seconds_baseline
         : std::chrono::duration<double>(end - begin).count();
 
     auto parallel = info.make(seed);
-    Session par(parallel->context(), info.name + "/par");
-    par.seal();
-    starss::ParallelRunStats stats = par.runParallel(threads);
+    starss::ParallelRunStats stats =
+        parallel->context().runParallel(threads);
     result.parSeconds = stats.wallSeconds;
     result.versions = stats.versions;
     result.steals = stats.steals;
@@ -82,16 +76,13 @@ runParallelReal(const starss::RealProgramInfo &info, std::uint64_t seed,
     result.bitIdentical =
         parallel->snapshot() == sequential->snapshot();
 
-    // Simulate the relocated image computed at seal(): synthetic
-    // operand addresses make simSpeedup a pure function of
-    // (program, config) instead of varying with where the allocator
-    // placed the program's memory.
+    // Simulate the relocated trace: synthetic operand addresses make
+    // simSpeedup a pure function of (program, config) instead of
+    // varying with where the allocator placed the program's memory.
     PipelineConfig cfg;
     cfg.numCores = threads;
-    SimReport sim = par.simulate(cfg);
-    if (!sim.completed)
-        fatal("%s: simulation ended early", info.name.c_str());
-    result.simSpeedup = sim.result.speedup;
+    result.simSpeedup =
+        runHardware(cfg, parallel->context().relocatedTrace()).speedup;
     return result;
 }
 

@@ -2,15 +2,12 @@
 
 #include <cstring>
 
-#include "sim/hash.hh"
 #include "sim/logging.hh"
 
 namespace tss::starss
 {
 
-RenameStore::RenameStore(const TaskTrace &task_trace,
-                         const RelocationMap *relocation)
-    : trace(task_trace), reloc(relocation)
+RenameStore::RenameStore(const TaskTrace &task_trace) : trace(task_trace)
 {
     auto n = static_cast<std::uint32_t>(trace.size());
     readVersionOf.resize(n);
@@ -38,7 +35,7 @@ RenameStore::RenameStore(const TaskTrace &task_trace,
                 readVersionOf[t][i] = obj.curVersion;
             if (writesObject(op.dir)) {
                 obj.curVersion = next_version++;
-                versionObject.emplace_back(op.addr, op.bytes);
+                versionBytes.push_back(op.bytes);
                 writeVersionOf[t][i] = obj.curVersion;
             }
         }
@@ -50,21 +47,12 @@ RenameStore::RenameStore(const TaskTrace &task_trace,
     buffers.resize(static_cast<std::size_t>(next_version));
 }
 
-unsigned
-RenameStore::ownerShard(std::int64_t version,
-                        unsigned total_shards) const
-{
-    return static_cast<unsigned>(mixAddress(objectAddress(version)) %
-                                 total_shards);
-}
-
 RenameStore::VersionBuffer &
 RenameStore::materialize(std::int64_t version)
 {
     auto &buf = buffers[static_cast<std::size_t>(version)];
     if (!buf.data) {
-        Bytes bytes =
-            versionObject[static_cast<std::size_t>(version)].second;
+        Bytes bytes = versionBytes[static_cast<std::size_t>(version)];
         buf.data = std::make_unique<std::uint8_t[]>(bytes);
         buf.bytes = bytes;
     }

@@ -18,6 +18,14 @@
  * graph, `bind()` may be called concurrently for tasks that the graph
  * leaves unordered: distinct tasks only ever touch distinct version
  * buffers, which is what makes the ParallelExecutor race-free.
+ *
+ * Version identity is assigned in program order and is therefore
+ * independent of the machine's shard count: only the *ownership* of a
+ * version (PipelineConfig::shardOf of its object) moves with
+ * numPipelines, which is why the ParallelExecutor's differential
+ * oracle holds bit-for-bit across numPipelines. The store works on
+ * the captured trace's real home addresses; relocation only affects
+ * simulated routing, never program memory.
  */
 
 #ifndef TSS_RUNTIME_RENAME_STORE_HH
@@ -29,7 +37,6 @@
 #include <vector>
 
 #include "runtime/starss.hh"
-#include "trace/relocate.hh"
 #include "trace/task_trace.hh"
 
 namespace tss::starss
@@ -43,20 +50,11 @@ class RenameStore
      * Run the program-order version-assignment pass (the software
      * ORT/OVT decode) over @p task_trace. The trace must outlive the
      * store.
-     *
-     * @p relocation (optional, must outlive the store) is the map a
-     * relocated *simulated* run of this program used: when present,
-     * objectAddress()/ownerShard() report the rebased addresses, so
-     * the software mirror matches the hardware decision made on the
-     * relocated trace. Execution (bind()/copyBack()) always works on
-     * the real home addresses — relocation only affects simulated
-     * routing, never program memory.
      */
-    explicit RenameStore(const TaskTrace &task_trace,
-                         const RelocationMap *relocation = nullptr);
+    explicit RenameStore(const TaskTrace &task_trace);
 
     /** Number of versions the decode created (rename buffers used). */
-    std::size_t numVersions() const { return versionObject.size(); }
+    std::size_t numVersions() const { return versionBytes.size(); }
 
     /**
      * Resolve the operand pointers of task @p t: materialize the
@@ -77,38 +75,6 @@ class RenameStore
      */
     void copyBack();
 
-    /// @name Version-assignment introspection (tests).
-    /// @{
-    std::int64_t
-    writeVersion(std::uint32_t t, std::size_t operand) const
-    {
-        return writeVersionOf[t][operand];
-    }
-
-    /** Address of the object a version belongs to: the home address,
-     *  or its relocated image when the store mirrors a relocated
-     *  simulated run. */
-    std::uint64_t
-    objectAddress(std::int64_t version) const
-    {
-        std::uint64_t home =
-            versionObject[static_cast<std::size_t>(version)].first;
-        return reloc ? reloc->relocate(home) : home;
-    }
-
-    /**
-     * Directory slice owning a version under a machine with
-     * @p total_shards ORT/OVT pairs — the software mirror of the
-     * sharded version-ownership rule (PipelineConfig::shardOf).
-     * Version identity is assigned in program order and therefore
-     * shard-count invariant; only *ownership* moves with the shard
-     * count, which is why the ParallelExecutor's differential oracle
-     * holds bit-for-bit across numPipelines.
-     */
-    unsigned ownerShard(std::int64_t version,
-                        unsigned total_shards) const;
-    /// @}
-
   private:
     /** A materialized operand version (one OVT rename buffer). */
     struct VersionBuffer
@@ -121,15 +87,14 @@ class RenameStore
     VersionBuffer &materialize(std::int64_t version);
 
     const TaskTrace &trace;
-    const RelocationMap *reloc; ///< simulated-routing address rebase
 
     /// Per-task, per-operand version consumed / produced (-1: none or
     /// program memory).
     std::vector<std::vector<std::int64_t>> readVersionOf;
     std::vector<std::vector<std::int64_t>> writeVersionOf;
 
-    /// version -> (object home address, bytes).
-    std::vector<std::pair<std::uint64_t, Bytes>> versionObject;
+    /// version -> bytes of its object.
+    std::vector<Bytes> versionBytes;
 
     /// object home address -> final version (for the copy-back).
     std::unordered_map<std::uint64_t, std::int64_t> finalVersion;

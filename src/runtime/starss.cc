@@ -1,8 +1,5 @@
 #include "starss.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "sim/logging.hh"
 
 namespace tss::starss
@@ -34,59 +31,28 @@ TaskContext::spawn(KernelId kernel, const std::vector<Param> &task_params,
     task.kernel = kernel;
     task.runtime = defaultClock.usToCycles(us);
     task.operands.reserve(task_params.size());
-    std::vector<std::int32_t> ids;
-    ids.reserve(task_params.size());
     for (const Param &p : task_params) {
         TraceOperand op;
         op.dir = p.dir;
         op.addr = reinterpret_cast<std::uint64_t>(p.ptr);
         op.bytes = p.bytes;
-        ids.push_back(isMemoryOperand(op.dir)
-                          ? findRegion(op.addr, op.bytes)
-                          : -1);
         task.operands.push_back(op);
     }
     _trace.tasks.push_back(std::move(task));
     params.push_back(task_params);
-    regionIds.push_back(std::move(ids));
 }
 
 void
 TaskContext::registerRegion(const void *ptr, std::size_t bytes)
 {
-    auto base = reinterpret_cast<std::uint64_t>(ptr);
-    auto id = static_cast<std::int32_t>(_regions.size());
-    _regions.push_back(MemRegion{base, static_cast<Bytes>(bytes)});
-    regionIndex.insert(
-        std::lower_bound(regionIndex.begin(), regionIndex.end(),
-                         std::make_pair(base, std::int32_t(-1))),
-        std::make_pair(base, id));
-}
-
-std::int32_t
-TaskContext::findRegion(std::uint64_t addr, Bytes bytes) const
-{
-    auto it = std::upper_bound(
-        regionIndex.begin(), regionIndex.end(),
-        std::make_pair(addr, std::numeric_limits<std::int32_t>::max()));
-    if (it == regionIndex.begin())
-        return -1;
-    const MemRegion &r =
-        _regions[static_cast<std::size_t>((it - 1)->second)];
-    if (addr + std::max<Bytes>(bytes, 1) > r.base + r.bytes)
-        return -1;
-    return (it - 1)->second;
+    _regions.push_back(MemRegion{reinterpret_cast<std::uint64_t>(ptr),
+                                 static_cast<Bytes>(bytes)});
 }
 
 TaskTrace
 TaskContext::relocatedTrace(const RelocationOptions &opts) const
 {
-    if (_regions.empty())
-        return relocateTrace(_trace, opts); // inference fallback
-    // The region ids recorded at spawn() carry the containment
-    // decisions; the pass only derives first touches and the layout.
-    return buildRelocationMapFromIds(_trace, _regions, regionIds, opts)
-        .apply(_trace);
+    return relocateTrace(_trace, opts, _regions);
 }
 
 void

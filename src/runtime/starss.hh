@@ -3,9 +3,11 @@
  * A StarSs-like task-based dataflow programming model (paper section
  * III-C). Users register kernel functions with annotated operand
  * directionality and spawn tasks from a sequential thread; the
- * runtime captures the task stream as a TaskTrace (for the simulated
- * pipeline) and can execute it for real — sequentially, or
- * out-of-order with true memory renaming via the ParallelExecutor.
+ * runtime captures the task stream as a TaskTrace and can execute it
+ * for real — sequentially, or out-of-order with true memory renaming
+ * via the ParallelExecutor. The simulated pipeline sees a program
+ * only as its relocated trace (relocatedTrace()), the one seam
+ * between real programs and the simulator.
  *
  * Example (blocked matrix multiply):
  * @code
@@ -121,37 +123,26 @@ class TaskContext
     std::size_t numTasks() const { return _trace.size(); }
 
     /// @name Capture-side region registry (trace/relocate.hh).
-    /// Real programs register their memory objects before spawning;
-    /// spawn() then records, per memory operand, the *region id* the
-    /// pointer falls in — not just the raw pointer — so the captured
+    /// Real programs register their memory objects, so the captured
     /// program can be rebased onto the synthetic AddressSpace exactly,
     /// independent of where the host allocator placed the regions.
+    /// Each memory operand resolves to the one registered region that
+    /// contains it when the trace is relocated, so registration order
+    /// relative to spawn() does not matter.
     /// @{
 
-    /** Register @p bytes at @p ptr as one relocatable memory region.
-     *  Call before spawning tasks that touch it. */
+    /** Register @p bytes at @p ptr as one relocatable memory region. */
     void registerRegion(const void *ptr, std::size_t bytes);
 
     /** All registered regions, in registration order. */
     const std::vector<MemRegion> &regions() const { return _regions; }
 
     /**
-     * Region id (registration order) recorded for operand @p operand
-     * of task @p task; -1 when the pointer was inside no registered
-     * region (or the operand is a scalar).
-     */
-    std::int32_t regionId(std::uint32_t task,
-                          std::size_t operand) const
-    {
-        return regionIds[task][operand];
-    }
-
-    /**
      * The captured trace rebased onto the synthetic address space
-     * (deterministic operand addresses; aliasing preserved exactly).
-     * Uses the registered regions when present, region inference
-     * otherwise. The *real* trace()/params stay untouched — execution
-     * always runs on the real pointers.
+     * (deterministic operand addresses; aliasing preserved exactly):
+     * relocateTrace() over the registered regions, or by region
+     * inference when none are registered. The *real* trace()/params
+     * stay untouched — execution always runs on the real pointers.
      */
     TaskTrace relocatedTrace(const RelocationOptions &opts = {}) const;
     /// @}
@@ -177,19 +168,11 @@ class TaskContext
     /// @}
 
   private:
-    /** Registered region containing [addr, addr+bytes), or -1. */
-    std::int32_t findRegion(std::uint64_t addr, Bytes bytes) const;
-
     TaskTrace _trace;
     std::vector<KernelFn> kernels;
     std::vector<double> kernelRuntimes;
     std::vector<std::vector<Param>> params;
-
-    /// Registered regions (registration order) and a base-sorted view
-    /// of (base, registration index) for operand lookup at spawn().
-    std::vector<MemRegion> _regions;
-    std::vector<std::pair<std::uint64_t, std::int32_t>> regionIndex;
-    std::vector<std::vector<std::int32_t>> regionIds;
+    std::vector<MemRegion> _regions; ///< registration order
 };
 
 } // namespace tss::starss

@@ -15,6 +15,13 @@ namespace tss::serve
 
 TraceService::TraceService(ServeConfig config)
     : cfg(config), startTime(std::chrono::steady_clock::now()),
+      // A job trace exists only when its simulation records a Full
+      // trace, and carries the stage slices only under the serve
+      // filter; otherwise formatting them would be wasted work.
+      recordStageSlices((cfg.recordJobTraces ||
+                         cfg.machine.traceMode ==
+                             obs::TraceMode::Full) &&
+                        (cfg.machine.traceFilter & obs::cat::serve)),
       parseQueue(cfg.admitCapacity), admitQueue(cfg.stageCapacity),
       executeQueue(cfg.stageCapacity), reportQueue(cfg.stageCapacity)
 {
@@ -40,6 +47,15 @@ TraceService::uptimeUs() const
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - startTime)
         .count();
+}
+
+void
+TraceService::recordStage(Job &job, const char *name, int stage,
+                          std::int64_t t0) const
+{
+    if (recordStageSlices)
+        job.stageSlices.push_back(obs::serveStageSlice(
+            name, stage, t0, uptimeUs() - t0, job.id));
 }
 
 void
@@ -145,8 +161,7 @@ TraceService::parseWorker()
             job->parsed = true;
             job->text.clear();
         }
-        job->stageSlices.push_back(obs::serveStageSlice(
-            "serve.parse", 0, t0, uptimeUs() - t0, job->id));
+        recordStage(*job, "serve.parse", 0, t0);
         admitQueue.push(std::move(*job));
     }
 }
@@ -176,7 +191,7 @@ TraceService::admitWorker()
         // simulated directory state.
         bool fits = true;
         for (const RelocatedRegion &r :
-             session->relocationMap()->regions())
+             session->relocationMap().regions())
             fits &= r.targetBase >= carve_base &&
                 r.targetBase + r.bytes <= carve_end;
         if (!fits) {
@@ -185,8 +200,7 @@ TraceService::admitWorker()
             continue;
         }
         job->session = std::move(session);
-        job->stageSlices.push_back(obs::serveStageSlice(
-            "serve.admit", 1, t0, uptimeUs() - t0, job->id));
+        recordStage(*job, "serve.admit", 1, t0);
         executeQueue.push(std::move(*job));
     }
 }
@@ -214,8 +228,7 @@ TraceService::executeWorker()
         }
         job->traceJson = std::move(sim.traceJson);
         job->session.reset();
-        job->stageSlices.push_back(obs::serveStageSlice(
-            "serve.execute", 2, t0, uptimeUs() - t0, job->id));
+        recordStage(*job, "serve.execute", 2, t0);
         reportQueue.push(std::move(*job));
     }
 }
@@ -234,10 +247,9 @@ TraceService::finishJob(Job job)
                       std::chrono::steady_clock::now() - job.admitTime)
                       .count();
     // Splice the wall-clock serve-stage slices (pid 2) into the job's
-    // simulation trace so one Perfetto view shows both time bases,
-    // when the machine's trace filter selects the serve category.
-    if (!job.traceJson.empty() && !job.stageSlices.empty() &&
-        (cfg.machine.traceFilter & obs::cat::serve)) {
+    // simulation trace so one Perfetto view shows both time bases
+    // (recorded only under the serve filter; see the constructor).
+    if (!job.traceJson.empty() && !job.stageSlices.empty()) {
         std::string events;
         for (std::size_t i = 0; i < job.stageSlices.size(); ++i) {
             if (i)

@@ -291,11 +291,17 @@ class TraceService
 
     /** Microseconds of service uptime (serve-slice timestamps). */
     std::int64_t uptimeUs() const;
+    /** Append stage @p name's slice since @p t0 to @p job, when a
+     *  job trace can carry it. */
+    void recordStage(Job &job, const char *name, int stage,
+                     std::int64_t t0) const;
     /** Bind serve.<name>.* metrics for a freshly opened tenant. */
     void bindTenantMetrics(Tenant &tenant);
 
     ServeConfig cfg;
     std::chrono::steady_clock::time_point startTime;
+    /// Whether a job trace can carry the serve-stage slices.
+    bool recordStageSlices;
 
     /// serve.<tenant>.* counters; snapshots taken under stateMutex
     /// (the providers read tenant fields the mutex guards).

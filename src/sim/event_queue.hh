@@ -3,10 +3,10 @@
  * The discrete-event simulation kernel. An event queue drives the
  * modules of one NoC domain (the whole system is a single domain in
  * the classic configuration); events scheduled for the same cycle
- * execute in (priority, station, per-station sequence) order so that
- * simulations are fully deterministic — the same tie-break key the
- * parallel engine (sim/sim_engine.hh) uses to merge cross-domain
- * operations at window barriers.
+ * execute in (station, per-station sequence) order so that
+ * simulations are fully deterministic — the (cycle, station, seq)
+ * prefix of the DeferKey the parallel engine (sim/sim_engine.hh) uses
+ * to merge cross-domain operations at window barriers.
  */
 
 #ifndef TSS_SIM_EVENT_QUEUE_HH
@@ -39,12 +39,11 @@ using EventFn = EventCallback;
 /**
  * A deterministic discrete-event queue.
  *
- * Ties at the same cycle break first on priority (lower first), then
- * on the scheduling station id, then on the station's own sequence
- * number — FIFO among same-cycle events of one station, and a total
- * order overall. Events scheduled without a station (plain
- * schedule()) share the anonymous station -1 and therefore keep the
- * historical global-FIFO behavior.
+ * Ties at the same cycle break first on the scheduling station id,
+ * then on the station's own sequence number — FIFO among same-cycle
+ * events of one station, and a total order overall. Events scheduled
+ * without a station (plain schedule()) share the anonymous station -1
+ * and therefore keep the historical global-FIFO behavior.
  *
  * Callbacks live in a slab whose slots are recycled through a free
  * list, so scheduling allocates nothing once the slab is warm. The
@@ -54,12 +53,12 @@ using EventFn = EventCallback;
  *  - *Near* events, due in [now, now + wheelSlots), sit on a timing
  *    wheel indexed by `when % wheelSlots`. Each wheel slot holds one
  *    cycle's events as a list threaded through their slab slots, kept
- *    in (priority, station, seq) order; nearly every insert appends.
+ *    in (station, seq) order; nearly every insert appends.
  *    A 256-bit occupancy mask finds the next busy slot, and the
  *    earliest busy cycle is cached, so scheduling and popping a near
  *    event cost O(1). About 98% of a paper-mix run's events are near.
  *  - *Far* events (task runtimes, mostly) go to a binary heap of
- *    32-byte POD keys that reference slab slots. They never migrate:
+ *    24-byte POD keys that reference slab slots. They never migrate:
  *    step() pops whichever of the wheel's first event and the heap's
  *    top comes first, so a cycle may hold events in both.
  *
@@ -71,9 +70,6 @@ using EventFn = EventCallback;
 class EventQueue
 {
   public:
-    /** Default event priority. */
-    static constexpr int defaultPriority = 0;
-
     /** The anonymous station of plain schedule() calls. */
     static constexpr std::int32_t noStation = -1;
 
@@ -106,8 +102,8 @@ class EventQueue
 
     /**
      * Running digest of the executed event stream: every event's
-     * full ordering key (cycle, priority, station, per-station
-     * sequence), folded in execution order. Barring a 64-bit
+     * full ordering key (cycle, station, per-station sequence),
+     * folded in execution order. Barring a 64-bit
      * collision, equal digests mean the same events ran in the same
      * order — a gate that also catches reorderings whose effects
      * happen to commute.
@@ -126,11 +122,9 @@ class EventQueue
      * @param when Absolute firing time; must not be in the past.
      * @param station Scheduling station (a NoC node id), or noStation.
      * @param fn Callback to execute.
-     * @param priority Tie-break priority (lower fires first).
      */
     void
-    scheduleStation(Cycle when, std::int32_t station, EventFn fn,
-                    int priority = defaultPriority)
+    scheduleStation(Cycle when, std::int32_t station, EventFn fn)
     {
         TSS_ASSERT(when >= _now,
                    "event scheduled in the past (%llu < %llu)",
@@ -147,25 +141,25 @@ class EventQueue
         }
         const std::uint64_t seq = stationSeq(station);
         if (when - _now < wheelSlots) {
-            insertNear(slot, Node{when, seq, priority, station, noSlot});
+            insertNear(slot, Node{when, seq, station, noSlot});
         } else {
             ++numFar;
-            far.push(Key{when, seq, priority, station, slot});
+            far.push(Key{when, seq, station, slot});
         }
     }
 
     /** Schedule an event at an absolute cycle (anonymous station). */
     void
-    schedule(Cycle when, EventFn fn, int priority = defaultPriority)
+    schedule(Cycle when, EventFn fn)
     {
-        scheduleStation(when, noStation, std::move(fn), priority);
+        scheduleStation(when, noStation, std::move(fn));
     }
 
     /** Schedule an event @p delay cycles from now. */
     void
-    scheduleIn(Cycle delay, EventFn fn, int priority = defaultPriority)
+    scheduleIn(Cycle delay, EventFn fn)
     {
-        schedule(_now + delay, std::move(fn), priority);
+        schedule(_now + delay, std::move(fn));
     }
 
     /**
@@ -251,7 +245,6 @@ class EventQueue
     {
         Cycle when;
         std::uint64_t seq;
-        int priority;
         std::int32_t station;
         std::uint32_t slot;
     };
@@ -264,7 +257,6 @@ class EventQueue
     {
         Cycle when;
         std::uint64_t seq;
-        int priority;
         std::int32_t station;
         std::uint32_t next;
     };
@@ -278,8 +270,6 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
             if (a.station != b.station)
                 return a.station > b.station;
             return a.seq > b.seq;
@@ -309,9 +299,8 @@ class EventQueue
             nodes[tail[w]].next = slot;
             tail[w] = slot;
         } else {
-            // A lower priority or station than the slot's last event
-            // (a few percent of inserts): link in before the first
-            // later one.
+            // A lower station than the slot's last event (a few
+            // percent of inserts): link in before the first later one.
             std::uint32_t *link = &head[w];
             while (!Later{}(nodes[*link], node))
                 link = &nodes[*link].next;
@@ -344,7 +333,7 @@ class EventQueue
             busy[w / 64] &= ~(std::uint64_t(1) << (w % 64));
             nearMin = nextBusy(node.when + 1);
         }
-        return Key{node.when, node.seq, node.priority, node.station, slot};
+        return Key{node.when, node.seq, node.station, slot};
     }
 
     /**
@@ -398,7 +387,6 @@ class EventQueue
         const Key top = from_far ? popFar() : popNear();
         TSS_ASSERT(top.when >= _now, "event queue went backwards");
         TSS_ASSERT(!(top.when == lastKey.when &&
-                     top.priority == lastKey.priority &&
                      top.station == lastKey.station &&
                      top.seq == lastKey.seq && numExecuted > 0),
                    "duplicate event ordering key (station %d seq %llu "
@@ -406,8 +394,9 @@ class EventQueue
                    (int)top.station, (unsigned long long)top.seq,
                    (unsigned long long)top.when);
         lastKey = top;
-        _digest = digestKey(_digest, top.when, top.priority, top.station,
-                            top.seq);
+        // 0 where the retired event priority was folded, so every
+        // pinned digest keeps its value.
+        _digest = digestKey(_digest, top.when, 0, top.station, top.seq);
         _now = top.when;
         EventFn fn = std::move(slab[top.slot]);
         freeSlots.push_back(top.slot);
@@ -443,7 +432,7 @@ class EventQueue
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint64_t> seqOf;
     Cycle _now = 0;
-    Key lastKey{invalidCycle, 0, 0, noStation, 0};
+    Key lastKey{invalidCycle, 0, noStation, 0};
     std::uint64_t numExecuted = 0;
     std::uint64_t _digest = digestSeed;
     Cycle _windowFloor = 0;

@@ -4,8 +4,8 @@
  * object base addresses are spread over directory slices (gateway
  * routing), and over the sets inside a slice (ORT associative
  * lookup), with the same splitmix64 finalizer — shared here so the
- * gateway, the ORTs, the config's shardOf() and the software
- * RenameStore mirror can never disagree about who owns an object.
+ * gateway, the ORTs and the config's shardOf() can never disagree
+ * about who owns an object.
  * And the engine's running digest of the event stream (see
  * EventQueue::digest), one multiply-xor per folded word.
  */

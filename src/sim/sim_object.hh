@@ -48,20 +48,17 @@ class SimObject
   protected:
     /** Schedule a member callback @p delay cycles from now. */
     void
-    scheduleIn(Cycle delay, EventFn fn,
-               int priority = EventQueue::defaultPriority)
+    scheduleIn(Cycle delay, EventFn fn)
     {
         _eventq.scheduleStation(_eventq.now() + delay, _station,
-                                std::move(fn), priority);
+                                std::move(fn));
     }
 
     /** Schedule a member callback at an absolute cycle. */
     void
-    scheduleAt(Cycle when, EventFn fn,
-               int priority = EventQueue::defaultPriority)
+    scheduleAt(Cycle when, EventFn fn)
     {
-        _eventq.scheduleStation(when, _station, std::move(fn),
-                                priority);
+        _eventq.scheduleStation(when, _station, std::move(fn));
     }
 
   private:

@@ -60,16 +60,16 @@ struct Discovered
 };
 
 /**
- * Base-sorted copy of the capture registry, validated: overlapping
- * registered regions would let relocation double-map addresses and
- * break aliasing, so they are rejected. Both registry paths (operand
- * containment here, recorded ids in buildRelocationMapFromIds) start
- * from this one prologue.
+ * Exact region extents from the capture-side registry: every touch
+ * must fall entirely inside one captured region; only touched regions
+ * survive. Overlapping registered regions would let relocation
+ * double-map addresses and break aliasing, so they are rejected.
  */
-std::vector<MemRegion>
-sortedRegistry(const std::vector<MemRegion> &captured)
+std::vector<Discovered>
+regionsFromRegistry(const std::vector<Touch> &touches,
+                    std::vector<MemRegion> sorted)
 {
-    std::vector<MemRegion> sorted = captured;
+    // Sorted by base from here on.
     std::sort(sorted.begin(), sorted.end(),
               [](const MemRegion &a, const MemRegion &b) {
                   return a.base < b.base;
@@ -84,19 +84,6 @@ sortedRegistry(const std::vector<MemRegion> &captured)
                   (unsigned long long)sorted[i].bytes);
         }
     }
-    return sorted;
-}
-
-/**
- * Exact region extents from the capture-side registry: every touch
- * must fall entirely inside one captured region; only touched regions
- * survive.
- */
-std::vector<Discovered>
-regionsFromRegistry(const std::vector<Touch> &touches,
-                    const std::vector<MemRegion> &captured)
-{
-    std::vector<MemRegion> sorted = sortedRegistry(captured);
     std::vector<Discovered> regions(sorted.size());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
         regions[i].base = sorted[i].base;
@@ -264,25 +251,20 @@ RelocationMap::find(std::uint64_t addr) const
     return addr < r.sourceBase + r.bytes ? &r : nullptr;
 }
 
-std::uint64_t
-RelocationMap::relocate(std::uint64_t addr) const
-{
-    const RelocatedRegion *r = find(addr);
-    if (!r) {
-        fatal("address %llx is outside every relocated region",
-              (unsigned long long)addr);
-    }
-    return r->targetBase + (addr - r->sourceBase);
-}
-
 TaskTrace
 RelocationMap::apply(const TaskTrace &trace) const
 {
     TaskTrace out = trace;
     for (TraceTask &task : out.tasks) {
         for (TraceOperand &op : task.operands) {
-            if (isMemoryOperand(op.dir))
-                op.addr = relocate(op.addr);
+            if (!isMemoryOperand(op.dir))
+                continue;
+            const RelocatedRegion *r = find(op.addr);
+            if (!r) {
+                fatal("address %llx is outside every relocated region",
+                      (unsigned long long)op.addr);
+            }
+            op.addr = r->targetBase + (op.addr - r->sourceBase);
         }
     }
     return out;
@@ -296,38 +278,6 @@ buildRelocationMap(const TaskTrace &trace, const RelocationOptions &opts,
     std::vector<Discovered> regions = captured.empty()
         ? regionsByInference(std::move(touches))
         : regionsFromRegistry(touches, captured);
-    RelocationMap map;
-    map._regions = placeRegions(regions, opts);
-    return map;
-}
-
-RelocationMap
-buildRelocationMapFromIds(
-    const TaskTrace &trace, const std::vector<MemRegion> &captured,
-    const std::vector<std::vector<std::int32_t>> &region_of,
-    const RelocationOptions &opts)
-{
-    sortedRegistry(captured); // validate disjointness
-
-    std::vector<Discovered> regions(captured.size());
-    for (std::size_t i = 0; i < captured.size(); ++i) {
-        regions[i].base = captured[i].base;
-        regions[i].bytes = captured[i].bytes;
-    }
-    for (const Touch &t : collectTouches(trace)) {
-        std::int32_t id = region_of[t.task][t.operand];
-        if (id < 0) {
-            fatal("operand [%llx,+%llu) of task %u was not resolved "
-                  "to any captured region at spawn time",
-                  (unsigned long long)t.base,
-                  (unsigned long long)t.bytes, t.task);
-        }
-        regions[static_cast<std::size_t>(id)].touch(t);
-    }
-    std::erase_if(regions, [](const Discovered &r) {
-        return r.firstTask == ~0u;
-    });
-
     RelocationMap map;
     map._regions = placeRegions(regions, opts);
     return map;

@@ -9,13 +9,14 @@
  *
  * The pass discovers distinct memory *regions* in the source address
  * space — either exactly, from a capture-side region registry
- * (starss::TaskContext::registerRegion), or by inference from the
- * operands themselves (interval merging of overlapping/abutting
- * accesses plus stride coalescing of equally-spaced, equally-sized
- * runs) — and places each region at a fresh synthetic base. Regions
- * are placed in first-touch trace order (stable across runs because
- * the trace *structure* is deterministic even when its addresses are
- * not); a non-zero layout seed shuffles the placement order instead,
+ * (starss::TaskContext::registerRegion) that each memory operand
+ * resolves into by containment, or by inference from the operands
+ * themselves (interval merging of overlapping/abutting accesses plus
+ * stride coalescing of equally-spaced, equally-sized runs) — and
+ * places each region at a fresh synthetic base. Regions are placed in
+ * first-touch trace order (stable across runs because the trace
+ * *structure* is deterministic even when its addresses are not); a
+ * non-zero layout seed shuffles the placement order instead,
  * for layout-sensitivity sweeps.
  *
  * Aliasing is preserved exactly: all addresses of one region shift by
@@ -91,26 +92,20 @@ class RelocationMap
         return _regions;
     }
 
-    /**
-     * Rebase @p addr; calls fatal() when no region contains it (the
-     * trace the map was built from never touched that address).
-     */
-    std::uint64_t relocate(std::uint64_t addr) const;
-
     /** Region containing @p addr, or null. */
     const RelocatedRegion *find(std::uint64_t addr) const;
 
-    /** Copy of @p trace with every memory operand rebased. */
+    /**
+     * Copy of @p trace with every memory operand rebased; calls
+     * fatal() for an address no region contains (the trace the map
+     * was built from never touched it).
+     */
     TaskTrace apply(const TaskTrace &trace) const;
 
   private:
     friend RelocationMap buildRelocationMap(
         const TaskTrace &, const RelocationOptions &,
         const std::vector<MemRegion> &);
-    friend RelocationMap buildRelocationMapFromIds(
-        const TaskTrace &, const std::vector<MemRegion> &,
-        const std::vector<std::vector<std::int32_t>> &,
-        const RelocationOptions &);
 
     std::vector<RelocatedRegion> _regions; ///< sorted by sourceBase
 };
@@ -120,11 +115,13 @@ class RelocationMap
  * synthetic target range.
  *
  * With a non-empty @p captured registry (exact region extents recorded
- * at capture time), every memory operand must lie entirely inside one
- * captured region — fatal() otherwise — and only touched regions are
+ * at capture time), the regions must not overlap and every memory
+ * operand must lie entirely inside one of them — fatal() otherwise,
+ * naming the regions or the operand — and only touched regions are
  * placed. This is the allocator-independent path real programs use:
  * two captures of the same program relocate identically no matter how
- * the heap happened to arrange the regions.
+ * the heap happened to arrange the regions, or in which order they
+ * were registered.
  *
  * Without a registry, regions are inferred: operand intervals that
  * overlap or abut merge into one region, and runs of at least three
@@ -137,19 +134,6 @@ class RelocationMap
 RelocationMap buildRelocationMap(
     const TaskTrace &trace, const RelocationOptions &opts = {},
     const std::vector<MemRegion> &captured = {});
-
-/**
- * Registry path without re-deriving containment: @p region_of names,
- * per task and operand of @p trace, the index into @p captured each
- * memory operand was resolved to at capture time (-1 = unresolved,
- * fatal() here), exactly the ids starss::TaskContext records at
- * spawn(). Produces the same layout as buildRelocationMap() over the
- * same registry.
- */
-RelocationMap buildRelocationMapFromIds(
-    const TaskTrace &trace, const std::vector<MemRegion> &captured,
-    const std::vector<std::vector<std::int32_t>> &region_of,
-    const RelocationOptions &opts = {});
 
 /** One-shot convenience: build the map and apply it. */
 TaskTrace relocateTrace(const TaskTrace &trace,

@@ -52,7 +52,7 @@ class RealProgram
      * Register @p bytes at @p ptr as part of the snapshot *and* in
      * the context's relocation registry (trace/relocate.hh), so the
      * captured trace can be rebased onto the synthetic address space
-     * deterministically. Call before spawning tasks that touch it.
+     * deterministically.
      */
     void
     addRegion(const void *ptr, std::size_t bytes)

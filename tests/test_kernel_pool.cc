@@ -141,9 +141,9 @@ TEST(EventCallback, LargeCapturesSpillToThePool)
     EXPECT_EQ(EventCallback::pool().stats().reused, reused_before + 1);
 }
 
-TEST(EventQueueSlab, DeterministicAcrossSameCyclePriorityTies)
+TEST(EventQueueSlab, DeterministicAcrossSameCycleStationTies)
 {
-    // Interleave priorities and insertion orders at one cycle, twice,
+    // Interleave stations and insertion orders at one cycle, twice,
     // through the same queue so the second round runs entirely on
     // recycled slab slots — the order must be identical.
     std::vector<std::vector<int>> orders;
@@ -153,8 +153,8 @@ TEST(EventQueueSlab, DeterministicAcrossSameCyclePriorityTies)
         std::vector<int> order;
         base = eq.now() + 10;
         for (int i = 0; i < 16; ++i) {
-            eq.schedule(base, [&order, i] { order.push_back(i); },
-                        i % 3 - 1);
+            eq.scheduleStation(base, i % 3 - 1,
+                               [&order, i] { order.push_back(i); });
         }
         eq.run();
         orders.push_back(std::move(order));
@@ -162,12 +162,11 @@ TEST(EventQueueSlab, DeterministicAcrossSameCyclePriorityTies)
     ASSERT_EQ(orders[0].size(), 16u);
     EXPECT_EQ(orders[0], orders[1]);
 
-    // Priority classes fire lowest-first; insertion order inside one
-    // class.
+    // Stations fire lowest-first; insertion order inside one station.
     std::vector<int> expected;
-    for (int prio = -1; prio <= 1; ++prio)
+    for (int station = -1; station <= 1; ++station)
         for (int i = 0; i < 16; ++i)
-            if (i % 3 - 1 == prio)
+            if (i % 3 - 1 == station)
                 expected.push_back(i);
     EXPECT_EQ(orders[0], expected);
 }

@@ -98,7 +98,7 @@ TEST(Serve, TenantCarvesAreDisjoint)
     RelocationOptions opts;
     opts.targetBase = service.carveBaseOf(b);
     session.seal(opts);
-    for (const RelocatedRegion &r : session.relocationMap()->regions()) {
+    for (const RelocatedRegion &r : session.relocationMap().regions()) {
         EXPECT_GE(r.targetBase, service.carveBaseOf(b));
         EXPECT_LE(r.targetBase + r.bytes, service.carveEndOf(b));
     }
@@ -525,7 +525,7 @@ TEST(SessionLifecycleDeathTest, SubmitAfterSealDies)
     Session session = Session::forTrace("late");
     session.submitTrace(chainProgram(4, 0x5000'0000));
     session.seal();
-    EXPECT_EXIT(session.submitTask(0, 100, {}),
+    EXPECT_EXIT(session.submitTrace(chainProgram(4, 0x5000'0000)),
                 testing::ExitedWithCode(1), "after seal");
 }
 
@@ -537,17 +537,6 @@ TEST(SessionLifecycleDeathTest, SimulateBeforeSealDies)
     PipelineConfig cfg;
     EXPECT_EXIT((void)session.simulate(cfg),
                 testing::ExitedWithCode(1), "before seal");
-}
-
-TEST(SessionLifecycleDeathTest, TraceBackedCannotRunReal)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    Session session = Session::forTrace("simonly");
-    session.submitTrace(chainProgram(4, 0x5000'0000));
-    session.seal();
-    EXPECT_EXIT((void)session.runParallel(2),
-                testing::ExitedWithCode(1),
-                "context-backed");
 }
 
 } // namespace

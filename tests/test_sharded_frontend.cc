@@ -17,7 +17,6 @@
 #include "driver/experiment.hh"
 #include "graph/dep_graph.hh"
 #include "runtime/parallel_exec.hh"
-#include "runtime/rename_store.hh"
 #include "workload/address_space.hh"
 #include "workload/builder.hh"
 #include "workload/starss_programs.hh"
@@ -451,38 +450,6 @@ TEST(ShardedFrontend, OracleBitIdenticalAcrossShardCounts)
             EXPECT_EQ(program->snapshot(), expected)
                 << prog.name << " diverged at " << pipes
                 << " pipelines";
-        }
-    }
-}
-
-/**
- * The software mirror and the hardware config agree on version
- * ownership: every written version's owning slice is shardOf() of
- * its object's home address, at any shard count.
- */
-TEST(ShardedFrontend, RenameStoreMirrorsShardOwnership)
-{
-    auto program = starss::makeCholeskyProgram(1, 6, 8);
-    const TaskTrace &trace = program->context().trace();
-    starss::RenameStore store(trace);
-
-    for (unsigned pipes : {1u, 2u, 4u}) {
-        PipelineConfig cfg;
-        cfg.numOrt = 2;
-        cfg.numPipelines = pipes;
-        for (std::uint32_t t = 0;
-             t < static_cast<std::uint32_t>(trace.size()); ++t) {
-            const auto &ops = trace.tasks[t].operands;
-            for (std::size_t i = 0; i < ops.size(); ++i) {
-                if (!isMemoryOperand(ops[i].dir) ||
-                    !writesObject(ops[i].dir))
-                    continue;
-                std::int64_t v = store.writeVersion(t, i);
-                ASSERT_GE(v, 0);
-                EXPECT_EQ(store.ownerShard(v, cfg.totalOrt()),
-                          cfg.shardOf(ops[i].addr));
-                EXPECT_EQ(store.objectAddress(v), ops[i].addr);
-            }
         }
     }
 }

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <queue>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -48,16 +50,6 @@ TEST(EventQueue, SameCycleIsFifo)
     eq.run();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, PriorityBreaksTies)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(2); }, 1);
-    eq.schedule(5, [&] { order.push_back(1); }, -1);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EventQueue, EventsCanScheduleEvents)
@@ -96,8 +88,8 @@ TEST(EventQueue, RunHonorsMaxEvents)
 
 TEST(EventQueue, StationBreaksTiesBeforeSeq)
 {
-    // Same cycle, same priority: lower station id fires first, even
-    // when the higher station scheduled earlier (got a lower seq).
+    // Same cycle: lower station id fires first, even when the higher
+    // station scheduled earlier (got a lower seq).
     EventQueue eq;
     std::vector<int> order;
     eq.scheduleStation(5, 7, [&] { order.push_back(7); });
@@ -146,7 +138,7 @@ TEST(EventQueue, SequencesAreIndependentPerStation)
 {
     // Seqs are allocated per station: a burst from one station must
     // not advance another's counter (cross-station collisions of the
-    // (when, priority, station, seq) key would break determinism and
+    // (when, station, seq) key would break determinism and
     // trip the duplicate-key assert in step()).
     EventQueue eq;
     std::vector<std::pair<int, int>> order;
@@ -181,7 +173,7 @@ TEST(EventQueue, NextTimeTracksEarliestPending)
 /*
  * Timing-wheel edges. Events due fewer than EventQueue::wheelSlots
  * cycles ahead of now() file on the wheel, the rest on the far heap;
- * the pop order must be the one (when, priority, station, seq) order
+ * the pop order must be the one (when, station, seq) order
  * regardless of where an event was filed.
  */
 
@@ -208,26 +200,28 @@ TEST(EventQueue, WheelEdgeDelays)
 TEST(EventQueue, SameCycleOnWheelAndFarHeap)
 {
     // Cycle 1000 is far when scheduled at now 0 and near once now
-    // reaches 900: one key on the heap, the others on the wheel. The
-    // heap's key must interleave by station and by priority.
+    // reaches 900: two keys on the heap, the others on the wheel. The
+    // heap's keys must interleave by station, and by sequence within
+    // one station.
     EventQueue eq;
     std::vector<int> order;
-    eq.scheduleStation(1000, 5, [&] { order.push_back(5); });
-    eq.scheduleStation(1000, 6, [&] { order.push_back(16); }, -1);
+    eq.scheduleStation(1000, 6, [&] { order.push_back(6); });
+    eq.scheduleStation(1000, 2, [&] { order.push_back(2); });
     eq.schedule(900, [] {});
     EXPECT_EQ(eq.farEvents(), 3u);
     eq.step();
     ASSERT_EQ(eq.now(), 900u);
     eq.scheduleStation(1000, 9, [&] { order.push_back(9); });
-    eq.scheduleStation(1000, 2, [&] { order.push_back(2); });
-    eq.scheduleStation(1000, 1, [&] { order.push_back(11); }, -1);
-    eq.scheduleStation(1000, 7, [&] { order.push_back(17); }, -1);
+    eq.scheduleStation(1000, 6, [&] { order.push_back(16); });
+    eq.scheduleStation(1000, 4, [&] { order.push_back(4); });
+    eq.scheduleStation(1000, 1, [&] { order.push_back(1); });
+    eq.scheduleStation(1000, 7, [&] { order.push_back(7); });
     EXPECT_EQ(eq.farEvents(), 3u);
     EXPECT_EQ(eq.nextTime(), 1000u);
     eq.run();
-    // Priority -1: station 1 (wheel), 6 (heap), 7 (wheel); then
-    // priority 0: station 2 (wheel), 5 (heap), 9 (wheel).
-    EXPECT_EQ(order, (std::vector<int>{11, 16, 17, 2, 5, 9}));
+    // Station 1 (wheel), 2 (heap), 4 (wheel), 6 (heap, then wheel),
+    // 7 and 9 (wheel).
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 6, 16, 7, 9}));
 }
 
 TEST(EventQueue, WheelSlotIndexWraps)
@@ -261,25 +255,26 @@ TEST(EventQueue, WheelSlotIndexWraps)
 
 TEST(EventQueue, MidListInsertKeepsStationFifo)
 {
-    // Later inserts with a lower priority or station land in the
-    // middle of the cycle's list; one station's events stay FIFO.
+    // Later inserts with a lower station land in the middle of the
+    // cycle's list; one station's events stay FIFO.
     EventQueue eq;
     std::vector<int> order;
-    auto push = [&](std::int32_t station, int tag, int priority = 0) {
-        auto fn = [&order, tag] { order.push_back(tag); };
-        eq.scheduleStation(10, station, fn, priority);
+    auto push = [&](std::int32_t station, int tag) {
+        eq.scheduleStation(10, station, [&order, tag] {
+            order.push_back(tag);
+        });
     };
     push(5, 50);
     push(5, 51);
-    push(3, 30);     // before both station-5 events
-    push(5, 52);     // appends
-    push(4, 40);     // between stations 3 and 5
-    push(3, 31);     // after 30, before 40
-    push(8, 80, -1); // a lower priority: the new head
-    push(2, 20, 1);  // a higher priority: the new tail
+    push(3, 30); // before both station-5 events
+    push(5, 52); // appends
+    push(4, 40); // between stations 3 and 5
+    push(3, 31); // after 30, before 40
+    push(1, 10); // a lower station: the new head
+    push(9, 90); // a higher station: the new tail
     push(3, 32);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{80, 30, 31, 32, 40, 50, 51, 52, 20}));
+    EXPECT_EQ(order, (std::vector<int>{10, 30, 31, 32, 40, 50, 51, 52, 90}));
 }
 
 TEST(EventQueue, LaggingQueueTakesNearAndFarEvents)
@@ -342,23 +337,25 @@ TEST(EventQueue, RunUntilBetweenWheelAndHeap)
  * same total order. Executed events schedule successors: most within
  * a few hundred cycles (the wheel's edges included), about 2% up to
  * 2 M cycles ahead. Every step compares the executed key, nextTime()
- * and size(); the end compares the event-stream digest.
+ * and size(); the end compares the event-stream digest, and checks
+ * that some near inserts landed in the middle of their wheel slot's
+ * list (behind a pending event of a higher station).
  */
 TEST(EventQueue, MatchesReferenceHeap)
 {
     struct Ref
     {
         Cycle when;
-        int priority;
         std::int32_t station;
         std::uint64_t seq;
         std::uint64_t id;
+        bool near;
 
         bool
         operator>(const Ref &o) const
         {
-            return std::tie(when, priority, station, seq) >
-                std::tie(o.when, o.priority, o.station, o.seq);
+            return std::tie(when, station, seq) >
+                std::tie(o.when, o.station, o.seq);
         }
     };
 
@@ -366,22 +363,29 @@ TEST(EventQueue, MatchesReferenceHeap)
         EventQueue eq;
         std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
         std::vector<std::uint64_t> seqOf(9, 0);
+        // Stations of the pending near events, per cycle.
+        std::map<Cycle, std::multiset<std::int32_t>> wheelStations;
         Rng rng(seed);
         std::uint64_t nextId = 0, ranId = ~std::uint64_t(0);
-        std::uint64_t far = 0, budget = 60000;
+        std::uint64_t far = 0, midInserts = 0, budget = 60000;
 
         std::function<void()> spawn;
         auto schedule = [&](Cycle when) {
             auto station = static_cast<std::int32_t>(rng.range(9)) - 1;
-            int priority = static_cast<int>(rng.range(3)) - 1;
             std::uint64_t id = nextId++;
-            far += when - eq.now() >= EventQueue::wheelSlots;
-            ref.push(Ref{when, priority, station, seqOf[station + 1]++, id});
+            bool near = when - eq.now() < EventQueue::wheelSlots;
+            far += !near;
+            if (near) {
+                auto &pending = wheelStations[when];
+                midInserts += !pending.empty() && *pending.rbegin() > station;
+                pending.insert(station);
+            }
+            ref.push(Ref{when, station, seqOf[station + 1]++, id, near});
             auto fn = [&ranId, &spawn, id] {
                 ranId = id;
                 spawn();
             };
-            eq.scheduleStation(when, station, fn, priority);
+            eq.scheduleStation(when, station, fn);
         };
         auto delay = [&]() -> Cycle {
             std::uint64_t r = rng.range(1000);
@@ -407,8 +411,13 @@ TEST(EventQueue, MatchesReferenceHeap)
             ASSERT_EQ(eq.size(), ref.size()) << "step " << steps;
             Ref top = ref.top();
             ref.pop();
-            digest = digestKey(digest, top.when, top.priority, top.station,
-                               top.seq);
+            if (top.near) {
+                auto it = wheelStations.find(top.when);
+                it->second.erase(it->second.find(top.station));
+                if (it->second.empty())
+                    wheelStations.erase(it);
+            }
+            digest = digestKey(digest, top.when, 0, top.station, top.seq);
             ASSERT_TRUE(eq.step());
             ASSERT_EQ(ranId, top.id) << "step " << steps;
             ASSERT_EQ(eq.now(), top.when);
@@ -421,6 +430,7 @@ TEST(EventQueue, MatchesReferenceHeap)
         EXPECT_EQ(eq.executed(), steps);
         EXPECT_EQ(eq.farEvents(), far);
         EXPECT_GT(far, steps / 100) << "seed " << seed;
+        EXPECT_GT(midInserts, steps / 100) << "seed " << seed;
         EXPECT_EQ(eq.digest(), digest) << "seed " << seed;
     }
 }

@@ -4,19 +4,22 @@
  * (interval merging, stride coalescing, capture-registry extents),
  * aliasing preservation, base-invariance (the ASLR property: where
  * the source allocator put the regions must not matter), the seeded
- * layout option, the RenameStore relocation mirror, and the
- * acceptance-criteria differential oracle — relocated decisions
- * executed for real across threads {1, 2, 4, 16} in both parallel
- * modes stay bit-identical to sequential execution.
+ * layout option, the pinned layouts of the real programs, the
+ * registry's fatal checks, and the acceptance-criteria differential
+ * oracle — relocated decisions executed for real across threads
+ * {1, 2, 4, 16} in both parallel modes stay bit-identical to
+ * sequential execution.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "core/system.hh"
 #include "driver/experiment.hh"
 #include "graph/dep_graph.hh"
 #include "runtime/parallel_exec.hh"
-#include "runtime/rename_store.hh"
+#include "sim/hash.hh"
 #include "trace/relocate.hh"
 #include "workload/address_space.hh"
 #include "workload/builder.hh"
@@ -170,26 +173,23 @@ TEST(TraceRelocate, SeededLayoutShufflesPlacementButPreservesAliasing)
     EXPECT_EQ(edges7, orig);
 }
 
-TEST(TraceRelocate, CaptureRegistryRecordsRegionIds)
+TEST(TraceRelocate, CaptureRegistryContainsEveryOperand)
 {
     auto program = starss::makeCholeskyProgram(1, 4, 8);
     starss::TaskContext &ctx = program->context();
 
-    // Every block registered, every memory operand resolved to one.
+    // Every block registered, every memory operand inside exactly one.
     EXPECT_EQ(ctx.regions().size(), 16u); // 4x4 blocks
     const TaskTrace &trace = ctx.trace();
-    for (std::uint32_t t = 0;
-         t < static_cast<std::uint32_t>(trace.size()); ++t) {
-        const auto &ops = trace.tasks[t].operands;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            if (!isMemoryOperand(ops[i].dir))
+    for (const TraceTask &task : trace.tasks) {
+        for (const TraceOperand &op : task.operands) {
+            if (!isMemoryOperand(op.dir))
                 continue;
-            std::int32_t id = ctx.regionId(t, i);
-            ASSERT_GE(id, 0);
-            const MemRegion &r =
-                ctx.regions()[static_cast<std::size_t>(id)];
-            EXPECT_GE(ops[i].addr, r.base);
-            EXPECT_LE(ops[i].addr + ops[i].bytes, r.base + r.bytes);
+            unsigned containing = 0;
+            for (const MemRegion &r : ctx.regions())
+                containing += op.addr >= r.base &&
+                    op.addr + op.bytes <= r.base + r.bytes;
+            EXPECT_EQ(containing, 1u);
         }
     }
 
@@ -204,34 +204,103 @@ TEST(TraceRelocate, CaptureRegistryRecordsRegionIds)
               DepGraph::build(trace, Semantics::Renamed).allEdges());
 }
 
-TEST(TraceRelocate, RenameStoreMirrorsRelocatedOwnership)
+/**
+ * The layouts of the real programs, pinned: an FNV digest of every
+ * relocated memory-operand address, in trace order, of each of
+ * realPrograms() at seed 1, under the canonical first-touch layout
+ * and under layout seed 7. A change to how registered regions are
+ * resolved or placed moves these.
+ */
+TEST(TraceRelocate, RealProgramLayoutsArePinned)
 {
-    auto program = starss::makeCholeskyProgram(1, 5, 8);
-    const TaskTrace &trace = program->context().trace();
-    RelocationMap map =
-        buildRelocationMap(trace, {}, program->context().regions());
-    starss::RenameStore store(trace, &map);
-
-    PipelineConfig cfg;
-    cfg.numOrt = 2;
-    cfg.numPipelines = 2;
-    for (std::uint32_t t = 0;
-         t < static_cast<std::uint32_t>(trace.size()); ++t) {
-        const auto &ops = trace.tasks[t].operands;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            if (!isMemoryOperand(ops[i].dir) ||
-                !writesObject(ops[i].dir))
-                continue;
-            std::int64_t v = store.writeVersion(t, i);
-            ASSERT_GE(v, 0);
-            // The mirror reports the relocated address, so ownership
-            // agrees with a hardware run of the relocated trace.
-            EXPECT_EQ(store.objectAddress(v),
-                      map.relocate(ops[i].addr));
-            EXPECT_EQ(store.ownerShard(v, cfg.totalOrt()),
-                      cfg.shardOf(map.relocate(ops[i].addr)));
-        }
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t canonical;
+        std::uint64_t seeded;
+    };
+    const Pin pins[] = {
+        {"cholesky", 0xb582d2d5410d3d9dULL, 0xf039443f3124159dULL},
+        {"matmul", 0x2d55c112841c2225ULL, 0xe27bafcf240b6225ULL},
+        {"jacobi", 0x8f0b2406df6a8da5ULL, 0xa8589ac9563691a5ULL},
+        {"reduce", 0x0522650f6404a59dULL, 0xdc5b7e6a1b0e9b9dULL},
+    };
+    auto digest = [](const TaskTrace &trace) {
+        std::uint64_t h = digestSeed;
+        for (std::uint64_t addr : operandAddresses(trace))
+            h = digestFold(h, addr);
+        return h;
+    };
+    RelocationOptions seeded;
+    seeded.layoutSeed = 7;
+    const auto &programs = starss::realPrograms();
+    ASSERT_EQ(programs.size(), std::size(pins));
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        SCOPED_TRACE(programs[i].name);
+        EXPECT_EQ(programs[i].name, pins[i].name);
+        auto program = programs[i].make(1);
+        const starss::TaskContext &ctx = program->context();
+        EXPECT_EQ(digest(ctx.relocatedTrace()), pins[i].canonical);
+        EXPECT_EQ(digest(ctx.relocatedTrace(seeded)), pins[i].seeded);
     }
+}
+
+/** A two-task program over one 512-byte object at @p obj. */
+void
+spawnTwoTasks(starss::TaskContext &ctx, std::uint8_t *obj)
+{
+    starss::KernelId k = ctx.addKernel("k", [](starss::Buffers &) {});
+    ctx.spawn(k, {starss::out(obj, 512)});
+    ctx.spawn(k, {starss::inout(obj + 256, 256)});
+}
+
+TEST(TraceRelocate, RegionRegisteredAfterItsSpawnRelocates)
+{
+    // Operands resolve to regions when the trace is relocated, so a
+    // region registered after the task that touches it counts.
+    std::vector<std::uint8_t> obj(512);
+    starss::TaskContext late, early;
+    spawnTwoTasks(late, obj.data());
+    late.registerRegion(obj.data(), obj.size());
+    early.registerRegion(obj.data(), obj.size());
+    spawnTwoTasks(early, obj.data());
+
+    TaskTrace rel = late.relocatedTrace();
+    EXPECT_EQ(operandAddresses(rel),
+              operandAddresses(early.relocatedTrace()));
+    auto dst = operandAddresses(rel);
+    EXPECT_EQ(dst[0], RelocationOptions{}.targetBase);
+    EXPECT_EQ(dst[1] - dst[0], 256u);
+}
+
+TEST(TraceRelocateDeathTest, OperandOutsideEveryRegionDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A fixed address, so the re-executed death test prints the same
+    // operand; nothing runs, so no memory is touched.
+    auto *obj = reinterpret_cast<std::uint8_t *>(
+        std::uintptr_t{0x7000'0000});
+    starss::TaskContext ctx;
+    ctx.registerRegion(obj, 256);
+    spawnTwoTasks(ctx, obj);
+    // Task 0's operand [obj, +512) spills past the 256-byte region.
+    EXPECT_EXIT((void)ctx.relocatedTrace(), testing::ExitedWithCode(1),
+                "operand \\[70000000,\\+512\\) of task 0 is not "
+                "contained in any captured region");
+}
+
+TEST(TraceRelocateDeathTest, OverlappingRegionsDie)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::uint64_t a = 0x7000'0000, b = a + 256;
+    TaskTrace trace;
+    trace.addKernel("k");
+    TaskBuilder(trace).begin(0, 100).inout(a, 64).commit();
+    const std::vector<MemRegion> regions = {{b, 512}, {a, 512}};
+    EXPECT_EXIT((void)buildRelocationMap(trace, {}, regions),
+                testing::ExitedWithCode(1),
+                "captured regions overlap: \\[70000000,\\+512\\) "
+                "and \\[70000100,\\+512\\)");
 }
 
 /**
