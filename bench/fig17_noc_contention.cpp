@@ -32,7 +32,7 @@
  * Panel 2 is the ticket-protocol cost ablation (ROADMAP item): the
  * same programs decoded with the real ordered-admission protocol vs
  * the idealAdmission oracle that admits operands at zero protocol
- * cost (FrontendStats::decodeDeferrals counts the parked operands).
+ * cost (frontend.decode_deferrals counts the parked operands).
  * Oracle decisions are never replayed — see PipelineConfig.
  *
  * Panel 3 sweeps --relocate-seed over the real-kernel programs: each

@@ -15,7 +15,6 @@
 #include "core/system.hh"
 #include "graph/dep_graph.hh"
 #include "mem/free_list.hh"
-#include "noc/message_pool.hh"
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -152,7 +151,7 @@ void
 BM_PipelineAllocationCounts(benchmark::State &state)
 {
     tss::TaskTrace trace = tss::genCholeskyBlocked(10, 16 * 1024, 1);
-    auto &msg_pool = tss::MessagePool::local();
+    auto &msg_pool = tss::Message::pool();
     auto &ev_pool = tss::EventCallback::pool();
     std::uint64_t messages = 0, events = 0;
     std::uint64_t msg_fresh0 = msg_pool.stats().fresh;
@@ -200,7 +199,7 @@ BENCHMARK(BM_PipelineAllocationCounts)->Unit(benchmark::kMillisecond);
 void
 BM_MessagePoolChurn(benchmark::State &state)
 {
-    auto &pool = tss::MessagePool::local();
+    auto &pool = tss::Message::pool();
     std::uint64_t fresh0 = pool.stats().fresh;
     std::uint64_t reused0 = pool.stats().reused;
     for (auto _ : state) {

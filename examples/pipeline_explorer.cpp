@@ -10,9 +10,10 @@
  *       --trs=8 --ort=2 --trs-kb=6144 --ort-kb=512 [--sw] [--csv] \
  *       [--pipes=N] [--gen-threads=N] [--topology=fixed|ring|mesh] \
  *       [--placement=adjacent|spread|random] [--batch] [--credits=N] \
- *       [--relocate] [--relocate-seed=N] [--sim-threads=N]
+ *       [--relocate] [--relocate-seed=N] [--sim-threads=N] [--modstats]
  */
 
+#include <iomanip>
 #include <iostream>
 
 #include "driver/cli.hh"
@@ -21,6 +22,83 @@
 #include "graph/dataflow_limit.hh"
 #include "graph/dep_graph.hh"
 #include "trace/trace_stats.hh"
+
+namespace
+{
+
+/**
+ * The --modstats report: per-module packets, busy fraction and queue
+ * depth, NoC traffic and link load, DMA and core utilization, all
+ * formatted from the run's metrics snapshot (the config supplies only
+ * module names and counts). Every rate divides by the makespan, the
+ * registry's run-average window.
+ */
+void
+printModuleStats(std::ostream &os, const tss::PipelineConfig &cfg,
+                 const tss::RunResult &hw)
+{
+    const tss::obs::Snapshot &m = hw.metrics;
+    const tss::Cycle now = hw.makespan;
+    auto line = [&](const std::string &name) {
+        std::string base = "module." + name + ".";
+        auto cycles = static_cast<double>(m.counter(base + "busy_cycles"));
+        double busy =
+            now == 0 ? 0 : 100.0 * cycles / static_cast<double>(now);
+        os << "  " << std::left << std::setw(12) << name << " packets "
+           << std::setw(10) << m.counter(base + "packets") << " busy "
+           << std::fixed << std::setprecision(1) << busy
+           << "%  avg queue " << std::setprecision(2)
+           << m.gauge(base + "queue_avg") << "\n";
+    };
+
+    os << "module utilization (over " << now << " cycles):\n";
+    for (unsigned i = 0; i < cfg.totalTrs(); ++i)
+        line("trs" + std::to_string(i));
+    for (unsigned i = 0; i < cfg.totalOrt(); ++i)
+        line("ort" + std::to_string(i));
+    for (unsigned i = 0; i < cfg.totalOrt(); ++i)
+        line("ovt" + std::to_string(i));
+    line("scheduler");
+
+    os << "NoC: " << m.counter("noc.messages")
+       << " messages, latency mean " << std::setprecision(1)
+       << m.gauge("noc.latency_mean") << " cy (p95 "
+       << m.gauge("noc.latency_p95") << ", max "
+       << m.gauge("noc.latency_max") << ")\n";
+    // The histogram holds one entry per link.
+    const tss::obs::HistogramSnapshot &hist =
+        m.histograms.at("noc.link_utilization_pct");
+    os << "links: " << tss::toString(cfg.nocTopology) << "/"
+       << tss::toString(cfg.nocPlacement) << ", " << hist.totalCount()
+       << " links, " << m.counter("noc.link_traversals")
+       << " traversals, lane waits " << m.counter("noc.lane_wait_cycles")
+       << " cy, busiest link "
+       << m.gauge("noc.max_link_utilization") * 100.0 << "% busy\n";
+    os << "noc link utilization histogram:\n";
+    for (std::size_t b = 0; b < hist.counts.size(); ++b) {
+        if (hist.counts[b] == 0)
+            continue;
+        bool last = b + 1 == hist.counts.size();
+        os << "  [" << hist.lowerBounds[b] << "%, "
+           << (last ? 100 : hist.lowerBounds[b + 1])
+           << (last ? "%]: " : "%): ") << hist.counts[b] << " links\n";
+    }
+    os << "DMA: " << m.counter("dma.writebacks") << " write-backs, "
+       << m.counter("dma.bytes") / 1024 << " KB\n";
+
+    double core_busy = 0;
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        core_busy += static_cast<double>(
+            m.counter("core." + std::to_string(c) + ".busy_cycles"));
+    }
+    if (now > 0 && cfg.numCores > 0) {
+        core_busy /=
+            static_cast<double>(now) * static_cast<double>(cfg.numCores);
+        os << "cores: " << core_busy * 100.0 << "% average utilization\n";
+    }
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -110,7 +188,7 @@ main(int argc, char **argv)
 
     if (args.has("modstats")) {
         std::cout << "\n";
-        sys->dumpStats(std::cout);
+        printModuleStats(std::cout, cfg, hw);
     }
 
     if (args.has("sw")) {

@@ -104,8 +104,8 @@ struct PipelineConfig
      * one cycle instead of the real protocol's tag probe
      * (packetLatency + an eDRAM read). Compare decode rates against
      * the real protocol to price the ordering machinery
-     * (FrontendStats::decodeDeferrals counts the parked operands
-     * either way).
+     * (the frontend.decode_deferrals metric counts the parked
+     * operands either way).
      */
     bool idealAdmission = false;
     /// @}

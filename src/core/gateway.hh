@@ -66,7 +66,6 @@ class Gateway : public SimObject, public Endpoint
 
     /// @name Introspection.
     /// @{
-    bool stalled() const { return stallTokens > 0; }
     Cycle allocWaitCycles() const { return allocWait; }
     /// @}
 

@@ -208,7 +208,6 @@ Ort::handleDecode(DecodeOperandMsg &msg)
     if (orderedAdmission && !admissible(msg, admitState[msg.addr])) {
         deferredByAddr[msg.addr].push_back(msg);
         ++deferrals;
-        ++stats.decodeDeferrals;
         obs::trace(obs::TraceEvent::OperandTicketPark, curCycle(),
                    ortIndex, msg.addr);
         // The park costs a tag probe — unless the ideal-admission
@@ -238,7 +237,6 @@ Ort::handleDecode(DecodeOperandMsg &msg)
             stallSent = true;
             stallStarted = curCycle();
             ++stalls;
-            ++stats.gatewayStallEvents;
             for (NodeId gw : gatewayNodes)
                 sendMsg(gw, std::make_unique<GatewayStallMsg>());
         }
@@ -405,7 +403,6 @@ Ort::parkForSlot(const DecodeOperandMsg &msg, Cycle cost)
 {
     slotWaiters.push_back(msg);
     ++slotParks;
-    ++stats.versionSlotParks;
     obs::trace(obs::TraceEvent::OperandSlotPark, curCycle(), ortIndex,
                msg.addr);
     if (!starveSubscribed) {

@@ -252,7 +252,6 @@ Ovt::tryRelease(std::uint32_t slot)
     if (cfg.eagerWriteback && v.renamed && v.bufferAssigned &&
         v.buffer != v.addr) {
         v.dmaInFlight = true;
-        ++stats.dmaWritebacks;
         dma.transfer(v.bytes, [this, slot] {
             Version &ver = versions[slot];
             ver.dmaInFlight = false;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <numeric>
-#include <ostream>
 #include <sstream>
 #include <unordered_map>
 
@@ -292,26 +290,39 @@ System::buildMetrics()
     counter("frontend.tasks_finished", stats.tasksFinished);
     counter("frontend.data_ready_forwards", stats.dataReadyForwards);
     counter("frontend.tombstone_replies", stats.tombstoneReplies);
-    counter("frontend.gateway_stall_events", stats.gatewayStallEvents);
-    counter("frontend.decode_deferrals", stats.decodeDeferrals);
-    counter("frontend.version_slot_parks", stats.versionSlotParks);
     counter("frontend.decode_batches", stats.decodeBatches);
     counter("frontend.batched_operands", stats.batchedOperands);
     counter("frontend.versions_created", stats.versionsCreated);
     counter("frontend.versions_renamed", stats.versionsRenamed);
-    counter("frontend.dma_writebacks", stats.dmaWritebacks);
     counter("frontend.gateway_stall_cycles", stats.gatewayStallCycles);
     counter("frontend.source_stall_cycles", stats.sourceStallCycles);
+    // Events a module counts itself: the run-wide figure is the sum
+    // over the modules. A snapshot follows a barrier, so the DMA
+    // engine has applied every write-back an OVT requested.
     metrics.addCounter("frontend.alloc_wait_cycles", [this] {
         std::uint64_t waits = 0;
         for (const auto &gw : gateways)
             waits += gw->allocWaitCycles();
         return waits;
     });
+    auto slice_sum = [this](const std::string &name,
+                            std::uint64_t (Ort::*stat)() const) {
+        metrics.addCounter(name, [this, stat] {
+            std::uint64_t sum = 0;
+            for (const auto &ort : ortModules)
+                sum += (*ort.*stat)();
+            return sum;
+        });
+    };
+    slice_sum("frontend.decode_deferrals", &Ort::deferredOps);
+    slice_sum("frontend.version_slot_parks", &Ort::slotParkEvents);
+    slice_sum("frontend.gateway_stall_events", &Ort::stallEvents);
+    metrics.addCounter("frontend.dma_writebacks",
+                       [this] { return dma->numTransfers(); });
     metrics.addGauge("frontend.chain_consumers_mean",
                      [this] { return stats.chainConsumers.mean(); });
     metrics.addGauge("frontend.chain_consumers_p95", [this] {
-        return stats.chainConsumers.percentile(95);
+        return stats.chainConsumers.nearestRank(0.95);
     });
     metrics.addGauge("frontend.chain_consumers_max",
                      [this] { return stats.chainConsumers.max(); });
@@ -367,6 +378,9 @@ System::buildMetrics()
         metrics.addCounter(base + "busy_cycles", [&m] {
             return static_cast<std::uint64_t>(m.busyCycles());
         });
+        metrics.addGauge(base + "queue_avg", [this, &m] {
+            return m.avgQueueLength(registry.lastFinish());
+        });
     };
     for (const auto &trs : trsModules)
         module(*trs);
@@ -391,7 +405,7 @@ System::buildMetrics()
     metrics.addGauge("noc.latency_mean",
                      [this] { return net->latencyStat().mean(); });
     metrics.addGauge("noc.latency_p95", [this] {
-        return net->latencyStat().percentile(95);
+        return net->latencyStat().nearestRank(0.95);
     });
     metrics.addGauge("noc.latency_max",
                      [this] { return net->latencyStat().max(); });
@@ -625,58 +639,6 @@ System::writeObsOutputs()
                   cfg.metricsOutPath.c_str());
         }
         os << metrics.snapshot().toJson() << "\n";
-    }
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    // The makespan, not engine->now(): eager DMA write-backs may run
-    // the engine past the last task (see the registry's run averages).
-    Cycle now = registry.lastFinish();
-    auto line = [&](const std::string &name, const FrontendModule &m) {
-        double busy = now == 0
-            ? 0 : 100.0 * static_cast<double>(m.busyCycles()) /
-                  static_cast<double>(now);
-        os << "  " << std::left << std::setw(12) << name
-           << " packets " << std::setw(10) << m.packetsProcessed()
-           << " busy " << std::fixed << std::setprecision(1) << busy
-           << "%  avg queue " << std::setprecision(2)
-           << m.avgQueueLength(now) << "\n";
-    };
-
-    os << "module utilization (over " << now << " cycles):\n";
-    for (std::size_t i = 0; i < trsModules.size(); ++i)
-        line("trs" + std::to_string(i), *trsModules[i]);
-    for (std::size_t i = 0; i < ortModules.size(); ++i)
-        line("ort" + std::to_string(i), *ortModules[i]);
-    for (std::size_t i = 0; i < ovtModules.size(); ++i)
-        line("ovt" + std::to_string(i), *ovtModules[i]);
-    line("scheduler", *sched);
-
-    os << "NoC: " << net->messagesSent() << " messages, latency mean "
-       << std::setprecision(1) << net->latencyStat().mean()
-       << " cy (p95 " << net->latencyStat().percentile(95)
-       << ", max " << net->latencyStat().max() << ")\n";
-    LinkStats links = net->linkStats(now);
-    os << "links: " << toString(cfg.nocTopology) << "/"
-       << toString(cfg.nocPlacement) << ", " << links.links
-       << " links, " << links.traversals << " traversals, lane waits "
-       << links.laneWaitCycles << " cy, busiest link "
-       << std::setprecision(1) << links.maxUtilization * 100.0
-       << "% busy\n";
-    net->dumpStats(os, now);
-    os << "DMA: " << dma->numTransfers() << " write-backs, "
-       << dma->totalBytes() / 1024 << " KB\n";
-
-    double core_busy = 0;
-    for (const auto &worker : workers)
-        core_busy += static_cast<double>(worker->busyCycles());
-    if (now > 0 && !workers.empty()) {
-        core_busy /= static_cast<double>(now) *
-            static_cast<double>(workers.size());
-        os << "cores: " << std::setprecision(1) << core_busy * 100.0
-           << "% average utilization\n";
     }
 }
 

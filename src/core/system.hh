@@ -164,14 +164,6 @@ class System
      */
     RunResult collectResult();
 
-    /**
-     * Write a per-module utilization report (packets serviced, busy
-     * fraction, queue depths, NoC traffic) to @p os. Call after
-     * run(). Every rate divides by the makespan
-     * (TaskRegistry::lastFinish), the registry's run-average window.
-     */
-    void dumpStats(std::ostream &os) const;
-
     /// @name Shared-infrastructure introspection.
     /// @{
     const PipelineConfig &config() const { return cfg; }

@@ -25,9 +25,7 @@ namespace tss
 struct TaskRecord
 {
     Cycle submitted = invalidCycle;  ///< pushed by the thread
-    Cycle allocated = invalidCycle;  ///< TRS slot granted
     Cycle decodeDone = invalidCycle; ///< all operands in the graph
-    Cycle ready = invalidCycle;      ///< all operands data-ready
     Cycle started = invalidCycle;    ///< began executing on a core
     Cycle finished = invalidCycle;   ///< kernel completed
 

@@ -116,7 +116,6 @@ Trs::handleAlloc(AllocRequestMsg &msg)
     id.generation = generation;
 
     registry.bind(id, msg.traceIndex);
-    registry.record(id).allocated = curCycle();
     obs::trace(obs::TraceEvent::TaskAlloc, curCycle(), msg.traceIndex,
                static_cast<std::uint64_t>(nodeId()));
     ++stats.tasksAllocated;
@@ -131,7 +130,6 @@ Trs::handleAlloc(AllocRequestMsg &msg)
     // Degenerate but legal: a task with no operands is ready at once.
     if (msg.numOperands == 0) {
         slot.readySent = true;
-        registry.record(id).ready = curCycle();
         registry.record(id).decodeDone = curCycle();
         obs::trace(obs::TraceEvent::TaskDecodeDone, curCycle(),
                    msg.traceIndex, 0);
@@ -182,7 +180,6 @@ Trs::maybeTaskReady(TaskSlot &slot, const TaskId &id)
     if (slot.readySent || slot.readyCount != slot.numOperands)
         return;
     slot.readySent = true;
-    registry.record(slot.traceIndex).ready = curCycle();
     obs::trace(obs::TraceEvent::TaskReady, curCycle(),
                slot.traceIndex);
     sendMsg(schedulerNode, std::make_unique<TaskReadyMsg>(id));

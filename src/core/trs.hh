@@ -24,7 +24,11 @@ namespace tss
 /**
  * Run-wide statistics sink the modules of one System fill in. Stations
  * of every NoC domain share it; one thread drains every domain, so
- * nothing here needs a lock or an atomic (see Counter).
+ * nothing here needs a lock or an atomic (see Counter). It holds only
+ * what no single module owns: an event one module already counts
+ * (an ORT's parks and stalls, the DMA engine's transfers) is counted
+ * there alone, and System::buildMetrics binds the run-wide metric as
+ * the sum over the modules.
  */
 struct FrontendStats
 {
@@ -32,10 +36,6 @@ struct FrontendStats
     Counter tasksFinished;
     Counter dataReadyForwards;  ///< chain hops traversed
     Counter tombstoneReplies;   ///< registrations to finished tasks
-    Counter gatewayStallEvents;
-    Counter decodeDeferrals; ///< out-of-ticket-order operands parked
-    Counter versionSlotParks; ///< operands capacity-parked by the
-                              ///< version-slot reserve rule
     Counter decodeBatches;   ///< multi-operand DecodeBatch packets
     Counter batchedOperands; ///< operands that rode a batch packet
     Distribution batchFill;  ///< operands per memory issue event
@@ -48,7 +48,6 @@ struct FrontendStats
     TimeWeighted tasksInFlight;  ///< window occupancy
     Counter versionsCreated;
     Counter versionsRenamed;
-    Counter dmaWritebacks;
 };
 
 /**

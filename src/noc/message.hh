@@ -2,6 +2,10 @@
  * @file
  * Base types for the asynchronous point-to-point protocol: network
  * node ids, the message base class, and the endpoint interface.
+ * Message storage is pooled: Message::operator new/delete draw from a
+ * per-thread ChunkPool, so every std::make_unique<XxxMsg>() call site
+ * is pooled unchanged and, after warm-up, the NoC send path performs
+ * no heap allocation.
  */
 
 #ifndef TSS_NOC_MESSAGE_HH
@@ -10,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace tss
@@ -34,14 +39,30 @@ struct Message
 
     virtual ~Message() = default;
 
-    /// @name Pooled storage. All messages draw from the per-thread
-    /// MessagePool, so the steady-state NoC path recycles storage
-    /// instead of hitting the global allocator per hop. The sized
-    /// delete receives the most-derived size from the deleting
-    /// destructor, matching the size class chosen at allocation.
+    /// @name Pooled storage. All messages draw from the calling
+    /// thread's pool. The sized delete receives the most-derived size
+    /// from the deleting destructor, matching the size class chosen
+    /// at allocation.
     /// @{
-    static void *operator new(std::size_t bytes);
-    static void operator delete(void *p, std::size_t bytes) noexcept;
+    /** The calling thread's message pool. */
+    static ChunkPool &
+    pool()
+    {
+        static thread_local ChunkPool p;
+        return p;
+    }
+
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return pool().allocate(bytes);
+    }
+
+    static void
+    operator delete(void *p, std::size_t bytes) noexcept
+    {
+        pool().release(p, bytes);
+    }
     /// @}
 
     NodeId src;

@@ -241,26 +241,37 @@ TopologyNetwork::hopCount(NodeId src_node, NodeId dst_node) const
     return count;
 }
 
+void
+TopologyNetwork::visitLinks(
+    const std::function<void(const Link &)> &fn) const
+{
+    for (const auto &segments : localSegments)
+        for (const auto &link : segments)
+            fn(link);
+    visitGlobalLinks(fn);
+}
+
+double
+TopologyNetwork::utilization(const Link &link, Cycle now) const
+{
+    double capacity = static_cast<double>(now) *
+        static_cast<double>(_params.lanesPerSegment);
+    return capacity > 0 ? static_cast<double>(link.busyCycles) / capacity
+                        : 0.0;
+}
+
 LinkStats
 TopologyNetwork::linkStats(Cycle now) const
 {
     LinkStats stats;
-    auto visit = [&](const Link &link) {
+    visitLinks([&](const Link &link) {
         ++stats.links;
         stats.traversals += link.traversals;
         stats.busyLaneCycles += link.busyCycles;
         stats.laneWaitCycles += link.waitCycles;
-        if (now > 0) {
-            double util = static_cast<double>(link.busyCycles) /
-                (static_cast<double>(now) *
-                 static_cast<double>(_params.lanesPerSegment));
-            stats.maxUtilization = std::max(stats.maxUtilization, util);
-        }
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
+        stats.maxUtilization =
+            std::max(stats.maxUtilization, utilization(link, now));
+    });
     return stats;
 }
 
@@ -268,18 +279,8 @@ std::vector<double>
 TopologyNetwork::linkUtilizations(Cycle now) const
 {
     std::vector<double> utils;
-    auto visit = [&](const Link &link) {
-        double capacity = static_cast<double>(now) *
-            static_cast<double>(_params.lanesPerSegment);
-        utils.push_back(capacity > 0
-                            ? static_cast<double>(link.busyCycles) /
-                                  capacity
-                            : 0.0);
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
+    visitLinks(
+        [&](const Link &link) { utils.push_back(utilization(link, now)); });
     return utils;
 }
 
@@ -287,13 +288,7 @@ std::vector<std::uint64_t>
 TopologyNetwork::linkTraversals() const
 {
     std::vector<std::uint64_t> counts;
-    auto visit = [&](const Link &link) {
-        counts.push_back(link.traversals);
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
+    visitLinks([&](const Link &link) { counts.push_back(link.traversals); });
     return counts;
 }
 
@@ -311,30 +306,6 @@ TopologyNetwork::utilizationHistogram(Cycle now) const
         h.counts[std::min(b, buckets - 1)]++;
     }
     return h;
-}
-
-void
-TopologyNetwork::dumpStats(std::ostream &os, Cycle now) const
-{
-    LinkStats agg = linkStats(now);
-    os << name() << " links: " << agg.links
-       << "  traversals: " << agg.traversals
-       << "  lane-wait cycles: " << agg.laneWaitCycles
-       << "  peak utilization: " << agg.maxUtilization << "\n";
-
-    // Text is a formatter over the same snapshot the registry
-    // exports; the bucket bounds come from the snapshot itself.
-    obs::HistogramSnapshot hist = utilizationHistogram(now);
-    os << name() << " link utilization histogram:\n";
-    for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-        if (hist.counts[b] == 0)
-            continue;
-        bool last = b + 1 == hist.counts.size();
-        os << "  [" << hist.lowerBounds[b] << "%, "
-           << (last ? 100 : hist.lowerBounds[b + 1])
-           << (last ? "%]: " : "%): ") << hist.counts[b]
-           << " links\n";
-    }
 }
 
 std::unique_ptr<TopologyNetwork>

@@ -145,16 +145,9 @@ class TopologyNetwork : public Network
      * 10%-wide buckets with explicit lower bounds (percent:
      * 0, 10, ..., 90; the last bucket is closed at 100%). Every
      * bucket is reported, including empty ones, so consumers never
-     * have to guess the binning.
+     * have to guess the binning, and the counts total one per link.
      */
     obs::HistogramSnapshot utilizationHistogram(Cycle now) const;
-
-    /**
-     * Write the per-link utilization histogram (plus traversal and
-     * backpressure aggregates) for the run ending at @p now. A pure
-     * text formatter over linkStats() + utilizationHistogram().
-     */
-    void dumpStats(std::ostream &os, Cycle now) const;
 
     /**
      * Lanes a link can hold: the paper's four concurrent connections
@@ -274,6 +267,15 @@ class TopologyNetwork : public Network
     PlacementMap place;
 
   private:
+    /**
+     * Visit every link in linkUtilizations() order: the local ring
+     * segments, then the global fabric's links.
+     */
+    void visitLinks(const std::function<void(const Link &)> &fn) const;
+
+    /** @p link's busy fraction of its lane capacity over [0, now]. */
+    double utilization(const Link &link, Cycle now) const;
+
     /// Per processor ring: coresPerRing + 1 link segments.
     std::vector<std::vector<Link>> localSegments;
 };

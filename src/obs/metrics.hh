@@ -1,18 +1,23 @@
 /**
  * @file
- * Unified metrics registry. Modules *bind* named metrics once —
- * counters, gauges, histograms — as provider callables over their
- * existing stats fields; nothing at a call site changes and the hot
- * path pays nothing. snapshot() polls every provider into an
- * immutable, name-sorted Snapshot with deterministic JSON export.
+ * Unified metrics registry: the one home of a simulated run's
+ * statistics. A System binds its named metrics once — counters,
+ * gauges, histograms — as provider callables over the modules' own
+ * stats fields; nothing at a call site changes and the hot path pays
+ * nothing. snapshot() polls every provider into an immutable,
+ * name-sorted Snapshot with deterministic JSON export, and every
+ * report (`--metrics-out`, `pipeline_explorer --modstats`, the
+ * benches) formats that snapshot instead of reading the modules.
  *
  * Naming scheme (dot-separated, lowercase):
  *   frontend.<stat>            pipeline-wide decode statistics
  *   slice.<n>.<stat>           per directory-slice (ORT/OVT)
- *   module.<name>.<stat>       per SimObject station
- *   noc.<stat> / noc.link.*    network aggregate + per-link
- *   engine.<stat>              parallel-engine counters
- *   scheduler.<stat>, core.<n>.<stat>, serve.<tenant>.<stat>
+ *   module.<name>.<stat>       per frontend station (TRS, ORT, OVT,
+ *                              scheduler): packets, busy_cycles,
+ *                              queue_avg
+ *   noc.<stat>                 network aggregate and link histogram
+ *   engine.<stat>              event-engine counters and digests
+ *   core.<n>.<stat>, dma.<stat>, obs.<stat>
  */
 
 #ifndef TSS_OBS_METRICS_HH
@@ -33,8 +38,6 @@ namespace obs
 /**
  * A polled histogram: counts[i] holds samples in
  * [lowerBounds[i], lowerBounds[i + 1]), the last bucket open-ended.
- * Fixes the historical NoC utilization dump, which printed counts
- * with no bounds at all.
  */
 struct HistogramSnapshot
 {
@@ -93,16 +96,6 @@ class Registry
     void addCounter(const std::string &name, CounterFn fn);
     void addGauge(const std::string &name, GaugeFn fn);
     void addHistogram(const std::string &name, HistogramFn fn);
-
-    /** Bind a counter to a stats field by reference. */
-    template <typename T>
-    void
-    bindCounter(const std::string &name, const T &field)
-    {
-        addCounter(name, [&field]() {
-            return static_cast<std::uint64_t>(field);
-        });
-    }
 
     std::size_t size() const;
     Snapshot snapshot() const;

@@ -92,14 +92,21 @@ class WorkDeque
         bottom.store(b + 1, std::memory_order_release);
     }
 
-    /** Owner only: take the most recently pushed task. */
+    /**
+     * Owner only: take the most recently pushed task. The paper
+     * orders pop's bottom store before its top load, and steal's top
+     * load before its bottom load, with seq_cst fences. Here those
+     * four operations are seq_cst themselves: their one total order
+     * gives the same guarantee (an owner and a thief cannot both
+     * miss each other's claim on the last task), and unlike the
+     * fences ThreadSanitizer models it.
+     */
     bool
     pop(std::uint32_t &value)
     {
         std::int64_t b = bottom.load(std::memory_order_relaxed) - 1;
-        bottom.store(b, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        std::int64_t t = top.load(std::memory_order_relaxed);
+        bottom.store(b, std::memory_order_seq_cst);
+        std::int64_t t = top.load(std::memory_order_seq_cst);
         if (t > b) {
             // Deque was already empty: restore.
             bottom.store(b + 1, std::memory_order_relaxed);
@@ -122,9 +129,8 @@ class WorkDeque
     bool
     steal(std::uint32_t &value)
     {
-        std::int64_t t = top.load(std::memory_order_acquire);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        std::int64_t b = bottom.load(std::memory_order_acquire);
+        std::int64_t t = top.load(std::memory_order_seq_cst);
+        std::int64_t b = bottom.load(std::memory_order_seq_cst);
         if (t >= b)
             return false;
         value = slots[static_cast<std::size_t>(t) & mask].load(

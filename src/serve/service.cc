@@ -58,29 +58,6 @@ TraceService::recordStage(Job &job, const char *name, int stage,
             name, stage, t0, uptimeUs() - t0, job.id));
 }
 
-void
-TraceService::bindTenantMetrics(Tenant &tenant)
-{
-    // Tenants are never destroyed (unique_ptrs live as long as the
-    // service), so field references stay valid. Snapshots only happen
-    // in report(), under stateMutex — the same lock every writer of
-    // these fields holds.
-    std::string base = "serve." + std::to_string(tenant.id) + ".";
-    registry.bindCounter(base + "admitted", tenant.admitted);
-    registry.bindCounter(base + "completed", tenant.completed);
-    registry.bindCounter(base + "wedged", tenant.wedged);
-    registry.bindCounter(base + "rejected_parse", tenant.rejectedParse);
-    registry.bindCounter(base + "rejected_carve", tenant.rejectedCarve);
-    registry.bindCounter(base + "busy_rejections",
-                         tenant.busyRejections);
-    registry.bindCounter(base + "simulated_tasks",
-                         tenant.simulatedTasks);
-    const Distribution &makespan = tenant.simMakespan;
-    registry.addGauge(base + "sim_makespan_p95", [&makespan] {
-        return makespan.nearestRank(0.95);
-    });
-}
-
 TenantId
 TraceService::openTenant(std::string name)
 {
@@ -92,7 +69,6 @@ TraceService::openTenant(std::string name)
     tenant->carveEnd = tenant->carveBase + cfg.carveBytes;
     if (tenant->carveEnd <= tenant->carveBase)
         fatal("tss-serve: tenant carve space exhausted");
-    bindTenantMetrics(*tenant);
     tenants.push_back(std::move(tenant));
     return tenants.back()->id;
 }
@@ -363,7 +339,6 @@ TraceService::report() const
             : 0;
         out.tenants.push_back(std::move(tr));
     }
-    out.metricsJson = registry.snapshot().toJson();
     return out;
 }
 
@@ -465,9 +440,7 @@ toJson(const ServiceReport &report)
                << jsonString(t.lastParseError);
         os << "}";
     }
-    os << "\n  ],\n  \"metrics\": "
-       << (report.metricsJson.empty() ? "null" : report.metricsJson)
-       << "\n}\n";
+    os << "\n  ]\n}\n";
     return os.str();
 }
 

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "core/config.hh"
-#include "obs/metrics.hh"
 #include "serve/bounded_queue.hh"
 #include "serve/metrics.hh"
 #include "trace/task_trace.hh"
@@ -165,9 +164,6 @@ struct ServiceReport
     std::size_t executeDepth = 0;
     std::size_t reportDepth = 0;
     bool drained = false;
-
-    /** Live metrics-registry snapshot (serve.<tenant>.* counters). */
-    std::string metricsJson;
 };
 
 /** Render @p report as JSON (the wire StatsReport payload). */
@@ -295,17 +291,11 @@ class TraceService
      *  job trace can carry it. */
     void recordStage(Job &job, const char *name, int stage,
                      std::int64_t t0) const;
-    /** Bind serve.<name>.* metrics for a freshly opened tenant. */
-    void bindTenantMetrics(Tenant &tenant);
 
     ServeConfig cfg;
     std::chrono::steady_clock::time_point startTime;
     /// Whether a job trace can carry the serve-stage slices.
     bool recordStageSlices;
-
-    /// serve.<tenant>.* counters; snapshots taken under stateMutex
-    /// (the providers read tenant fields the mutex guards).
-    obs::Registry registry;
 
     BoundedQueue<Job> parseQueue;
     BoundedQueue<Job> admitQueue;

@@ -2,10 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <set>
-#include <sstream>
 
 namespace tss
 {
@@ -21,43 +17,6 @@ vreport(const char *prefix, const char *fmt, va_list args)
     std::fprintf(stderr, "\n");
     std::fflush(stderr);
 }
-
-/** Lazily parsed set of enabled debug channels from TSS_DEBUG. */
-class DebugChannels
-{
-  public:
-    static DebugChannels &
-    instance()
-    {
-        static DebugChannels channels;
-        return channels;
-    }
-
-    bool
-    enabled(const std::string &channel) const
-    {
-        return all || names.count(channel) > 0;
-    }
-
-  private:
-    DebugChannels()
-    {
-        const char *env = std::getenv("TSS_DEBUG");
-        if (!env)
-            return;
-        std::stringstream ss(env);
-        std::string item;
-        while (std::getline(ss, item, ',')) {
-            if (item == "all")
-                all = true;
-            else if (!item.empty())
-                names.insert(item);
-        }
-    }
-
-    std::set<std::string> names;
-    bool all = false;
-};
 
 } // namespace
 
@@ -106,34 +65,6 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     vreport("warn", fmt, args);
     va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
-bool
-debugEnabled(const std::string &channel)
-{
-    return DebugChannels::instance().enabled(channel);
-}
-
-void
-debugPrintf(const std::string &channel, const char *fmt, ...)
-{
-    if (!debugEnabled(channel))
-        return;
-    std::fprintf(stderr, "[%s] ", channel.c_str());
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "\n");
 }
 
 } // namespace tss

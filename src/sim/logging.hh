@@ -1,15 +1,13 @@
 /**
  * @file
  * Status and error reporting in the gem5 idiom: panic() for simulator
- * bugs, fatal() for user errors, warn()/inform() for status messages,
- * and a lightweight channel-gated debug printf.
+ * bugs, fatal() for user errors, warn() for survivable conditions.
  */
 
 #ifndef TSS_SIM_LOGGING_HH
 #define TSS_SIM_LOGGING_HH
 
 #include <cstdarg>
-#include <string>
 
 namespace tss
 {
@@ -30,30 +28,6 @@ namespace tss
 
 /** Warn about suspicious but survivable conditions. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * True when the named debug channel is enabled. Channels are selected
- * with the TSS_DEBUG environment variable, e.g.
- * `TSS_DEBUG=Gateway,TRS` or `TSS_DEBUG=all`.
- */
-bool debugEnabled(const std::string &channel);
-
-/** Emit a debug line on the given channel (no-op when disabled). */
-void debugPrintf(const std::string &channel, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-/**
- * Guarded debug print; the argument expressions are not evaluated when
- * the channel is disabled.
- */
-#define TSS_DPRINTF(channel, ...) \
-    do { \
-        if (::tss::debugEnabled(channel)) \
-            ::tss::debugPrintf(channel, __VA_ARGS__); \
-    } while (0)
 
 /** Implementation helper for TSS_ASSERT; do not call directly. */
 [[noreturn]] void panicAssert(const char *cond, const char *file,

@@ -123,7 +123,6 @@ class ChunkPool
     }
 
     const Stats &stats() const { return _stats; }
-    void resetStats() { _stats = Stats{}; }
 
     /** Free chunks currently parked in class @p cls. */
     std::size_t

@@ -68,16 +68,6 @@ Distribution::sum() const
 }
 
 double
-Distribution::percentile(double p) const
-{
-    if (total == 0)
-        return 0;
-    double rank = p / 100.0 * (static_cast<double>(total) - 1);
-    auto idx = static_cast<std::uint64_t>(rank + 0.5);
-    return at(std::min(idx, total - 1));
-}
-
-double
 Distribution::nearestRank(double q) const
 {
     if (total == 0)

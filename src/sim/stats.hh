@@ -64,8 +64,8 @@ class Counter
  * drives a System, and tss-serve samples its tenant latencies under
  * its state mutex. Every query is a function of the multiset of
  * samples alone, bit-identical to the same query over the sorted
- * sample list whatever order the samples came in: percentile() and
- * nearestRank() index the ascending order, min()/max() are its ends,
+ * sample list whatever order the samples came in: nearestRank()
+ * indexes the ascending order, min()/max() are its ends,
  * and sum() is the ascending-order floating-point sum (exact integer
  * arithmetic while every sample is an integer, a replay of the sorted
  * values otherwise).
@@ -111,19 +111,11 @@ class Distribution
     double max() const { return total == 0 ? 0 : hi; }
 
     /**
-     * Percentile @p p in [0, 100]: the sample at 0-indexed ascending
-     * rank p/100 * (n - 1), rounded half up (an interpolation-free
-     * "nearest index" rule; p = 50 over 1..100 reads 51).
-     */
-    double percentile(double p) const;
-
-    double median() const { return percentile(50); }
-
-    /**
      * Nearest-rank quantile @p q in [0, 1]: the sample at 1-indexed
      * ascending rank ceil(q * n), at least 1 — so a quantile of
-     * integral samples is itself one of them. tss-serve's percentiles
-     * use this rule.
+     * integral samples is itself one of them, and the median of an
+     * even count is the lower middle sample. Every quantile the
+     * simulator and tss-serve report uses this one rule.
      */
     double nearestRank(double q) const;
 

@@ -31,7 +31,7 @@ TraceStats::compute(const TaskTrace &trace, const Clock &clock)
 
     stats.avgDataKB = data_kb.mean();
     stats.minRuntimeUs = runtime_us.min();
-    stats.medRuntimeUs = runtime_us.median();
+    stats.medRuntimeUs = runtime_us.nearestRank(0.5);
     stats.avgRuntimeUs = runtime_us.mean();
     stats.avgOperands = operands.mean();
     stats.maxOperands = operands.max();

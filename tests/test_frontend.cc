@@ -88,7 +88,7 @@ TEST(Frontend, OrtCapacityStallsThenRecovers)
     auto pipe = SystemBuilder(cfg, trace).build();
     RunResult result = pipe->run(500'000'000);
     EXPECT_EQ(result.numTasks, 2000u);
-    EXPECT_GT(pipe->frontendStats().gatewayStallEvents.value(), 0u);
+    EXPECT_GT(result.metrics.counter("frontend.gateway_stall_events"), 0u);
     EXPECT_GT(result.metrics.counter("frontend.gateway_stall_cycles"), 0u);
 }
 

@@ -3,7 +3,7 @@
  * Tests for the pooled simulation kernel: EventCallback small-buffer
  * + overflow-pool behaviour, deterministic event ordering across the
  * slab-recycling event queue, ChunkPool size-class bookkeeping, and
- * MessagePool recycle/reuse invariants.
+ * the message pool's recycle/reuse invariants.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/protocol.hh"
-#include "noc/message_pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 
@@ -187,16 +186,16 @@ TEST(EventQueueSlab, SlotsAreRecycled)
 
 TEST(MessagePoolTest, MessagesRecycleStorage)
 {
-    auto &pool = MessagePool::local();
-    std::uint64_t live_before = pool.liveMessages();
+    const ChunkPool &pool = Message::pool();
+    std::uint64_t live_before = pool.stats().outstanding();
 
     void *first_storage = nullptr;
     {
         auto msg = std::make_unique<TaskSubmitMsg>(7, 48);
         first_storage = msg.get();
-        EXPECT_EQ(pool.liveMessages(), live_before + 1);
+        EXPECT_EQ(pool.stats().outstanding(), live_before + 1);
     }
-    EXPECT_EQ(pool.liveMessages(), live_before);
+    EXPECT_EQ(pool.stats().outstanding(), live_before);
 
     // Same-size message reuses the chunk that was just freed.
     auto again = std::make_unique<TaskSubmitMsg>(8, 48);
@@ -205,7 +204,7 @@ TEST(MessagePoolTest, MessagesRecycleStorage)
 
 TEST(MessagePoolTest, PolymorphicDeleteReturnsTheRightSize)
 {
-    auto &pool = MessagePool::local();
+    const ChunkPool &pool = Message::pool();
     auto released_before = pool.stats().released;
 
     // Allocate and destroy through the base-class pointer: the sized
@@ -227,7 +226,7 @@ TEST(MessagePoolTest, PolymorphicDeleteReturnsTheRightSize)
 
 TEST(MessagePoolTest, SteadyStateChurnAddsNoFreshChunks)
 {
-    auto &pool = MessagePool::local();
+    const ChunkPool &pool = Message::pool();
     // Warm up one chunk per class used, then churn: fresh count must
     // stay flat while reuse grows.
     { auto warm = std::make_unique<DataReadyMsg>(OperandId{},

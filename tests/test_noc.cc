@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,14 +180,10 @@ TEST(RingNetwork, TwoHopPatternChargesExactlyTwoLinks)
 
     // Everything is under 10% busy, so the histogram must put every
     // link of the fabric in the first bucket.
-    std::ostringstream os;
-    net.dumpStats(os, now);
-    std::string report = os.str();
-    EXPECT_NE(report.find("link utilization histogram"),
-              std::string::npos);
-    std::ostringstream bucket;
-    bucket << "[0%, 10%): " << utils.size() << " links";
-    EXPECT_NE(report.find(bucket.str()), std::string::npos) << report;
+    obs::HistogramSnapshot hist = net.utilizationHistogram(now);
+    ASSERT_EQ(hist.counts.size(), 10u);
+    EXPECT_EQ(hist.counts[0], utils.size());
+    EXPECT_EQ(hist.totalCount(), utils.size());
 }
 
 TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
@@ -215,11 +210,10 @@ TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
 
     std::vector<double> utils = net.linkUtilizations(eq.now());
     EXPECT_GT(utils[0], 0.9);
-    std::ostringstream os;
-    net.dumpStats(os, eq.now());
-    EXPECT_NE(os.str().find("[90%, 100%]: 1 links"),
-              std::string::npos)
-        << os.str();
+    obs::HistogramSnapshot hist = net.utilizationHistogram(eq.now());
+    ASSERT_EQ(hist.counts.size(), 10u);
+    EXPECT_EQ(hist.counts[9], 1u);
+    EXPECT_EQ(hist.counts[0], utils.size() - 1);
 }
 
 TEST(RingNetwork, ContentionDelaysTraffic)

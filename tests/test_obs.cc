@@ -3,22 +3,24 @@
  * Observability tests: flight-recorder byte-determinism across host
  * thread counts and NoC shapes, an exact golden Chrome JSON for a
  * tiny fixed program, tracer-off bit-identity of simulated results,
- * the metrics registry (lookups, conservation, the makespan time
- * base of run averages, the bounded NoC utilization histogram), and
+ * the metrics registry (lookups, conservation, each event counted
+ * once, the makespan time base of run averages, the bounded NoC
+ * utilization histogram, the whole snapshot pinned), and
  * the Chrome document splicing helpers tss-serve uses.
  */
 
-#include <iomanip>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/system.hh"
+#include "driver/experiment.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "same_run.hh"
+#include "sim/hash.hh"
 #include "workload/address_space.hh"
 #include "workload/builder.hh"
 #include "workload/workload.hh"
@@ -135,7 +137,7 @@ TEST(ObsMetrics, RegistrySnapshotIsNameSortedAndPolled)
 {
     obs::Registry reg;
     std::uint64_t hits = 3;
-    reg.bindCounter("b.hits", hits);
+    reg.addCounter("b.hits", [&hits] { return hits; });
     reg.addCounter("a.count", [] { return std::uint64_t(7); });
     reg.addGauge("z.ratio", [] { return 0.25; });
     ASSERT_EQ(reg.size(), 3u);
@@ -224,13 +226,18 @@ TEST(ObsTrace, TracerOffBitIdenticalResults)
                       "trace mode " + std::to_string(i));
 }
 
-/** The registry snapshot must agree with the raw stats structs. */
+/**
+ * The registry snapshot must agree with the raw stats structs, and
+ * count each event once: a run-wide figure a module already counts is
+ * the sum over the modules.
+ */
 TEST(ObsMetrics, SnapshotMatchesFrontendStats)
 {
     TaskTrace trace = chainProgram(30);
     PipelineConfig cfg = tinyConfig();
     auto sys = SystemBuilder(cfg, trace).build();
-    obs::Snapshot snap = sys->run().metrics;
+    RunResult run = sys->run();
+    const obs::Snapshot &snap = run.metrics;
     const FrontendStats &stats = sys->frontendStats();
     EXPECT_EQ(snap.counter("frontend.tasks_finished"),
               stats.tasksFinished.value());
@@ -261,13 +268,89 @@ TEST(ObsMetrics, SnapshotMatchesFrontendStats)
     EXPECT_EQ(hist.totalCount(),
               sys->network().linkStats(sys->simEngine().now()).links);
     EXPECT_GT(hist.totalCount(), 0u);
+
+    // Each module's average queue length, over the makespan.
+    auto queue = [&](const FrontendModule &m) {
+        EXPECT_EQ(snap.gauge("module." + m.name() + ".queue_avg"),
+                  m.avgQueueLength(run.makespan))
+            << m.name();
+    };
+    for (unsigned i = 0; i < cfg.totalTrs(); ++i)
+        queue(sys->trs(i));
+    for (unsigned i = 0; i < cfg.totalOrt(); ++i) {
+        queue(sys->ort(i));
+        queue(sys->ovt(i));
+    }
+    queue(sys->scheduler());
+
+    // The ORTs count their parks and stalls, the DMA engine its
+    // transfers; the frontend figures are their sums. The shared
+    // program runs the ordered protocol, so it parks operands and
+    // renames (and writes back) versions.
+    std::uint64_t deferrals = 0, writebacks = 0;
+    auto expectSums = [&](const obs::Snapshot &m, unsigned slices) {
+        const std::pair<const char *, const char *> sums[] = {
+            {"frontend.decode_deferrals", "deferred_ops"},
+            {"frontend.version_slot_parks", "slot_park_events"},
+            {"frontend.gateway_stall_events", "stall_events"},
+        };
+        for (const auto &[total, per_slice] : sums) {
+            std::uint64_t sum = 0;
+            for (unsigned i = 0; i < slices; ++i) {
+                sum += m.counter("slice." + std::to_string(i) + "." +
+                                 per_slice);
+            }
+            EXPECT_EQ(m.counter(total), sum) << total;
+        }
+        EXPECT_EQ(m.counter("frontend.dma_writebacks"),
+                  m.counter("dma.writebacks"));
+        deferrals += m.counter("frontend.decode_deferrals");
+        writebacks += m.counter("dma.writebacks");
+    };
+    expectSums(snap, cfg.totalOrt());
+    TaskTrace shared = sharedProgram(40);
+    PipelineConfig shared_cfg = tinyConfig(2);
+    expectSums(runTraced(shared, shared_cfg, 2).result.metrics,
+               shared_cfg.totalOrt());
+    EXPECT_GT(deferrals, 0u);
+    EXPECT_GT(writebacks, 0u);
+}
+
+/**
+ * The whole snapshot, pinned: an FNV-1a digest of toJson() for the
+ * chain program on the tiny machine and for a 2-pipeline Cholesky
+ * (the JSON that `pipeline_explorer --workload=Cholesky --scale=0.05
+ * --cores=32 --pipes=2 --gen-threads=2 --metrics-out=F` writes). A
+ * metric renamed, added, dropped or moved changes its digest; the JSON
+ * is printed on a mismatch.
+ */
+TEST(ObsMetrics, SnapshotJsonIsPinned)
+{
+    auto expectPinned = [](const RunResult &r, std::uint64_t pin,
+                           const char *what) {
+        std::string json = r.metrics.toJson();
+        std::uint64_t h = digestSeed;
+        for (unsigned char c : json)
+            h = digestFold(h, c);
+        EXPECT_EQ(h, pin) << what << " snapshot moved, digest 0x"
+                          << std::hex << h << ":\n"
+                          << json;
+    };
+    TaskTrace chain = chainProgram(30);
+    expectPinned(SystemBuilder(tinyConfig(), chain).build()->run(),
+                 0xdb385b45012685aeULL, "chain");
+
+    TaskTrace cholesky = makeWorkload("Cholesky", 0.05, 1);
+    PipelineConfig cfg = paperConfig(32);
+    cfg.numPipelines = 2;
+    expectPinned(SystemBuilder(cfg, cholesky).roundRobin(2).build()->run(),
+                 0x1a80a64c5322cfa1ULL, "2-pipeline Cholesky");
 }
 
 /**
  * Run averages divide by the latest task finish, the makespan, not by
  * the engine's last event: eager DMA write-backs of renamed outputs
- * keep the engine running after the last task finished. The text
- * report (System::dumpStats) uses the same window.
+ * keep the engine running after the last task finished.
  */
 TEST(ObsMetrics, RunAveragesUseTheMakespan)
 {
@@ -294,36 +377,6 @@ TEST(ObsMetrics, RunAveragesUseTheMakespan)
               net.linkStats(makespan).maxUtilization);
     EXPECT_TRUE(snap.histograms.at("noc.link_utilization_pct") ==
                 net.utilizationHistogram(makespan));
-
-    std::ostringstream text;
-    sys->dumpStats(text);
-    std::string window = "module utilization (over " +
-        std::to_string(makespan) + " cycles)";
-    EXPECT_NE(text.str().find(window), std::string::npos) << text.str();
-    std::ostringstream busiest;
-    busiest << "busiest link " << std::fixed << std::setprecision(1)
-            << snap.gauge("noc.max_link_utilization") * 100.0
-            << "% busy";
-    EXPECT_NE(text.str().find(busiest.str()), std::string::npos)
-        << text.str();
-}
-
-/** The text NoC report prints the histogram's explicit bounds. */
-TEST(ObsMetrics, NetworkStatsText)
-{
-    TaskTrace trace = chainProgram(20);
-    PipelineConfig cfg = tinyConfig();
-    auto sys = SystemBuilder(cfg, trace).build();
-    sys->run();
-
-    // The text report is a formatter over the registry's histogram
-    // snapshot: every populated bucket prints with explicit
-    // [lo%, hi%) bounds.
-    std::ostringstream text;
-    sys->network().dumpStats(text, sys->simEngine().now());
-    EXPECT_NE(text.str().find("link utilization histogram"),
-              std::string::npos);
-    EXPECT_NE(text.str().find("[0%, 10%)"), std::string::npos);
 }
 
 TEST(ObsTrace, AppendChromeEventsSplices)

@@ -152,7 +152,7 @@ TEST_F(OvtFixture, FinalVersionRetirementHandshake)
     auto dead = ortProbe.of<VersionDeadMsg>(MsgType::VersionDead);
     ASSERT_EQ(dead.size(), 1u);
     EXPECT_EQ(ovt.liveVersions(), 0u);
-    EXPECT_EQ(stats.dmaWritebacks.value(), 0u);
+    EXPECT_EQ(dma.numTransfers(), 0u);
 }
 
 TEST_F(OvtFixture, RenamedFinalVersionWritesBackViaDma)
@@ -162,7 +162,7 @@ TEST_F(OvtFixture, RenamedFinalVersionWritesBackViaDma)
     send<ProducerDoneMsg>(6u);
     send<RetireVersionMsg>(6u, 0u);
     engine.run();
-    EXPECT_EQ(stats.dmaWritebacks.value(), 1u);
+    EXPECT_EQ(dma.numTransfers(), 1u);
     EXPECT_EQ(ovt.liveVersions(), 0u);
     EXPECT_EQ(ovt.liveRenameBuffers(), 0u);
     EXPECT_EQ(

@@ -5,17 +5,21 @@
  * bit-identical to sequential execution — across thread counts,
  * seeds, and both drive modes (dataflow graph mode and simulated-
  * schedule replay mode). Plus the replay contract itself: simulating
- * the same trace twice yields the identical scheduling decision.
+ * the same trace twice yields the identical scheduling decision, and
+ * the work-stealing deque's owner/thief handshake under contention.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/system.hh"
 #include "runtime/parallel_exec.hh"
+#include "runtime/work_deque.hh"
 #include "workload/starss_programs.hh"
 
 namespace tss
@@ -182,6 +186,52 @@ TEST(ReplayContract, CoreAssignmentCoversEveryTask)
     ASSERT_EQ(result.coreOf.size(), program->context().numTasks());
     for (unsigned core : result.coreOf)
         EXPECT_LT(core, cfg.numCores);
+}
+
+/**
+ * The deque's pop/steal handshake under contention: the owner pushes
+ * one to four values and pops until the deque is empty while three
+ * thieves steal, so every round ends in a race for the last value.
+ * Every value must be taken exactly once. Short enough for the TSan
+ * build, which checks the handshake's happens-before edges.
+ */
+TEST(WorkDeque, OwnerAndThievesTakeEveryValueOnce)
+{
+    constexpr std::uint32_t values = 20'000;
+    WorkDeque deque(values);
+    std::vector<std::atomic<std::uint32_t>> taken(values);
+    auto take = [&taken](std::uint32_t v) {
+        taken[v].fetch_add(1, std::memory_order_relaxed);
+    };
+    std::atomic<bool> done{false};
+    std::vector<std::thread> thieves;
+    for (unsigned t = 0; t < 3; ++t) {
+        thieves.emplace_back([&] {
+            std::uint32_t v = 0;
+            while (!done.load(std::memory_order_acquire)) {
+                if (deque.steal(v))
+                    take(v);
+                else
+                    std::this_thread::yield();
+            }
+        });
+    }
+    std::uint32_t next = 0;
+    for (unsigned round = 0; next < values; ++round) {
+        for (unsigned i = 0; i <= round % 4 && next < values; ++i)
+            deque.push(next++);
+        // pop() fails only on an empty deque or a lost race for the
+        // last value, which leaves the deque empty too.
+        std::uint32_t v = 0;
+        while (deque.pop(v))
+            take(v);
+    }
+    done.store(true, std::memory_order_release);
+    for (auto &thief : thieves)
+        thief.join();
+
+    for (std::uint32_t v = 0; v < values; ++v)
+        ASSERT_EQ(taken[v].load(), 1u) << "value " << v;
 }
 
 } // namespace

@@ -287,7 +287,7 @@ TEST(Serve, WedgedJobSurvivesAndIsDiagnosed)
     std::string json = toJson(report);
     EXPECT_NE(json.find("\"wedged\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"last_wedge\""), std::string::npos);
-    EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+    EXPECT_NE(json.find("\"sim_makespan_cycles\""), std::string::npos);
 
     // The service is still healthy: drain retires everything.
     service.drain();

@@ -70,7 +70,7 @@ TEST(ShardedFrontend, SinglePipelineBitIdenticalToPreShard)
         std::uint64_t messages;
         std::uint64_t versionsCreated;
         std::uint64_t versionsRenamed;
-        std::uint64_t dmaWritebacks;
+        std::uint64_t dmaTransfers;
     };
     const Golden goldens[] = {
         {"Cholesky", 0.05, 1, 64, 8,
@@ -95,7 +95,7 @@ TEST(ShardedFrontend, SinglePipelineBitIdenticalToPreShard)
             << g.workload;
         EXPECT_EQ(m.counter("frontend.versions_renamed"), g.versionsRenamed)
             << g.workload;
-        EXPECT_EQ(m.counter("frontend.dma_writebacks"), g.dmaWritebacks)
+        EXPECT_EQ(m.counter("frontend.dma_writebacks"), g.dmaTransfers)
             << g.workload;
     }
 }

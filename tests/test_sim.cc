@@ -461,8 +461,10 @@ TEST(Stats, DistributionPercentiles)
     EXPECT_DOUBLE_EQ(d.min(), 1.0);
     EXPECT_DOUBLE_EQ(d.max(), 100.0);
     EXPECT_DOUBLE_EQ(d.mean(), 50.5);
-    EXPECT_NEAR(d.median(), 50.0, 1.0);
-    EXPECT_NEAR(d.percentile(95), 95.0, 1.0);
+    EXPECT_DOUBLE_EQ(d.nearestRank(0.5), 50.0);
+    EXPECT_DOUBLE_EQ(d.nearestRank(0.95), 95.0);
+    EXPECT_DOUBLE_EQ(d.nearestRank(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(d.nearestRank(1.0), 100.0);
     EXPECT_EQ(d.count(), 100u);
 }
 
@@ -470,10 +472,11 @@ TEST(Stats, DistributionInterleavedSampleAndQuery)
 {
     Distribution d;
     d.sample(10);
-    EXPECT_DOUBLE_EQ(d.median(), 10.0);
+    EXPECT_DOUBLE_EQ(d.nearestRank(0.5), 10.0);
     d.sample(20);
     d.sample(30);
-    EXPECT_DOUBLE_EQ(d.median(), 20.0); // re-sorts after new samples
+    // re-sorts after new samples
+    EXPECT_DOUBLE_EQ(d.nearestRank(0.5), 20.0);
 }
 
 /**
@@ -527,16 +530,6 @@ struct SampleOracle
     }
 
     double
-    percentile(double p) const
-    {
-        if (samples.empty())
-            return 0;
-        double rank = p / 100.0 * (static_cast<double>(samples.size()) - 1);
-        auto idx = static_cast<std::size_t>(rank + 0.5);
-        return sorted()[std::min(idx, samples.size() - 1)];
-    }
-
-    double
     nearestRank(double q) const
     {
         if (samples.empty())
@@ -557,10 +550,7 @@ void
 expectSameBits(const Distribution &d, const SampleOracle &o)
 {
     ASSERT_EQ(d.count(), o.samples.size());
-    for (double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0})
-        EXPECT_EQ(bitsOf(d.percentile(p)), bitsOf(o.percentile(p)))
-            << "p" << p;
-    for (double q : {0.5, 0.95, 0.99, 1.0})
+    for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0})
         EXPECT_EQ(bitsOf(d.nearestRank(q)), bitsOf(o.nearestRank(q)))
             << "q" << q;
     EXPECT_EQ(bitsOf(d.sum()), bitsOf(o.sum()));
@@ -617,6 +607,26 @@ TEST(Stats, HistogramMatchesOracleOnDuplicatedIntegers)
     expectSameBits(d, o);
 }
 
+/**
+ * The one rank rule on an even count: the median is the lower middle
+ * sample (1-indexed rank n/2), not the upper one, and a quantile is
+ * always one of the samples.
+ */
+TEST(Stats, NearestRankMedianOfAnEvenCountIsTheLowerMiddle)
+{
+    Distribution d;
+    SampleOracle o;
+    for (double v : {7.5, 1.25, 3.0, 12.0, 3.0, 9.0}) {
+        d.sample(v);
+        o.samples.push_back(v);
+    }
+    expectSameBits(d, o);
+    // Sorted: 1.25 3 3 7.5 9 12; ranks 3 and 4 are the middle pair.
+    EXPECT_EQ(d.nearestRank(0.5), 3.0);
+    EXPECT_EQ(d.nearestRank(0.51), 7.5);
+    EXPECT_EQ(d.nearestRank(0.95), 12.0);
+}
+
 TEST(Stats, HistogramMatchesOracleOnFractions)
 {
     Rng rng(7);
@@ -666,13 +676,13 @@ TEST(Stats, HistogramStorageBoundedByDistinctValues)
     Distribution d;
     for (int v = 0; v < 100; ++v)
         d.sample(v * 3);
-    d.percentile(50); // build the sorted view too
+    d.nearestRank(0.5); // build the sorted view too
     const std::size_t warm = d.storageBytes();
 
     Rng rng(11);
     for (int i = 0; i < 1'000'000; ++i)
         d.sample(static_cast<double>(rng.range(100) * 3));
-    EXPECT_EQ(d.percentile(100), 297.0);
+    EXPECT_EQ(d.nearestRank(1.0), 297.0);
     EXPECT_EQ(d.count(), 1'000'100u);
     EXPECT_EQ(d.distinct(), 100u);
     // Storage grew with the distinct values, never with the samples:
