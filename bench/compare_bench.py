@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Perf-regression gate for the checked-in benchmark baselines.
 
-Five benches are captured and gated, each against BENCH_<kind>.json:
+Six benches are captured and gated, each against BENCH_<kind>.json:
 kernel (fig12_decode_rate), parallel (parallel_exec), noc
 (fig17_noc_contention), sim (fig18_sim_speedup) and serve
-(fig19_serve_load). ``CAPTURES`` says how to run each bench and turn
-its stdout into a fresh JSON. ``RULES`` says how each gated cell of the
+(fig19_serve_load); alloc (micro_substrates' allocation ledger) is
+gated against BENCH_kernel.json, beside the kernel's pool counters.
+``CAPTURES`` says how to run each bench and turn its stdout into a
+fresh JSON. ``RULES`` says how each gated cell of the
 fresh JSON must relate to the baseline's. A path separates keys with
 ``/``; ``*`` matches every key of an object, and ``rows[field]`` every
 row of a list, pairing the two files' rows by ``field``. The rules:
@@ -168,6 +170,14 @@ def parse_fig17_csv(text):
     return out
 
 
+def parse_alloc(text):
+    """micro_substrates --benchmark_format=json -> the allocation
+    ledger of BM_PipelineAllocationCounts."""
+    bench = json.loads(text)["benchmarks"][0]
+    return {"pipeline_allocation_counts": {
+        key: round(bench[key], 1) for key in ("build_kb", "new_per_kmsg")}}
+
+
 # kind -> (bench arguments, stdout -> fresh JSON, wall-seconds key).
 CAPTURES = {
     "kernel": (["--quick", "--csv"],
@@ -180,7 +190,13 @@ CAPTURES = {
             "fig17_quick_wall_seconds"),
     "sim": (["--quick"], json.loads, "fig18_quick_wall_seconds"),
     "serve": (["--quick"], json.loads, "fig19_quick_wall_seconds"),
+    "alloc": (["--benchmark_filter=PipelineAllocationCounts",
+               "--benchmark_format=json", "--benchmark_min_time=0.01"],
+              parse_alloc, None),
 }
+
+# The BENCH file a kind is gated against, when not BENCH_<kind>.json.
+BASELINE_OF = {"alloc": "kernel"}
 
 # kind -> [(path, rule)]; the module docstring gives the syntax.
 RULES = {
@@ -227,6 +243,14 @@ RULES = {
         ("open_loop/busy_rejections", "positive"),
         ("open_loop/tasks_per_sec", "~higher"),
         ("open_loop/wall_latency_seconds/p95", "~lower"),
+    ],
+    # Host bytes and calls a System's build and run take from the
+    # global allocator: deterministic per build, but gated "lower"
+    # rather than "exact", since another compiler's standard library
+    # may allocate differently.
+    "alloc": [
+        ("pipeline_allocation_counts/build_kb", "lower"),
+        ("pipeline_allocation_counts/new_per_kmsg", "lower"),
     ],
 }
 
@@ -537,6 +561,14 @@ SELFTEST = [
      ("open_loop", "wall_latency_seconds", "p95"), 9.9, True),
     ("absent advisory cell is skipped", "serve",
      ("open_loop", "tasks_per_sec"), DROP, True),
+    ("build bytes within tolerance pass", "alloc",
+     ("pipeline_allocation_counts", "build_kb"), times(1.1), True),
+    ("build bytes growth fails", "alloc",
+     ("pipeline_allocation_counts", "build_kb"), times(1.2), False),
+    ("run allocation growth fails", "alloc",
+     ("pipeline_allocation_counts", "new_per_kmsg"), times(1.2), False),
+    ("allocation ledger missing from fresh fails", "alloc",
+     ("pipeline_allocation_counts",), DROP, False),
 ]
 
 
@@ -563,7 +595,8 @@ def selftest():
         checks.append((name, cond))
         print(f"  [{'ok' if cond else 'FAIL'}] {name}")
 
-    baselines = {kind: load(os.path.join(REPO_DIR, f"BENCH_{kind}.json"))
+    baselines = {kind: load(os.path.join(
+                     REPO_DIR, f"BENCH_{BASELINE_OF.get(kind, kind)}.json"))
                  for kind in RULES}
     expect("full fingerprint accepted",
            not check_fingerprint({"machine": machine_fingerprint()}, "x"))

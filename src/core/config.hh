@@ -189,6 +189,14 @@ struct PipelineConfig
             ortTotalBytes / totalOrt() / ortEntryBytes);
     }
 
+    /** ORT sets per ORT instance, ortWays entries each. */
+    std::uint32_t
+    ortSets() const
+    {
+        std::uint32_t sets = entriesPerOrt() / ortWays;
+        return sets > 0 ? sets : 1;
+    }
+
     /** OVT version slots per OVT instance. */
     std::uint32_t
     slotsPerOvt() const
@@ -214,7 +222,25 @@ struct PipelineConfig
     unsigned
     shardOf(std::uint64_t addr) const
     {
-        return static_cast<unsigned>(mixAddress(addr) % totalOrt());
+        return static_cast<unsigned>(reduce(mixAddress(addr), totalOrt()));
+    }
+
+    /** The set, of an ORT's @p sets (ortSets()), that @p addr maps
+     *  to. shardOf() uses the low mixed bits; sets use the next bits
+     *  so they stay uncorrelated. */
+    static std::uint32_t
+    ortSetOf(std::uint64_t addr, std::uint32_t sets)
+    {
+        return static_cast<std::uint32_t>(
+            reduce(mixAddress(addr) >> 16, sets));
+    }
+
+    /** @p h mod @p n: a mask when @p n is a power of two (the slice and
+     *  set counts of every Table II machine), else a division. */
+    static std::uint64_t
+    reduce(std::uint64_t h, std::uint64_t n)
+    {
+        return (n & (n - 1)) == 0 ? h & (n - 1) : h % n;
     }
     /// @}
 

@@ -3,31 +3,32 @@
 #include <algorithm>
 
 #include "obs/trace.hh"
-#include "sim/hash.hh"
 
 namespace tss
 {
 
 Ort::Ort(std::string name, EventQueue &eq, Network &network, NodeId node,
          unsigned ort_index, const PipelineConfig &config,
-         FrontendStats &frontend_stats)
+         FrontendStats &frontend_stats, const Footprint *footprint)
     : FrontendModule(std::move(name), eq, network, node),
       ortIndex(ort_index), cfg(config), stats(frontend_stats),
       edram(config.ortTotalBytes / config.totalOrt(),
-            config.edramLatency)
+            config.edramLatency),
+      numSets(config.ortSets()),
+      freeSlots(config.slotsPerOvt(),
+                footprint ? footprint->slices.at(ort_index).versionSlots
+                          : config.slotsPerOvt())
 {
-    std::uint32_t total = cfg.entriesPerOrt();
-    numSets = std::max<std::uint32_t>(1, total / cfg.ortWays);
-    entries.assign(std::size_t(numSets) * cfg.ortWays, Entry{});
-
-    std::uint32_t slots = cfg.slotsPerOvt();
-    freeSlots.reserve(slots);
-    for (std::uint32_t s = slots; s > 0; --s)
-        freeSlots.push_back(s - 1);
-    readersIssued.assign(slots, 0);
-    slotEpoch.assign(slots, 0);
-    slotReserved.assign(slots, 0);
-    reserveSlots = std::min<std::uint32_t>(layout::maxOperands, slots);
+    std::uint32_t used = 0;
+    setBase.assign(numSets, noSet);
+    for (std::uint32_t set = 0; set < setBase.size(); ++set) {
+        if (!footprint || footprint->slices[ort_index].sets[set])
+            setBase[set] = cfg.ortWays * used++;
+    }
+    ways.assign(std::size_t(used) * cfg.ortWays, Entry{});
+    slots.assign(freeSlots.reach(), Slot{});
+    reserveSlots = std::min<std::uint32_t>(layout::maxOperands,
+                                           freeSlots.capacity());
 }
 
 std::size_t
@@ -71,30 +72,25 @@ std::size_t
 Ort::liveEntries() const
 {
     std::size_t n = 0;
-    for (const auto &e : entries)
+    for (const auto &e : ways)
         n += e.valid ? 1 : 0;
     return n;
-}
-
-std::uint32_t
-Ort::setIndexOf(std::uint64_t addr) const
-{
-    // The gateway distributes operands over ORTs with the low mixed
-    // bits; sets use the next bits so they stay uncorrelated.
-    return static_cast<std::uint32_t>(
-        (mixAddress(addr) >> 16) % numSets);
 }
 
 Ort::Entry *
 Ort::lookup(std::uint64_t addr, bool &hit, std::uint32_t &index)
 {
-    std::uint32_t set = setIndexOf(addr);
-    Entry *base = &entries[std::size_t(set) * cfg.ortWays];
+    std::uint32_t set = PipelineConfig::ortSetOf(addr, numSets);
+    std::uint32_t first = setBase[set];
+    TSS_ASSERT(first != noSet, "ORT %u: object %#llx maps to set %u, "
+               "outside the trace's footprint", ortIndex,
+               static_cast<unsigned long long>(addr), set);
+    Entry *base = &ways[first];
 
     for (unsigned w = 0; w < cfg.ortWays; ++w) {
         if (base[w].valid && base[w].addr == addr) {
             hit = true;
-            index = set * cfg.ortWays + w;
+            index = first + w;
             return &base[w];
         }
     }
@@ -102,7 +98,7 @@ Ort::lookup(std::uint64_t addr, bool &hit, std::uint32_t &index)
     // Prefer an invalid way, then a reclaimable (dead object) way.
     for (unsigned w = 0; w < cfg.ortWays; ++w) {
         if (!base[w].valid) {
-            index = set * cfg.ortWays + w;
+            index = first + w;
             return &base[w];
         }
     }
@@ -110,11 +106,27 @@ Ort::lookup(std::uint64_t addr, bool &hit, std::uint32_t &index)
         if (base[w].liveVersions == 0) {
             sampleChain(base[w]);
             base[w] = Entry{};
-            index = set * cfg.ortWays + w;
+            index = first + w;
             return &base[w];
         }
     }
     return nullptr;
+}
+
+Ort::Entry &
+Ort::entryAt(std::uint32_t index)
+{
+    TSS_ASSERT(index < ways.size(), "ORT %u: entry %u out of range",
+               ortIndex, index);
+    return ways[index];
+}
+
+Ort::Slot &
+Ort::slotAt(std::uint32_t slot)
+{
+    TSS_ASSERT(slot < slots.size(), "ORT %u: version slot %u out of "
+               "range", ortIndex, slot);
+    return slots[slot];
 }
 
 void
@@ -251,7 +263,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
             // version death or watermark advance.
             if (!canClaimSlot(msg))
                 return parkForSlot(msg, cost);
-        } else if (slotReserved[entry->curVersion] &&
+        } else if (slotAt(entry->curVersion).reserved &&
                    !isOldestTask(msg)) {
             // Joining a reserve-claimed version would pin a reserve
             // slot with a younger task — the liveness argument needs
@@ -279,7 +291,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
     if (readsObject(msg.dir) && !writesObject(msg.dir)) {
         // Pure input operand (Figure 8).
         if (entry->hasCurVersion) {
-            ++readersIssued[entry->curVersion];
+            ++slotAt(entry->curVersion).readersIssued;
             sendMsg(ovtNode, std::make_unique<AddReaderMsg>(
                 entry->curVersion, msg.op));
             OperandId chain_to =
@@ -293,9 +305,9 @@ Ort::handleDecode(DecodeOperandMsg &msg)
         } else {
             // Miss (or all versions dead): the data rests in memory.
             std::uint32_t slot = claimSlot();
-            readersIssued[slot] = 1;
+            slots[slot].readersIssued = 1;
             sendMsg(ovtNode, std::make_unique<CreateVersionMsg>(
-                slot, slotEpoch[slot], OperandId{}, msg.addr,
+                slot, slots[slot].epoch, OperandId{}, msg.addr,
                 msg.objectBytes, false, false, 0, index));
             sendMsg(ovtNode,
                     std::make_unique<AddReaderMsg>(slot, msg.op));
@@ -316,7 +328,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
         std::uint32_t prev = entry->curVersion;
 
         std::uint32_t slot = claimSlot();
-        readersIssued[slot] = 0;
+        slots[slot].readersIssued = 0;
 
         bool reads = readsObject(msg.dir);
         OperandId chain_to;
@@ -334,7 +346,7 @@ Ort::handleDecode(DecodeOperandMsg &msg)
             sampleChain(*entry); // close the superseded version's chain
 
         sendMsg(ovtNode, std::make_unique<CreateVersionMsg>(
-            slot, slotEpoch[slot], msg.op, msg.addr, msg.objectBytes,
+            slot, slots[slot].epoch, msg.op, msg.addr, msg.objectBytes,
             !in_place, has_prev, prev, index));
 
         VersionRef produced{static_cast<std::uint16_t>(ortIndex), slot};
@@ -376,7 +388,7 @@ Ort::canClaimSlot(const DecodeOperandMsg &msg) const
         return false;
     if (isOldestTask(msg))
         return true; // ROB-head escape: may drain into the reserve
-    return freeSlots.size() > reserveSlots;
+    return freeSlots.numFree() > reserveSlots;
 }
 
 std::uint32_t
@@ -387,10 +399,9 @@ Ort::claimSlot()
     // reserve is only ever pinned by tasks the watermark has already
     // passed or is at — all of which finish and return it.
     bool from_reserve =
-        orderedAdmission && freeSlots.size() <= reserveSlots;
-    std::uint32_t slot = freeSlots.back();
-    freeSlots.pop_back();
-    slotReserved[slot] = from_reserve ? 1 : 0;
+        orderedAdmission && freeSlots.numFree() <= reserveSlots;
+    std::uint32_t slot = freeSlots.claim();
+    slots[slot].reserved = from_reserve;
     if (from_reserve) {
         obs::trace(obs::TraceEvent::VersionReserved, curCycle(),
                    ortIndex, slot);
@@ -435,7 +446,7 @@ Ort::wakeSlotWaiters()
     // operand may not need a slot — joining a version instead — but
     // over-waking just re-parks, and under-waking never strands: the
     // next death or advance rescans).
-    std::size_t budget = freeSlots.size();
+    std::size_t budget = freeSlots.numFree();
     std::uint32_t oldest = registry->minUnfinishedIndex();
     std::size_t n = 0;
     for (; n < slotWaiters.size() && budget > 0; ++n) {
@@ -484,10 +495,11 @@ Ort::handleBatch(DecodeBatchMsg &msg)
 Ort::Service
 Ort::handleVersionDead(VersionDeadMsg &msg)
 {
-    freeSlots.push_back(msg.slot);
-    ++slotEpoch[msg.slot];
-    slotReserved[msg.slot] = 0;
-    Entry &entry = entries[msg.ortEntry];
+    freeSlots.release(msg.slot);
+    Slot &slot = slotAt(msg.slot);
+    ++slot.epoch;
+    slot.reserved = false;
+    Entry &entry = entryAt(msg.ortEntry);
     TSS_ASSERT(entry.valid && entry.liveVersions > 0,
                "version death for idle ORT entry");
     --entry.liveVersions;
@@ -503,16 +515,17 @@ Ort::handleVersionDead(VersionDeadMsg &msg)
 Ort::Service
 Ort::handleQuiescent(VersionQuiescentMsg &msg)
 {
-    Entry &entry = entries[msg.ortEntry];
+    Entry &entry = entryAt(msg.ortEntry);
+    const Slot &slot = slotAt(msg.slot);
     // Grant retirement only if the hint is fresh (same slot
     // incarnation), this is still the current version, and every
     // reader registration we ever issued for the slot has been seen
     // by the OVT (none in flight). Otherwise deny silently; the
     // in-flight reader's eventual release re-arms the hint.
-    bool fresh = slotEpoch[msg.slot] == msg.epoch;
+    bool fresh = slot.epoch == msg.epoch;
     bool current = entry.valid && entry.hasCurVersion &&
         entry.curVersion == msg.slot;
-    if (fresh && current && readersIssued[msg.slot] == msg.readersSeen) {
+    if (fresh && current && slot.readersIssued == msg.readersSeen) {
         sampleChain(entry);
         entry.hasCurVersion = false;
         sendMsg(ovtNode,

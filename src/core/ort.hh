@@ -41,9 +41,11 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/footprint.hh"
 #include "core/module.hh"
 #include "core/trs.hh"
 #include "mem/edram.hh"
+#include "mem/free_list.hh"
 #include "sim/stats.hh"
 
 namespace tss
@@ -53,9 +55,14 @@ namespace tss
 class Ort : public FrontendModule
 {
   public:
+    /**
+     * @p footprint bounds the host storage of the slice's tables by
+     * what its trace can touch; null stores Table II's whole tables.
+     */
     Ort(std::string name, EventQueue &eq, Network &network, NodeId node,
         unsigned ort_index, const PipelineConfig &config,
-        FrontendStats &frontend_stats);
+        FrontendStats &frontend_stats,
+        const Footprint *footprint = nullptr);
 
     /**
      * Wire the slice to its peers. @p gateways lists every gateway
@@ -94,7 +101,7 @@ class Ort : public FrontendModule
     /// @name Introspection for tests and the liveness watchdog.
     /// @{
     std::size_t liveEntries() const;
-    std::size_t freeVersionSlots() const { return freeSlots.size(); }
+    std::size_t freeVersionSlots() const { return freeSlots.numFree(); }
     std::uint64_t stallEvents() const { return stalls.value(); }
     std::uint64_t deferredOps() const { return deferrals.value(); }
     std::size_t slotParkedOperands() const { return slotWaiters.size(); }
@@ -167,7 +174,7 @@ class Ort : public FrontendModule
     /** Capacity-park @p msg; subscribe to watermark advances once. */
     Service parkForSlot(const DecodeOperandMsg &msg, Cycle cost);
 
-    /** Pop a version slot, marking reserve-regime claims reserved. */
+    /** Claim a version slot, marking reserve-regime claims reserved. */
     std::uint32_t claimSlot();
 
     /**
@@ -179,11 +186,13 @@ class Ort : public FrontendModule
 
     /**
      * Locate the entry for @p addr: a hit, a free/reclaimable way, or
-     * nullptr when the set is full of live objects.
+     * nullptr when the set is full of live objects. @p index is the
+     * entry's handle in the way pool.
      */
     Entry *lookup(std::uint64_t addr, bool &hit, std::uint32_t &index);
 
-    std::uint32_t setIndexOf(std::uint64_t addr) const;
+    /** The entry behind a handle the OVT echoed back. */
+    Entry &entryAt(std::uint32_t index);
 
     void sampleChain(Entry &entry);
 
@@ -206,9 +215,6 @@ class Ort : public FrontendModule
 
     /// Operands capacity-parked by the version-slot reserve rule.
     std::vector<DecodeOperandMsg> slotWaiters;
-    /// Slots whose live version was claimed from the reserve regime;
-    /// younger readers may not join such a version (liveness).
-    std::vector<char> slotReserved;
     /**
      * Version-slot reserve (ordered mode). When the free-slot pool is
      * at or below this mark, only operands of the machine-wide oldest
@@ -233,15 +239,28 @@ class Ort : public FrontendModule
     Counter slotParks;
 
     std::uint32_t numSets;
-    std::vector<Entry> entries; ///< numSets x ways
+    /// The sets the slice's objects hash to own ortWays consecutive
+    /// entries of the way pool from setBase[set]; other sets own none.
+    static constexpr std::uint32_t noSet = ~std::uint32_t(0);
+    std::vector<std::uint32_t> setBase;
+    std::vector<Entry> ways;
 
-    std::vector<std::uint32_t> freeSlots; ///< OVT slot credits
+    IndexPool freeSlots; ///< OVT slot credits
 
-    /// AddReader messages issued per version slot (retire handshake).
-    std::vector<std::uint32_t> readersIssued;
+    /** The slice's record of one version slot. */
+    struct Slot
+    {
+        /// AddReader messages issued (retire handshake).
+        std::uint32_t readersIssued = 0;
+        /// Incarnation counter; stale retirement hints are ignored.
+        std::uint32_t epoch = 0;
+        /// Claimed from the reserve regime: younger readers may not
+        /// join the live version (liveness).
+        bool reserved = false;
+    };
+    std::vector<Slot> slots; ///< one per slot freeSlots can reach
 
-    /// Slot incarnation counters; stale retirement hints are ignored.
-    std::vector<std::uint32_t> slotEpoch;
+    Slot &slotAt(std::uint32_t slot);
 
     bool stallSent = false;
     Cycle stallStarted = 0;

@@ -7,7 +7,8 @@ namespace tss
 
 Ovt::Ovt(std::string name, EventQueue &eq, Network &network, NodeId node,
          unsigned ovt_index, const PipelineConfig &config,
-         FrontendStats &frontend_stats, DmaEngine &dma_engine)
+         FrontendStats &frontend_stats, DmaEngine &dma_engine,
+         const Footprint *footprint)
     : FrontendModule(std::move(name), eq, network, node),
       ovtIndex(ovt_index), cfg(config), stats(frontend_stats),
       edram(config.ovtTotalBytes / config.totalOrt(),
@@ -16,7 +17,18 @@ Ovt::Ovt(std::string name, EventQueue &eq, Network &network, NodeId node,
               bufferRegionBytes),
       dma(dma_engine)
 {
-    versions.assign(cfg.slotsPerOvt(), Version{});
+    versions.assign(footprint
+                        ? footprint->slices.at(ovt_index).versionSlots
+                        : cfg.slotsPerOvt(),
+                    Version{});
+}
+
+Ovt::Version &
+Ovt::version(std::uint32_t slot)
+{
+    TSS_ASSERT(slot < versions.size(), "OVT %u: version slot %u out of "
+               "range", ovtIndex, slot);
+    return versions[slot];
 }
 
 std::size_t
@@ -62,7 +74,7 @@ Ovt::sendDataReady(const OperandId &op, ReadySide side,
 Ovt::Service
 Ovt::handleCreate(CreateVersionMsg &msg)
 {
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     TSS_ASSERT(!v.valid, "OVT %u: version slot %u reused while live",
                ovtIndex, msg.slot);
     v = Version{};
@@ -111,7 +123,7 @@ Ovt::handleCreate(CreateVersionMsg &msg)
     // output-ready is sent when the previous version releases.
 
     if (msg.hasPrev) {
-        Version &prev = versions[msg.prevSlot];
+        Version &prev = version(msg.prevSlot);
         TSS_ASSERT(prev.valid, "chained after a dead version");
         TSS_ASSERT(!prev.superseded, "version superseded twice");
         prev.superseded = true;
@@ -126,7 +138,7 @@ Ovt::handleCreate(CreateVersionMsg &msg)
 Ovt::Service
 Ovt::handleAddReader(AddReaderMsg &msg)
 {
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     TSS_ASSERT(v.valid, "reader added to dead version");
     TSS_ASSERT(!v.retireAuthorized, "reader added to retiring version");
     ++v.usage;
@@ -140,7 +152,7 @@ Ovt::handleAddReader(AddReaderMsg &msg)
 Ovt::Service
 Ovt::handleRelease(ReleaseUseMsg &msg)
 {
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     TSS_ASSERT(v.valid && v.usage > 0, "release of unused version");
     --v.usage;
     tryRelease(msg.slot);
@@ -150,7 +162,7 @@ Ovt::handleRelease(ReleaseUseMsg &msg)
 Ovt::Service
 Ovt::handleProducerDone(ProducerDoneMsg &msg)
 {
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     TSS_ASSERT(v.valid, "producer-done for dead version");
     TSS_ASSERT(!v.producerDone, "duplicate producer-done");
     v.producerDone = true;
@@ -174,7 +186,7 @@ Ovt::handleRegisterConsumer(RegisterConsumerMsg &msg)
 {
     // Only reachable in the no-chaining ablation: a reader waits at
     // the version itself rather than on the previous user's chain.
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     TSS_ASSERT(v.valid, "consumer registered on dead version");
     Cycle cost = cfg.packetLatency + edram.write();
     if (v.producerDone) {
@@ -188,7 +200,7 @@ Ovt::handleRegisterConsumer(RegisterConsumerMsg &msg)
 Ovt::Service
 Ovt::handleRetire(RetireVersionMsg &msg)
 {
-    Version &v = versions[msg.slot];
+    Version &v = version(msg.slot);
     if (!v.valid || v.epoch != msg.epoch) {
         // Stale grant: the version died through the superseded path
         // while the hint/grant round trip was in flight.
@@ -205,7 +217,7 @@ Ovt::handleRetire(RetireVersionMsg &msg)
 void
 Ovt::tryRelease(std::uint32_t slot)
 {
-    Version &v = versions[slot];
+    Version &v = version(slot);
     if (!v.valid || v.dmaInFlight || !v.producerDone || v.usage > 0)
         return;
 
@@ -214,7 +226,7 @@ Ovt::tryRelease(std::uint32_t slot)
             // Hand the buffer to the chained in-place writer and
             // unblock it (the second data-ready of Figure 9). This
             // in-order unblocking enforces the WaR hazard.
-            Version &next = versions[v.nextSlot];
+            Version &next = version(v.nextSlot);
             TSS_ASSERT(next.valid, "in-place successor vanished");
             next.buffer = v.buffer;
             next.bucketBytes = v.bucketBytes;
@@ -253,7 +265,7 @@ Ovt::tryRelease(std::uint32_t slot)
         v.buffer != v.addr) {
         v.dmaInFlight = true;
         dma.transfer(v.bytes, [this, slot] {
-            Version &ver = versions[slot];
+            Version &ver = version(slot);
             ver.dmaInFlight = false;
             ver.renamed = false; // data now also at the home address
             tryRelease(slot);
@@ -270,7 +282,7 @@ Ovt::tryRelease(std::uint32_t slot)
 void
 Ovt::die(std::uint32_t slot)
 {
-    Version &v = versions[slot];
+    Version &v = version(slot);
     if (v.bucketBytes > 0)
         buffers.release(v.buffer, v.bucketBytes);
     std::uint32_t ort_entry = v.ortEntry;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/footprint.hh"
 #include "core/module.hh"
 #include "core/trs.hh"
 #include "mem/bucket_allocator.hh"
@@ -29,9 +30,14 @@ namespace tss
 class Ovt : public FrontendModule
 {
   public:
+    /**
+     * @p footprint bounds the version table by what the trace's
+     * operands can claim; null stores Table II's whole table.
+     */
     Ovt(std::string name, EventQueue &eq, Network &network, NodeId node,
         unsigned ovt_index, const PipelineConfig &config,
-        FrontendStats &frontend_stats, DmaEngine &dma_engine);
+        FrontendStats &frontend_stats, DmaEngine &dma_engine,
+        const Footprint *footprint = nullptr);
 
     void
     setPeers(NodeId paired_ort, std::vector<NodeId> trs_nodes)
@@ -86,6 +92,9 @@ class Ovt : public FrontendModule
     Service handleRegisterConsumer(RegisterConsumerMsg &msg);
     Service handleRetire(RetireVersionMsg &msg);
 
+    /** The live version in @p slot's table row. */
+    Version &version(std::uint32_t slot);
+
     /** Check the release condition of @p slot and act on it. */
     void tryRelease(std::uint32_t slot);
 
@@ -107,7 +116,7 @@ class Ovt : public FrontendModule
     NodeId ortNode = invalidNode;
     std::vector<NodeId> trsNodes;
 
-    std::vector<Version> versions;
+    std::vector<Version> versions; ///< rows for the slots the ORT can claim
 };
 
 } // namespace tss

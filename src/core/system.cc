@@ -64,21 +64,15 @@ SystemBuilder::build()
     // (tickets, ordered allocation, watermark) stays on, so oracle
     // runs remain correct and replayable (see core/ort.cc).
     bool ordered = shared_data;
-    // Sanity-check the trace against the hardware limits.
-    for (const auto &task : trace.tasks) {
-        if (task.operands.size() > layout::maxOperands) {
-            fatal("task with %zu operands exceeds the %u-operand "
-                  "TRS layout", task.operands.size(),
-                  layout::maxOperands);
-        }
-    }
-    unsigned max_blocks = layout::blocksForOperands(layout::maxOperands);
-    if (cfg.blocksPerTrs() < max_blocks)
-        fatal("TRS capacity below a single maximal task allocation");
+    // Sanity-check the machine (the capacities divide by the module
+    // counts); the Footprint checks the trace against the TRS layout.
     if (cfg.numTrs == 0 || cfg.numOrt == 0 || cfg.numCores == 0)
         fatal("pipeline needs at least one TRS, ORT and core");
     if (cfg.numPipelines == 0)
         fatal("system needs at least one frontend pipeline");
+    unsigned max_blocks = layout::blocksForOperands(layout::maxOperands);
+    if (cfg.blocksPerTrs() < max_blocks)
+        fatal("TRS capacity below a single maximal task allocation");
 
     // Threads feed pipelines round-robin; a thread's id within its
     // gateway must be dense for the gateway's fairness rotation.
@@ -87,7 +81,10 @@ SystemBuilder::build()
     for (unsigned t = 0; t < num_threads; ++t)
         ++threads_in_pipe[t % pipes];
 
-    auto sys = std::unique_ptr<System>(new System(cfg, trace));
+    // Host storage for what the trace can touch of each table.
+    const Footprint footprint(cfg, trace);
+    auto sys = std::unique_ptr<System>(
+        new System(cfg, trace, footprint.trsBlocks));
     // Modules keep a reference to the config: hand them the copy the
     // System owns, not this builder's (which dies with the builder).
     const PipelineConfig &scfg = sys->cfg;
@@ -154,7 +151,7 @@ SystemBuilder::build()
             unsigned g = p * cfg.numTrs + i;
             auto trs = std::make_unique<Trs>(
                 "trs" + std::to_string(g), pipeq, net, trs_nodes[g],
-                g, scfg, sys->registry, sys->stats);
+                g, scfg, sys->registry, sys->stats, &footprint);
             trs->setPeers(gw_nodes[p], sched_node, trs_nodes,
                           ovt_nodes,
                           ordered ? gw_nodes : std::vector<NodeId>{});
@@ -166,7 +163,7 @@ SystemBuilder::build()
             unsigned g = p * cfg.numOrt + i;
             auto ort = std::make_unique<Ort>(
                 "ort" + std::to_string(g), pipeq, net, ort_nodes[g],
-                g, scfg, sys->stats);
+                g, scfg, sys->stats, &footprint);
             ort->setPeers(gw_nodes, trs_nodes, ovt_nodes[g], ordered,
                           &sys->registry);
             net.bindQueue(ort_nodes[g], pipeq);
@@ -174,7 +171,7 @@ SystemBuilder::build()
 
             auto ovt = std::make_unique<Ovt>(
                 "ovt" + std::to_string(g), pipeq, net, ovt_nodes[g],
-                g, scfg, sys->stats, *sys->dma);
+                g, scfg, sys->stats, *sys->dma, &footprint);
             ovt->setPeers(ort_nodes[g], trs_nodes);
             net.bindQueue(ovt_nodes[g], pipeq);
             sys->ovtModules.push_back(std::move(ovt));

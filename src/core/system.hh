@@ -222,12 +222,14 @@ class System
     /** Bind every metric provider (called once by the builder). */
     void buildMetrics();
 
-    System(const PipelineConfig &config, const TaskTrace &task_trace)
+    /** @p trs_blocks: the blocks any TRS can hand out (Footprint). */
+    System(const PipelineConfig &config, const TaskTrace &task_trace,
+           std::uint32_t trs_blocks)
         : cfg(config), trace(task_trace),
           // One domain per pipeline plus the dedicated backend
           // domain (network / DMA / scheduler).
           engine(std::make_unique<SimEngine>(config.numPipelines + 1)),
-          registry(task_trace, config.totalTrs(), config.blocksPerTrs())
+          registry(task_trace, config.totalTrs(), trs_blocks)
     {}
 
     PipelineConfig cfg;

@@ -49,11 +49,13 @@ class TaskRegistry
 {
   public:
     /**
-     * Track @p task_trace's tasks on a machine of @p num_trs TRSs with
-     * @p slots_per_trs slots each. The id map is a flat
-     * per-<TRS, SLOT> table: each TRS binds and unbinds only its own
-     * rows, and worker cores in other NoC domains read fixed memory
-     * locations whose writes the engine's window barriers order.
+     * Track @p task_trace's tasks on a machine of @p num_trs TRSs whose
+     * slot ids stay below @p slots_per_trs (the blocks a TRS can hand
+     * out: Table II's, or fewer for a short trace). The id map is a
+     * flat per-<TRS, SLOT> table: each TRS binds and unbinds only its
+     * own rows, and worker cores in other NoC domains read fixed
+     * memory locations whose writes the engine's window barriers
+     * order.
      */
     TaskRegistry(const TaskTrace &task_trace, unsigned num_trs,
                  unsigned slots_per_trs)

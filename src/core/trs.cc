@@ -9,12 +9,14 @@ namespace tss
 
 Trs::Trs(std::string name, EventQueue &eq, Network &network, NodeId node,
          unsigned trs_index, const PipelineConfig &config,
-         TaskRegistry &task_registry, FrontendStats &frontend_stats)
+         TaskRegistry &task_registry, FrontendStats &frontend_stats,
+         const Footprint *footprint)
     : FrontendModule(std::move(name), eq, network, node),
       trsIndex(trs_index), cfg(config), registry(task_registry),
       stats(frontend_stats),
       edram(config.trsTotalBytes / config.numTrs, config.edramLatency),
-      freeList(config.blocksPerTrs(), &edram)
+      freeList(config.blocksPerTrs(), &edram,
+               footprint ? footprint->trsBlocks : config.blocksPerTrs())
 {
 }
 
@@ -46,12 +48,21 @@ Trs::process(ProtoMsg &msg)
 Trs::TaskSlot *
 Trs::findSlot(const TaskId &id)
 {
-    if (id.slot >= slots.size())
+    if (id.slot >= storage.size())
         return nullptr;
-    TaskSlot &slot = slots[id.slot];
+    TaskSlot &slot = storage[id.slot].task;
     if (!slot.live || slot.generation != id.generation)
         return nullptr;
     return &slot;
+}
+
+Trs::OperandState &
+Trs::operand(const TaskSlot &slot, unsigned index)
+{
+    TSS_ASSERT(index < slot.numOperands, "TRS %u: operand %u of a "
+               "%u-operand task", trsIndex, index, slot.numOperands);
+    return storage[slot.blocks[layout::blockOf(index)]]
+        .ops[layout::entryOf(index)];
 }
 
 bool
@@ -75,19 +86,26 @@ Trs::operandReady(const OperandState &op)
 Trs::Service
 Trs::handleAlloc(AllocRequestMsg &msg)
 {
+    TSS_ASSERT(msg.numOperands <= layout::maxOperands,
+               "TRS %u: %u operands exceed the layout", trsIndex,
+               msg.numOperands);
     unsigned blocks = layout::blocksForOperands(msg.numOperands);
     TSS_ASSERT(freeList.numFree() >= blocks,
                "TRS %u out of blocks despite gateway accounting",
                trsIndex);
 
     Cycle cost = cfg.packetLatency;
-    auto first = freeList.allocate();
-    TSS_ASSERT(first.has_value(), "freeList allocation failed");
-    cost += first->cost;
-    std::uint32_t main_block = first->block;
-    if (main_block >= slots.size())
-        slots.resize(main_block + 1);
-    TaskSlot &slot = slots[main_block];
+    decltype(TaskSlot::blocks) taken{};
+    for (unsigned i = 0; i < blocks; ++i) {
+        auto alloc = freeList.allocate();
+        TSS_ASSERT(alloc.has_value(), "freeList allocation failed");
+        cost += alloc->cost;
+        taken[i] = alloc->block;
+        if (alloc->block >= storage.size())
+            storage.resize(alloc->block + 1);
+    }
+    std::uint32_t main_block = taken[0];
+    TaskSlot &slot = storage[main_block].task;
     TSS_ASSERT(!slot.live, "TRS %u block %u allocated twice", trsIndex,
                main_block);
     slot.live = true;
@@ -96,14 +114,10 @@ Trs::handleAlloc(AllocRequestMsg &msg)
     slot.infoCount = 0;
     slot.readyCount = 0;
     slot.readySent = false;
-    slot.ops.assign(msg.numOperands, OperandState{});
-    slot.blocks.assign(1, main_block);
-    for (unsigned i = 1; i < blocks; ++i) {
-        auto alloc = freeList.allocate();
-        TSS_ASSERT(alloc.has_value(), "freeList allocation failed");
-        slot.blocks.push_back(alloc->block);
-        cost += alloc->cost;
-    }
+    slot.numBlocks = blocks;
+    slot.blocks = taken;
+    for (unsigned i = 0; i < msg.numOperands; ++i)
+        operand(slot, i) = OperandState{};
     // Initialize the main block (task globals).
     cost += edram.write();
 
@@ -189,7 +203,7 @@ void
 Trs::reevaluate(TaskSlot &slot, const TaskId &id, unsigned index,
                 bool was_ready)
 {
-    bool now_ready = operandReady(slot.ops[index]);
+    bool now_ready = operandReady(operand(slot, index));
     if (!was_ready && now_ready)
         ++slot.readyCount;
     maybeTaskReady(slot, id);
@@ -201,7 +215,7 @@ Trs::handleScalar(ScalarOperandMsg &msg)
     TaskSlot *slot = findSlot(msg.op.task);
     TSS_ASSERT(slot, "scalar operand for unknown task %s",
                toString(msg.op.task).c_str());
-    OperandState &op = slot->ops[msg.op.index];
+    OperandState &op = operand(*slot, msg.op.index);
     TSS_ASSERT(!op.infoSeen, "duplicate operand %s",
                toString(msg.op).c_str());
     bool was_ready = operandReady(op);
@@ -219,7 +233,7 @@ Trs::handleOperandInfo(OperandInfoMsg &msg)
     TaskSlot *slot = findSlot(msg.op.task);
     TSS_ASSERT(slot, "operand info for unknown task %s",
                toString(msg.op.task).c_str());
-    OperandState &op = slot->ops[msg.op.index];
+    OperandState &op = operand(*slot, msg.op.index);
     TSS_ASSERT(!op.infoSeen, "duplicate operand info %s",
                toString(msg.op).c_str());
 
@@ -227,7 +241,6 @@ Trs::handleOperandInfo(OperandInfoMsg &msg)
     op.dir = msg.dir;
     op.infoSeen = true;
     op.version = msg.version;
-    op.bytes = msg.objectBytes;
     ++slot->infoCount;
 
     if (msg.readyNow) {
@@ -279,7 +292,7 @@ Trs::handleRegisterConsumer(RegisterConsumerMsg &msg)
         return {cost, false};
     }
 
-    OperandState &op = slot->ops[msg.producer.index];
+    OperandState &op = operand(*slot, msg.producer.index);
     bool available = writesObject(op.dir)
         ? false            // writers publish at task finish
         : op.inputReady;   // readers relay what they received
@@ -304,7 +317,7 @@ Trs::handleDataReady(DataReadyMsg &msg)
     TaskSlot *slot = findSlot(msg.op.task);
     TSS_ASSERT(slot, "data ready for unknown task %s",
                toString(msg.op.task).c_str());
-    OperandState &op = slot->ops[msg.op.index];
+    OperandState &op = operand(*slot, msg.op.index);
     bool was_ready = operandReady(op);
 
     if (msg.side == ReadySide::Input) {
@@ -345,9 +358,10 @@ Trs::handleTaskFinished(TaskFinishedMsg &msg)
     // release version usage at the OVTs.
     Cycle cost = cfg.packetLatency *
         std::max<unsigned>(1, slot->numOperands);
-    cost += edram.read(static_cast<unsigned>(slot->blocks.size()));
+    cost += edram.read(slot->numBlocks);
 
-    for (const OperandState &op : slot->ops) {
+    for (unsigned i = 0; i < slot->numOperands; ++i) {
+        const OperandState &op = operand(*slot, i);
         if (op.dir == Dir::Scalar)
             continue;
         if (writesObject(op.dir)) {
@@ -361,9 +375,9 @@ Trs::handleTaskFinished(TaskFinishedMsg &msg)
     }
 
     // Free the task's storage and refresh the gateway's credit view.
-    auto freed = static_cast<std::uint32_t>(slot->blocks.size());
-    for (std::uint32_t block : slot->blocks)
-        cost += freeList.release(block);
+    std::uint32_t freed = slot->numBlocks;
+    for (unsigned b = 0; b < slot->numBlocks; ++b)
+        cost += freeList.release(slot->blocks[b]);
     sendMsg(gatewayNode,
             std::make_unique<TrsSpaceMsg>(trsIndex, freed));
 

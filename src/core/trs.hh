@@ -9,9 +9,12 @@
 #ifndef TSS_CORE_TRS_HH
 #define TSS_CORE_TRS_HH
 
+#include <array>
+#include <deque>
 #include <vector>
 
 #include "core/config.hh"
+#include "core/footprint.hh"
 #include "core/module.hh"
 #include "core/task_registry.hh"
 #include "mem/edram.hh"
@@ -57,9 +60,14 @@ struct FrontendStats
 class Trs : public FrontendModule
 {
   public:
+    /**
+     * @p footprint bounds the blocks the trace's tasks can take; null
+     * lets them reach Table II's whole TRS.
+     */
     Trs(std::string name, EventQueue &eq, Network &network, NodeId node,
         unsigned trs_index, const PipelineConfig &config,
-        TaskRegistry &task_registry, FrontendStats &frontend_stats);
+        TaskRegistry &task_registry, FrontendStats &frontend_stats,
+        const Footprint *footprint = nullptr);
 
     /**
      * Resolve frontend tile indices to NoC node ids (set by wiring).
@@ -101,13 +109,12 @@ class Trs : public FrontendModule
         OperandId chainNext;
         VersionRef version;
         std::uint64_t buffer = 0;
-        Bytes bytes = 0;
     };
 
     /**
-     * One in-flight task's meta-data. A slot outlives its task: the
-     * generation survives retirement (tombstone detection), and the
-     * vectors keep their capacity for the block's next task.
+     * One in-flight task's globals, held in its main block. A slot
+     * outlives its task: the generation survives retirement
+     * (tombstone detection).
      */
     struct TaskSlot
     {
@@ -118,8 +125,20 @@ class Trs : public FrontendModule
         unsigned infoCount = 0;
         unsigned readyCount = 0;
         bool readySent = false;
-        std::vector<std::uint32_t> blocks;
-        std::vector<OperandState> ops;
+        unsigned numBlocks = 0;
+        /// The main block, then the indirect blocks.
+        std::array<std::uint32_t, 1 + layout::maxIndirectBlocks> blocks{};
+    };
+
+    /**
+     * One storage block (Figure 11): a main block holds its task's
+     * globals and first layout::mainBlockOperands operands, an
+     * indirect block layout::indirectBlockOperands more.
+     */
+    struct Block
+    {
+        TaskSlot task; ///< meaningful while this is a main block
+        std::array<OperandState, layout::indirectBlockOperands> ops;
     };
 
     Service handleAlloc(AllocRequestMsg &msg);
@@ -132,6 +151,9 @@ class Trs : public FrontendModule
 
     /** Find a live slot matching @p id; null on generation mismatch. */
     TaskSlot *findSlot(const TaskId &id);
+
+    /** Operand @p index of @p slot's task, in its block's entry. */
+    OperandState &operand(const TaskSlot &slot, unsigned index);
 
     static bool operandReady(const OperandState &op);
 
@@ -172,9 +194,12 @@ class Trs : public FrontendModule
     /// runs never subscribe, so they see zero extra traffic.
     std::vector<NodeId> starvedOrtNodes;
 
-    /// Slots indexed by main-block index, grown on demand (the free
-    /// list hands out low blocks first, so small runs stay small).
-    std::vector<TaskSlot> slots;
+    /// Indexed by block, grown on demand up to the blocks the free
+    /// list can reach (it hands out low blocks first, so small runs
+    /// stay small). A deque grows in small chunks and never moves
+    /// what it holds: a vector's doubling reallocations of megabytes
+    /// fragmented the heap of a large run.
+    std::deque<Block> storage;
     std::size_t numLive = 0;
 };
 

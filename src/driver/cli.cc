@@ -44,7 +44,7 @@ CliArgs::CliArgs(int argc, char **argv)
         arg = arg.substr(2);
         auto eq_pos = arg.find('=');
         if (eq_pos == std::string::npos)
-            values[arg] = "1";
+            values.insert_or_assign(arg, std::string("1"));
         else
             values[arg.substr(0, eq_pos)] = arg.substr(eq_pos + 1);
     }

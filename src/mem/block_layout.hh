@@ -52,6 +52,24 @@ blocksForOperands(unsigned operands)
     return 1 + indirect;
 }
 
+/** The block of a task (0 = main, then indirect) holding @p operand. */
+constexpr unsigned
+blockOf(unsigned operand)
+{
+    return operand < mainBlockOperands
+        ? 0
+        : 1 + (operand - mainBlockOperands) / indirectBlockOperands;
+}
+
+/** The entry of its block that holds @p operand. */
+constexpr unsigned
+entryOf(unsigned operand)
+{
+    return operand < mainBlockOperands
+        ? operand
+        : (operand - mainBlockOperands) % indirectBlockOperands;
+}
+
 /** Bytes actually allocated for @p operands operands. */
 constexpr Bytes
 allocatedBytes(unsigned operands)
@@ -71,6 +89,11 @@ usedBytes(unsigned operands)
 }
 
 static_assert(maxOperands == 19, "paper layout supports 19 operands");
+static_assert(blockOf(maxOperands - 1) == maxIndirectBlocks &&
+                  blocksForOperands(maxOperands) == 1 + maxIndirectBlocks,
+              "the last operand lands in the last indirect block");
+static_assert(mainBlockOperands <= indirectBlockOperands,
+              "an indirect block's entries cover a main block's");
 static_assert(taskGlobalBytes + mainBlockOperands * operandEntryBytes
               == blockBytes, "main block must be exactly one block");
 

@@ -5,20 +5,17 @@
 namespace tss
 {
 
-BlockFreeList::BlockFreeList(std::uint32_t num_blocks, Edram *edram_ptr)
-    : totalBlocks(num_blocks), edram(edram_ptr)
+BlockFreeList::BlockFreeList(std::uint32_t num_blocks, Edram *edram_ptr,
+                             std::uint32_t reach)
+    : edram(edram_ptr), blocks(num_blocks, reach),
+      sramCount(std::min<unsigned>(sramEntries, num_blocks))
 {
-    freeBlocks.reserve(num_blocks);
-    // Populate in reverse so that block 0 is allocated first.
-    for (std::uint32_t i = num_blocks; i > 0; --i)
-        freeBlocks.push_back(i - 1);
-    sramCount = std::min<unsigned>(sramEntries, num_blocks);
 }
 
 std::optional<BlockFreeList::Allocation>
 BlockFreeList::allocate()
 {
-    if (freeBlocks.empty())
+    if (blocks.empty())
         return std::nullopt;
 
     Cycle cost = 1;
@@ -28,13 +25,12 @@ BlockFreeList::allocate()
         ++sramMisses;
         if (edram)
             cost += edram->read();
-        sramCount = std::min<std::size_t>(sramEntries, freeBlocks.size());
+        sramCount = std::min(sramEntries, blocks.numFree());
     } else {
         ++sramHits;
     }
 
-    std::uint32_t block = freeBlocks.back();
-    freeBlocks.pop_back();
+    std::uint32_t block = blocks.claim();
     --sramCount;
     return Allocation{block, cost};
 }
@@ -42,9 +38,7 @@ BlockFreeList::allocate()
 Cycle
 BlockFreeList::release(std::uint32_t block)
 {
-    TSS_ASSERT(block < totalBlocks, "release of out-of-range block %u",
-               block);
-    freeBlocks.push_back(block);
+    blocks.release(block);
 
     Cycle cost = 1;
     if (sramCount < sramEntries) {

@@ -1,8 +1,11 @@
 /**
  * @file
- * The TRS/OVT free-block list. Free blocks are chained in eDRAM, each
- * chain node storing 63 pointers to free blocks plus a next pointer;
- * the addresses of the first 64 free blocks are mirrored in a 128-byte
+ * Free-index pools. IndexPool hands out the indices of a fixed pool
+ * (the ORT's version-slot credits, a TRS's storage blocks) storing
+ * only the released ones. BlockFreeList adds the TRS/OVT free-block
+ * list's timing: free blocks are chained in eDRAM, each chain node
+ * storing 63 pointers to free blocks plus a next pointer; the
+ * addresses of the first 64 free blocks are mirrored in a 128-byte
  * SRAM buffer so that a typical allocation takes a single cycle
  * (paper section IV-B.2).
  */
@@ -10,6 +13,7 @@
 #ifndef TSS_MEM_FREE_LIST_HH
 #define TSS_MEM_FREE_LIST_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -21,6 +25,68 @@
 
 namespace tss
 {
+
+/**
+ * The free indices of a pool [0, capacity), handed out in the order a
+ * stack prefilled with capacity-1 .. 0 gives them: the most recently
+ * released index first, else the lowest index never claimed. Only
+ * released indices are stored, behind a fresh-index counter, so the
+ * host storage is bounded by the indices a run can claim (its reach),
+ * not by the capacity.
+ */
+class IndexPool
+{
+  public:
+    /**
+     * @param capacity Pool size; indices are [0, capacity).
+     * @param reach The most distinct indices a run may claim (clamped
+     *              to @p capacity): claiming beyond it panics.
+     */
+    IndexPool(std::uint32_t capacity, std::uint32_t reach)
+        : cap(capacity), maxFresh(std::min(capacity, reach))
+    {
+        released.reserve(maxFresh);
+    }
+
+    std::uint32_t capacity() const { return cap; }
+    std::uint32_t reach() const { return maxFresh; }
+
+    std::uint32_t
+    numFree() const
+    {
+        return cap - fresh + static_cast<std::uint32_t>(released.size());
+    }
+
+    bool empty() const { return numFree() == 0; }
+
+    /** Take a free index; the pool must not be empty. */
+    std::uint32_t
+    claim()
+    {
+        if (!released.empty()) {
+            std::uint32_t index = released.back();
+            released.pop_back();
+            return index;
+        }
+        TSS_ASSERT(fresh < maxFresh, "index %u beyond the pool's reach "
+                   "(%u of %u)", fresh, maxFresh, cap);
+        return fresh++;
+    }
+
+    /** Return an index taken by claim(). */
+    void
+    release(std::uint32_t index)
+    {
+        TSS_ASSERT(index < fresh, "release of unclaimed index %u", index);
+        released.push_back(index);
+    }
+
+  private:
+    std::uint32_t cap;
+    std::uint32_t maxFresh;
+    std::uint32_t fresh = 0; ///< [0, fresh) were claimed at least once
+    std::vector<std::uint32_t> released; ///< LIFO: hot indices reused
+};
 
 /**
  * Free-list over a fixed pool of equal-size blocks, with the paper's
@@ -39,8 +105,12 @@ class BlockFreeList
      * @param num_blocks Pool size; block indices are [0, num_blocks).
      * @param edram The eDRAM whose latency chain refills charge (may
      *              be null for untimed use).
+     * @param reach The most distinct blocks a run may claim (see
+     *              IndexPool); the whole pool by default.
      */
-    explicit BlockFreeList(std::uint32_t num_blocks, Edram *edram = nullptr);
+    explicit BlockFreeList(std::uint32_t num_blocks,
+                           Edram *edram = nullptr,
+                           std::uint32_t reach = ~0u);
 
     /** Outcome of a timed allocation. */
     struct Allocation
@@ -64,12 +134,9 @@ class BlockFreeList
      */
     Cycle release(std::uint32_t block);
 
-    std::uint32_t numFree() const
-    {
-        return static_cast<std::uint32_t>(freeBlocks.size());
-    }
+    std::uint32_t numFree() const { return blocks.numFree(); }
 
-    std::uint32_t numBlocks() const { return totalBlocks; }
+    std::uint32_t numBlocks() const { return blocks.capacity(); }
 
     /** Fraction of allocations satisfied in a single cycle. */
     double
@@ -81,11 +148,10 @@ class BlockFreeList
     }
 
   private:
-    std::uint32_t totalBlocks;
     Edram *edram;
 
-    /// All currently free block indices (LIFO: hot blocks reused).
-    std::vector<std::uint32_t> freeBlocks;
+    /// The free blocks (LIFO: hot blocks reused).
+    IndexPool blocks;
 
     /// How many of the top-of-stack entries are mirrored in SRAM.
     unsigned sramCount;

@@ -164,9 +164,9 @@ std::vector<TraceRecord>
 TraceBuf::ringTail() const
 {
     std::vector<TraceRecord> out;
-    if (ring.empty() || ringCount == 0)
+    if (!ring)
         return out;
-    std::uint64_t kept = std::min<std::uint64_t>(ringCount, ring.size());
+    std::uint64_t kept = std::min(ringCount, ringMask + 1);
     out.reserve(static_cast<std::size_t>(kept));
     for (std::uint64_t i = ringCount - kept; i < ringCount; ++i)
         out.push_back(ring[i & ringMask]);

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,17 +74,19 @@ const char *traceEventName(TraceEvent type);
 /**
  * One flight-recorder record: the semantic timestamp @p when doubles
  * as the primary sort-key component; (station, seq, sub) complete the
- * globally unique key (see file comment). 40 bytes.
+ * globally unique key (see file comment). 40 bytes. Trivial, so a
+ * ring is allocated without writing the records a run never emits;
+ * TraceBuf::emit sets every field.
  */
 struct TraceRecord
 {
-    Cycle when = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t b = 0;
-    std::uint32_t a = 0;
-    std::int32_t station = 0;
-    std::uint32_t sub = 0;
-    TraceEvent type = TraceEvent::TaskSubmit;
+    Cycle when;
+    std::uint64_t seq;
+    std::uint64_t b;
+    std::uint32_t a;
+    std::int32_t station;
+    std::uint32_t sub;
+    TraceEvent type;
 };
 
 /**
@@ -93,11 +96,12 @@ struct TraceRecord
  *
  * Two storage modes. Growable (Full-mode default): records append to
  * a vector that drainWindow() takes every window. Ring (Tail mode,
- * via setRing): records overwrite a preallocated power-of-two ring —
- * one masked store per record, no allocation, no per-window drain —
- * and the Tracer end-sorts the surviving tails once at export. Both
- * retain identical per-record content, so the tail export stays a
- * pure function of simulated state.
+ * via setRing): records overwrite a power-of-two ring allocated up
+ * front but never cleared — one masked store per record, no
+ * allocation, no per-window drain — and the Tracer end-sorts the
+ * surviving tails once at export. Both retain identical per-record
+ * content, so the tail export stays a pure function of simulated
+ * state.
  */
 class TraceBuf
 {
@@ -118,7 +122,7 @@ class TraceBuf
         std::size_t n = 1;
         while (n < cap)
             n <<= 1;
-        ring.assign(n, TraceRecord{});
+        ring = std::make_unique_for_overwrite<TraceRecord[]>(n);
         ringMask = n - 1;
     }
 
@@ -165,7 +169,7 @@ class TraceBuf
             r.seq = barrierSeq++;
             r.sub = 0;
         }
-        if (ring.empty())
+        if (!ring)
             records.push_back(r);
         else
             ring[ringCount++ & ringMask] = r;
@@ -179,8 +183,8 @@ class TraceBuf
 
   private:
     std::vector<TraceRecord> records;
-    std::vector<TraceRecord> ring; ///< non-empty iff ring mode
-    std::uint64_t ringCount = 0;   ///< appends since setRing
+    std::unique_ptr<TraceRecord[]> ring; ///< set iff ring mode
+    std::uint64_t ringCount = 0;         ///< appends since setRing
     std::uint64_t ringMask = 0;
     std::uint32_t mask;
     Cycle keyWhen = invalidCycle;

@@ -57,6 +57,26 @@ TEST(BlockLayout, FragmentationIsBounded)
     EXPECT_EQ(layout::usedBytes(4), layout::allocatedBytes(4));
 }
 
+TEST(BlockLayout, OperandsFillEntriesBlockByBlock)
+{
+    // Figure 11: operands 0-3 in the main block, then 5 per indirect
+    // block, each (block, entry) used once and inside the allocation.
+    std::set<std::pair<unsigned, unsigned>> seen;
+    for (unsigned op = 0; op < layout::maxOperands; ++op) {
+        unsigned block = layout::blockOf(op);
+        unsigned entry = layout::entryOf(op);
+        EXPECT_LT(block, layout::blocksForOperands(op + 1));
+        EXPECT_LT(entry, block == 0 ? layout::mainBlockOperands
+                                    : layout::indirectBlockOperands);
+        EXPECT_TRUE(seen.insert({block, entry}).second) << op;
+    }
+    EXPECT_EQ(layout::blockOf(3), 0u);
+    EXPECT_EQ(layout::blockOf(4), 1u);
+    EXPECT_EQ(layout::entryOf(4), 0u);
+    EXPECT_EQ(layout::blockOf(18), 3u);
+    EXPECT_EQ(layout::entryOf(18), 4u);
+}
+
 TEST(FreeList, AllocateAllThenExhaust)
 {
     BlockFreeList list(100);
@@ -120,6 +140,107 @@ TEST(FreeList, SteadyStateChurnMostlyHitsSram)
     // Alloc/free churn at stable occupancy: the paper's "typical
     // block allocation takes only 1 cycle".
     EXPECT_GT(list.sramHitRate(), 0.99);
+}
+
+/**
+ * IndexPool hands out indices in the order of the stack prefilled with
+ * capacity-1 .. 0 that it replaced: the sequences below are what that
+ * stack gave (BlockFreeList before IndexPool) for the same script.
+ */
+TEST(IndexPool, ClaimOrderThroughExhaustionAndRecovery)
+{
+    IndexPool pool(6, 6);
+    auto claims = [&](unsigned n) {
+        std::vector<std::uint32_t> got;
+        for (unsigned i = 0; i < n; ++i)
+            got.push_back(pool.claim());
+        return got;
+    };
+    EXPECT_EQ(claims(4), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(pool.numFree(), 2u);
+    pool.release(1);
+    pool.release(3);
+    EXPECT_EQ(pool.numFree(), 4u);
+    // The most recently released index first, then the lowest never
+    // claimed, down to exhaustion.
+    EXPECT_EQ(claims(4), (std::vector<std::uint32_t>{3, 1, 4, 5}));
+    EXPECT_EQ(pool.numFree(), 0u);
+    EXPECT_TRUE(pool.empty());
+    // Recovery: released indices come back last in, first out.
+    pool.release(2);
+    pool.release(0);
+    pool.release(5);
+    EXPECT_EQ(pool.numFree(), 3u);
+    EXPECT_EQ(claims(3), (std::vector<std::uint32_t>{5, 0, 2}));
+    EXPECT_TRUE(pool.empty());
+}
+
+TEST(IndexPool, FreeCountIsCapacityWhateverTheReach)
+{
+    IndexPool pool(16384, 3);
+    EXPECT_EQ(pool.capacity(), 16384u);
+    EXPECT_EQ(pool.reach(), 3u);
+    EXPECT_EQ(pool.numFree(), 16384u);
+    EXPECT_EQ(pool.claim(), 0u);
+    EXPECT_EQ(pool.claim(), 1u);
+    EXPECT_EQ(pool.claim(), 2u);
+    EXPECT_EQ(pool.numFree(), 16381u);
+    pool.release(1);
+    EXPECT_EQ(pool.numFree(), 16382u);
+    EXPECT_EQ(pool.claim(), 1u);
+    // A fourth distinct index lies past the storage the reach sized.
+    EXPECT_DEATH(pool.claim(), "beyond the pool's reach");
+    EXPECT_EQ(IndexPool(8, 100).reach(), 8u);
+}
+
+/**
+ * The SRAM hit/miss sequence IndexPool feeds BlockFreeList under a
+ * scripted churn: every block and cost is folded into an FNV-1a
+ * digest. The digest, counts and costs are what the prefilled stack
+ * gave for the same script.
+ */
+TEST(FreeList, SramSequenceMatchesPrefilledStack)
+{
+    Edram edram(1 << 20);
+    BlockFreeList list(300, &edram);
+    std::vector<std::uint32_t> live;
+    std::uint64_t digest = 14695981039346656037ULL;
+    std::uint64_t hits = 0, misses = 0;
+    Cycle cost = 0;
+    auto fold = [&](std::uint64_t v) {
+        digest = (digest ^ v) * 1099511628211ULL;
+    };
+    auto allocate = [&] {
+        auto alloc = list.allocate();
+        ASSERT_TRUE(alloc.has_value());
+        live.push_back(alloc->block);
+        fold(alloc->block);
+        fold(alloc->cost);
+        cost += alloc->cost;
+        ++(alloc->cost == 1 ? hits : misses);
+    };
+    auto release = [&](std::size_t i) {
+        cost += list.release(live[i]);
+        live.erase(live.begin() + static_cast<long>(i));
+    };
+    for (int i = 0; i < 100; ++i)
+        allocate();
+    for (int i = 0; i < 70; ++i)
+        release(static_cast<std::size_t>(i * 7) % live.size());
+    for (int i = 0; i < 260; ++i)
+        allocate();
+    for (int i = 0; i < 200; ++i)
+        release(live.size() - 1 -
+                static_cast<std::size_t>(i * 3) % live.size());
+    for (int i = 0; i < 120; ++i)
+        allocate();
+
+    EXPECT_EQ(digest, 0x6861a0ac24acfbc3ULL);
+    EXPECT_EQ(hits, 474u);
+    EXPECT_EQ(misses, 6u);
+    EXPECT_EQ(cost, 926u);
+    EXPECT_EQ(list.numFree(), 90u);
+    EXPECT_DOUBLE_EQ(list.sramHitRate(), 474.0 / 480.0);
 }
 
 TEST(BucketAllocator, RoundsToPowerOfTwo)

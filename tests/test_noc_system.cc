@@ -28,18 +28,15 @@ namespace tss
 namespace
 {
 
-/** Wide shared-object tasks: plenty of same-slice operands. */
+/** Wide tasks over @p objs: 9 reads and 3 writes each. */
 TaskTrace
-wideTrace(unsigned tasks, unsigned objects, std::uint64_t seed)
+wideTraceOver(const std::vector<std::uint64_t> &objs, unsigned tasks,
+              std::uint64_t seed)
 {
     TaskTrace trace;
     trace.name = "wide";
     trace.addKernel("w");
     TaskBuilder b(trace);
-    AddressSpace mem(0x40000000);
-    std::vector<std::uint64_t> objs;
-    for (unsigned i = 0; i < objects; ++i)
-        objs.push_back(mem.alloc(512));
 
     Rng rng(seed);
     constexpr unsigned reads = 9, writes = 3;
@@ -61,6 +58,17 @@ wideTrace(unsigned tasks, unsigned objects, std::uint64_t seed)
         b.commit();
     }
     return trace;
+}
+
+/** Wide shared-object tasks: plenty of same-slice operands. */
+TaskTrace
+wideTrace(unsigned tasks, unsigned objects, std::uint64_t seed)
+{
+    AddressSpace mem(0x40000000);
+    std::vector<std::uint64_t> objs;
+    for (unsigned i = 0; i < objects; ++i)
+        objs.push_back(mem.alloc(512));
+    return wideTraceOver(objs, tasks, seed);
 }
 
 RunResult
@@ -365,6 +373,81 @@ TEST(OvtCapacity, MinimumSafeOvtBoundForWideRepro)
                       baseline.metrics.counter("engine.events_executed"))
                 << threads << " sim threads";
         }
+    }
+}
+
+/**
+ * The capacity edges, pinned to the event. The frontend stores only
+ * the part of each table a trace can touch (core/footprint.hh), yet a
+ * run must stall and park exactly where Table II's whole tables did:
+ * the digests and counts below were taken from a build that allocated
+ * every table whole. Three edges: an ORT set filled by objects that
+ * all map to it (1 set touched of 2,048) and a slice's version slots
+ * run dry, both stalling the gateway (unordered), and the reserve
+ * escape of ordered decode.
+ */
+TEST(CapacityEdge, StallsAndParksWhereWholeTablesDid)
+{
+    struct Edge
+    {
+        const char *what;
+        unsigned pipes;
+        unsigned threads;
+        unsigned slotsPerSlice; ///< 0: Table II's
+        bool sameSet;           ///< every object in one ORT set
+        std::uint64_t eventDigest;
+        std::uint64_t applyDigest;
+        std::uint64_t stallEvents;
+        std::uint64_t slotParks;
+    };
+    const Edge edges[] = {
+        {"one ORT set full, unordered", 1, 1, 0, true,
+         0xcc14c40a61f161bfULL, 0x0a2192a11d7fbc79ULL, 89, 0},
+        {"version slots dry, unordered", 1, 1, 16, false,
+         0xb1aaecacea1f87b8ULL, 0x78c255ccd1cc929eULL, 91, 0},
+        {"reserve escape, ordered", 2, 3, 16, false,
+         0x0582b7dac1fecb22ULL, 0x398ccaf343bc8494ULL, 0, 944},
+    };
+    for (const Edge &e : edges) {
+        PipelineConfig cfg;
+        cfg.numCores = 8;
+        cfg.numTrs = 2;
+        cfg.numOrt = 1;
+        cfg.numPipelines = e.pipes;
+        cfg.trsTotalBytes = 1024 * 1024;
+        if (e.slotsPerSlice) {
+            cfg.ovtTotalBytes =
+                Bytes(e.slotsPerSlice) * 16 * cfg.totalOrt();
+        }
+
+        AddressSpace mem(0x40000000);
+        std::vector<std::uint64_t> objs;
+        while (objs.size() < 64) {
+            std::uint64_t addr = mem.alloc(512);
+            auto set = [&cfg](std::uint64_t a) {
+                return PipelineConfig::ortSetOf(a, cfg.ortSets());
+            };
+            if (!e.sameSet || objs.empty() || set(addr) == set(objs[0]))
+                objs.push_back(addr);
+        }
+        TaskTrace trace = wideTraceOver(objs, 80, 5);
+
+        auto sys =
+            SystemBuilder(cfg, trace).roundRobin(e.threads).build();
+        EXPECT_EQ(sys->sharedData(), e.threads > 1) << e.what;
+        RunResult r = sys->run(4'000'000'000ULL);
+        EXPECT_EQ(r.metrics.counter("engine.event_digest"),
+                  e.eventDigest)
+            << e.what;
+        EXPECT_EQ(r.metrics.counter("engine.apply_digest"),
+                  e.applyDigest)
+            << e.what;
+        EXPECT_EQ(r.metrics.counter("frontend.gateway_stall_events"),
+                  e.stallEvents)
+            << e.what;
+        EXPECT_EQ(r.metrics.counter("frontend.version_slot_parks"),
+                  e.slotParks)
+            << e.what;
     }
 }
 

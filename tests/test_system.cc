@@ -200,5 +200,26 @@ TEST(SystemBuilderTest, AccessorsReachEveryUnit)
     EXPECT_EQ(result.numTasks, trace.size());
 }
 
+TEST(SystemBuilderTest, RejectsEmptyModuleCountsAndOversizedTasks)
+{
+    TaskTrace trace = tinyTasks(4, 0x2000'0000);
+    // The TRS capacity divides by the TRS count: the count is checked
+    // first, so a zero count is a named fatal, not a division by zero.
+    PipelineConfig no_trs = smallConfig();
+    no_trs.numTrs = 0;
+    EXPECT_DEATH(SystemBuilder(no_trs, trace).build(),
+                 "at least one TRS, ORT and core");
+    PipelineConfig no_pipes = smallConfig();
+    no_pipes.numPipelines = 0;
+    EXPECT_DEATH(SystemBuilder(no_pipes, trace).build(),
+                 "at least one frontend pipeline");
+
+    TaskTrace wide = tinyTasks(1, 0x2000'0000);
+    for (unsigned i = 0; i < layout::maxOperands; ++i)
+        wide.tasks[0].operands.push_back({Dir::In, 0x3000'0000u + i, 8});
+    EXPECT_DEATH(SystemBuilder(smallConfig(), wide).build(),
+                 "task with 20 operands exceeds the 19-operand");
+}
+
 } // namespace
 } // namespace tss
